@@ -58,20 +58,35 @@ class TestDeterminism:
         second = _kernels.potential_moments(xi, w, c1, c2)
         assert np.array_equal(first, second)
 
-    def test_thread_count_does_not_change_bits(self, node_data):
-        xi, w, c1, c2, amat, values = node_data
-        saved = _kernels.get_threads()
-        try:
-            _kernels.set_threads(1)
-            serial = _kernels.potential_moments(xi, w, c1, c2)
-            serial_k = _kernels.kinetic_sum(xi, w, c1, c2)
-            _kernels.set_threads(4)
-            pooled = _kernels.potential_moments(xi, w, c1, c2)
-            pooled_k = _kernels.kinetic_sum(xi, w, c1, c2)
-        finally:
-            _kernels.set_threads(saved)
-        assert np.array_equal(serial, pooled)
-        assert serial_k == pooled_k
+    def test_thread_count_does_not_change_bits(self, rule64):
+        # level 64 spans 2 chunks folded and 16 full, so the pool runs
+        rng = np.random.default_rng(223)
+        c1 = 1.0 / np.exp(rng.uniform(np.log(0.5), np.log(2.0), 4)) ** 2
+        c2 = 1.0 / np.exp(rng.uniform(np.log(0.5), np.log(2.0), 4)) ** 2
+        raw = rng.standard_normal((4, 4))
+        amat = np.eye(4) + 0.05 * (raw + raw.T)
+        for xi, w in (
+            (rule64.folded_xi, rule64.folded_weights),
+            (rule64.xi, rule64.weights),
+        ):
+            assert len(w) > _kernels.CHUNK
+            values = rng.standard_normal(len(w))
+            calls = (
+                lambda: _kernels.potential_moments(xi, w, c1, c2),
+                lambda: _kernels.kinetic_sum(xi, w, c1, c2),
+                lambda: _kernels.rational_sum(xi, w, amat),
+                lambda: _kernels.weighted_total(values, w),
+            )
+            saved = _kernels.get_threads()
+            try:
+                _kernels.set_threads(1)
+                serial = [call() for call in calls]
+                _kernels.set_threads(2)
+                pooled = [call() for call in calls]
+            finally:
+                _kernels.set_threads(saved)
+            for a, b in zip(serial, pooled):
+                assert np.array_equal(a, b)
 
     def test_thread_guard(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +21,7 @@ from doubled_spectral.matchings import PerturbedForm
 from conftest import draw_scales
 
 TWO_PI_SQ = 2.0 * math.pi**2
+FOLD_LEVELS = [4, 5, 7, 8, 16, 64]
 
 
 class TestRule:
@@ -26,16 +29,48 @@ class TestRule:
         with pytest.raises(ValueError):
             build_rule(3)
 
-    def test_node_count_and_invariants(self, rule8):
-        assert rule8.node_count == 4 * 8**3
-        assert abs(math.fsum(rule8.weights.tolist()) - TWO_PI_SQ) <= 1e-12 * TWO_PI_SQ
-        norms = np.einsum("ij,ij->i", rule8.xi, rule8.xi)
-        assert float(np.abs(norms - 1.0).max()) <= 1e-14
-        assert np.all(rule8.weights > 0)
+    def test_node_count_and_invariants(self):
+        # odd levels and even ones, whose k = level/2 orbit has 2 members
+        for level in FOLD_LEVELS:
+            rule = build_rule(level)
+            assert rule.node_count == 4 * level**3
+            assert rule.folded_weights.shape == ((level // 2 + 1) ** 2 * level,)
+            assert rule.weights.shape == (rule.node_count,)
+            for xi, w in (
+                (rule.xi, rule.weights),
+                (rule.folded_xi, rule.folded_weights),
+            ):
+                assert xi.shape == (w.shape[0], 4)
+                assert abs(math.fsum(w.tolist()) - TWO_PI_SQ) <= 1e-12 * TWO_PI_SQ
+                norms = np.einsum("ij,ij->i", xi, xi)
+                assert float(np.abs(norms - 1.0).max()) <= 1e-14
+                assert np.all(w > 0)
 
     def test_rule_arrays_read_only(self, rule8):
         with pytest.raises(ValueError):
             rule8.weights[0] = 0.0
+        with pytest.raises(ValueError):
+            rule8.folded_weights[0] = 0.0
+
+    def test_potential_leaves_full_set_unbuilt(self):
+        level = 36  # no other test builds this level, so the rule is fresh
+        g1 = DiagonalMetric((0.7, 1.3, 1.1, 0.9))
+        g2 = DiagonalMetric((1.2, 0.8, 0.6, 1.5))
+        tracemalloc.start()
+        try:
+            rule = build_rule(level)
+            potential_numeric(g1, g2, rule)
+            kinetic_term(g1, g2, rule)
+            _, folded_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            full_bytes = rule.xi.nbytes + rule.weights.nbytes
+            _, full_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the full set is allocated on first access, not before; building
+        # it peaks at several times its own size
+        assert full_peak >= full_bytes
+        assert folded_peak < full_peak / 4
 
 
 class TestIntegrate:
@@ -131,6 +166,25 @@ class TestPotential:
             g1 = DiagonalMetric(draw_scales(rng))
             g2 = DiagonalMetric(draw_scales(rng))
             assert potential_numeric(g1, g2, rule16) >= 0.0
+
+    @pytest.mark.parametrize("level", FOLD_LEVELS)
+    def test_fold_matches_full_rule(self, level):
+        rule = build_rule(level)
+        # the same evaluators, run over the full product set
+        unfolded = dataclasses.replace(
+            rule, folded_xi=rule.xi, folded_weights=rule.weights
+        )
+        rng = np.random.default_rng(53)
+        pairs = [
+            (DiagonalMetric(draw_scales(rng)), DiagonalMetric(draw_scales(rng)))
+            for _ in range(5)
+        ]
+        pairs.append((DiagonalMetric((1, 1, 1, 1)), DiagonalMetric((100, 1, 0.5, 1))))
+        for g1, g2 in pairs:
+            for fn in (potential_numeric, kinetic_term):
+                folded = fn(g1, g2, rule)
+                full = fn(g1, g2, unfolded)
+                assert abs(folded - full) <= 1e-14 * abs(full)
 
     def test_joint_permutation_invariance(self, rule32):
         rng = np.random.default_rng(37)
