@@ -22,7 +22,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # pragma: no cover - numba is an optional extra
     njit = None
     HAVE_NUMBA = False
 
@@ -80,13 +80,6 @@ def set_threads(n: int) -> None:
 
 def get_threads() -> int:
     return _THREADS
-
-
-def maybe_jit(fn):
-    """njit a plain-loop function under the numba backend, else return it."""
-    if _ACTIVE == "numba":
-        return njit(cache=True, nogil=True)(fn)
-    return fn
 
 
 # ----------------------------------------------------------------------

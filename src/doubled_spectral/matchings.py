@@ -11,10 +11,12 @@ the 2m index slots that pair equal axis labels, with
 Contracting m copies of eps along a matching produces a product of traces,
 one tr(eps^k) per cycle of the block graph (blocks are the slot pairs
 (2l-1, 2l) of each eps factor).  The census of cycle types over all
-matchings therefore determines the exact expansion; the single-trace variant
-of the series, which keeps only a tr(eps^m) term with coefficient
-(-2)^m N_{2m} c_m, is implemented alongside for comparison.  N_{2m} counts
-the matchings with no block pair (2l-1, 2l), i.e. no 1-cycle.
+matchings therefore determines the exact expansion.  pattern_census counts
+each cycle type in closed form; enumerate_matchings and trace_pattern build
+the census matching by matching and are kept as its test oracle.  The
+single-trace variant of the series, which keeps only a tr(eps^m) term with
+coefficient (-2)^m N_{2m} c_m, is implemented alongside for comparison.
+N_{2m} counts the matchings with no block pair (2l-1, 2l), i.e. no 1-cycle.
 
 Rational bookkeeping (fractions.Fraction, in units of pi^2) is kept exact;
 floats appear only when a series is evaluated.
@@ -23,13 +25,13 @@ floats appear only when a series is evaluated.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import maybe_jit
 from .s3quad import SphereRule, rational_integral
 
 PI_SQ = math.pi * math.pi
@@ -192,98 +194,6 @@ def trace_pattern(mt: Matching) -> TracePattern:
     return TracePattern(tuple(lens))
 
 
-# ----------------------------------------------------------------------
-# cycle-type census over all matchings (iterative twin of
-# enumerate_matchings + trace_pattern; jitted when the numba backend is
-# active, otherwise run as-is)
-
-def _census_scan(m, keys):
-    n = 2 * m
-    counts = np.zeros(keys.shape[0], dtype=np.int64)
-    partner = np.full(n, -1, dtype=np.int64)
-    anchor = np.zeros(m, dtype=np.int64)
-    choice = np.zeros(m, dtype=np.int64)
-    visited = np.zeros(m, dtype=np.bool_)
-    lens = np.zeros(m, dtype=np.int64)
-    base = m + 1
-
-    depth = 0
-    anchor[0] = 0
-    cand = 1
-    while True:
-        while cand < n and partner[cand] >= 0:
-            cand += 1
-        if cand >= n:
-            depth -= 1
-            if depth < 0:
-                break
-            a = anchor[depth]
-            j = choice[depth]
-            partner[a] = -1
-            partner[j] = -1
-            cand = j + 1
-            continue
-        a = anchor[depth]
-        partner[a] = cand
-        partner[cand] = a
-        choice[depth] = cand
-        if depth == m - 1:
-            # complete matching: walk the block cycles (0-based slots; the
-            # two slots of block b are 2b and 2b^1)
-            for b in range(m):
-                visited[b] = False
-            nc = 0
-            for b in range(m):
-                if visited[b]:
-                    continue
-                length = 0
-                cur = b
-                slot = 2 * b
-                while True:
-                    visited[cur] = True
-                    length += 1
-                    nxt = partner[slot]
-                    cur = nxt // 2
-                    slot = nxt ^ 1
-                    if cur == b:
-                        break
-                lens[nc] = length
-                nc += 1
-            for i in range(1, nc):
-                cur_len = lens[i]
-                j2 = i - 1
-                while j2 >= 0 and lens[j2] < cur_len:
-                    lens[j2 + 1] = lens[j2]
-                    j2 -= 1
-                lens[j2 + 1] = cur_len
-            code = 0
-            for i in range(nc):
-                code = code * base + lens[i]
-            lo = 0
-            hi = keys.shape[0]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if keys[mid] < code:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            counts[lo] += 1
-            partner[a] = -1
-            partner[cand] = -1
-            cand += 1
-            continue
-        depth += 1
-        na = anchor[depth - 1] + 1
-        while partner[na] >= 0:
-            na += 1
-        anchor[depth] = na
-        cand = na + 1
-    return counts
-
-
-_census_scan_fast = maybe_jit(_census_scan)
-
-
 def _partitions(m: int) -> list[tuple[int, ...]]:
     def gen(remaining, max_part):
         if remaining == 0:
@@ -296,18 +206,19 @@ def _partitions(m: int) -> list[tuple[int, ...]]:
     return list(gen(m, m))
 
 
-def _encode(parts: tuple[int, ...], m: int) -> int:
-    code = 0
-    for p in parts:
-        code = code * (m + 1) + p
-    return code
-
-
 @lru_cache(maxsize=None)
 def pattern_census(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Number of matchings realizing each cycle type, for all cycle types
     (partitions of m), as ((lengths descending), count) pairs.  Counts sum
-    to (2m-1)!!."""
+    to (2m-1)!!.
+
+    A cycle type with n_k cycles of length k is realized by
+
+        m! 2^m / prod_k ((2k)^{n_k} n_k!)
+
+    matchings: the m blocks split into the cycles in m! / prod_k (k!^{n_k}
+    n_k!) ways, and k given blocks close into 2^(k-1) (k-1)! single cycles.
+    """
     m = int(m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -315,17 +226,19 @@ def pattern_census(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         raise ValueError(
             f"m = {m} exceeds the enumeration guard {MAX_MATCHING_ORDER}"
         )
-    parts = _partitions(m)
-    codes = np.array(sorted(_encode(p, m) for p in parts), dtype=np.int64)
-    counts = _census_scan_fast(m, codes)
-    by_code = {int(c): int(k) for c, k in zip(codes, counts)}
-    return tuple((p, by_code[_encode(p, m)]) for p in parts)
+    census = []
+    for parts in _partitions(m):
+        denom = 1
+        for k, n_k in Counter(parts).items():
+            denom *= (2 * k) ** n_k * math.factorial(n_k)
+        census.append((parts, math.factorial(m) * 2**m // denom))
+    return tuple(census)
 
 
 def count_n(m: int) -> int:
-    """Number of matchings of {1, ..., 2m} with no pair (2l-1, 2l), counted
-    by enumeration (these are exactly the matchings whose cycle type has no
-    1-cycle)."""
+    """Number of matchings of {1, ..., 2m} with no pair (2l-1, 2l), summed
+    over the census (these are exactly the matchings whose cycle type has no
+    1-cycle); independent of the inclusion-exclusion count_n_formula."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     return sum(count for pat, count in pattern_census(m) if 1 not in pat)

@@ -26,6 +26,7 @@ import math
 import numpy as np
 
 from ._emit import fmt_float
+from ._kernels import active_backend
 from .matchings import PerturbedForm, compare_series, pattern_census
 from .s3quad import build_rule, potential_numeric
 from .geometry import DiagonalMetric
@@ -116,6 +117,8 @@ def render_markdown() -> str:
         "",
         "Generated by `python -m doubled_spectral.reports`. All inputs are",
         "seeded; regenerating the file reproduces it byte for byte.",
+        f"Node-kernel backend: {active_backend()} (numpy {np.__version__}); "
+        "the quadrature values depend on both.",
         "",
         "## 1. Limit of the Hopf potential on the singular surface",
         "",

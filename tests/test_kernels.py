@@ -13,15 +13,46 @@ needs_numba = pytest.mark.skipif(
 )
 
 
-@pytest.fixture
-def node_data(rule16):
+def _node_data(rule):
     rng = np.random.default_rng(211)
     c1 = 1.0 / np.exp(rng.uniform(np.log(0.5), np.log(2.0), 4)) ** 2
     c2 = 1.0 / np.exp(rng.uniform(np.log(0.5), np.log(2.0), 4)) ** 2
     raw = rng.standard_normal((4, 4))
     amat = np.eye(4) + 0.05 * (raw + raw.T)
-    values = rng.standard_normal(rule16.node_count)
-    return rule16.xi, rule16.weights, c1, c2, amat, values
+    values = rng.standard_normal(rule.node_count)
+    return rule.xi, rule.weights, c1, c2, amat, values
+
+
+@pytest.fixture
+def node_data(rule16):
+    return _node_data(rule16)
+
+
+def test_plain_loops_match_numpy_chunks(rule8):
+    # the numba kernels are these loops jitted; run un-jitted, they check
+    # the loop arithmetic against the numpy path wherever numba is absent
+    xi, w, c1, c2, amat, values = _node_data(rule8)
+    n = len(w)
+    loop_rational, loop_bad = _kernels._loop_rational_chunk(xi, w, amat, 0, n)
+    np_rational, np_bad = _kernels._np_rational_chunk(xi, w, amat, 0, n)
+    assert loop_bad == np_bad == 0
+    pairs = (
+        (
+            _kernels._loop_weighted_chunk(values, w, 0, n),
+            _kernels._np_weighted_chunk(values, w, 0, n),
+        ),
+        (
+            _kernels._loop_kinetic_chunk(xi, w, c1, c2, 0, n),
+            _kernels._np_kinetic_chunk(xi, w, c1, c2, 0, n),
+        ),
+        (
+            _kernels._loop_potential_chunk(xi, w, c1, c2, 0, n),
+            _kernels._np_potential_chunk(xi, w, c1, c2, 0, n),
+        ),
+        (loop_rational, np_rational),
+    )
+    for a, b in pairs:
+        assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b))
 
 
 @needs_numba

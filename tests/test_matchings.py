@@ -81,6 +81,10 @@ class TestEnumeration:
             list(enumerate_matchings(11))
         with pytest.raises(ValueError):
             list(enumerate_matchings(0))
+        with pytest.raises(ValueError):
+            pattern_census(11)
+        with pytest.raises(ValueError):
+            pattern_census(0)
 
     def test_canonical_form_enforced(self):
         with pytest.raises(ValueError):
@@ -109,14 +113,14 @@ class TestTracePattern:
 
 class TestCensus:
     def test_matches_direct_enumeration(self):
-        for m in (1, 2, 3, 4, 5):
+        for m in (1, 2, 3, 4, 5, 6):
             direct = Counter(
                 trace_pattern(mt).cycle_lengths for mt in enumerate_matchings(m)
             )
             assert dict(pattern_census(m)) == dict(direct)
 
     def test_total_count(self):
-        for m in (1, 2, 3, 4, 5, 6):
+        for m in range(1, 11):
             assert sum(c for _, c in pattern_census(m)) == double_factorial(2 * m - 1)
 
     def test_closed_form_cross_check(self):
@@ -148,7 +152,7 @@ class TestCountN:
         assert count_n(3) == 8
 
     def test_matches_inclusion_exclusion(self):
-        for m in range(1, 7):
+        for m in range(1, 11):
             assert count_n(m) == count_n_formula(m)
 
     def test_brute_force_definition(self):
