@@ -14,7 +14,7 @@ Hot kernels are numba-jitted with a pure-numpy fallback; set
 DOUBLED_SPECTRAL_BACKEND=numpy to force the fallback.
 """
 
-from ._kernels import active_backend, get_threads, set_threads
+from ._kernels import active_backend, get_threads
 from .conjecture import (
     HypothesisReport,
     check_exchange_identity,
@@ -119,7 +119,6 @@ __all__ = [
     "script_v",
     "series_exact",
     "series_single_trace",
-    "set_threads",
     "sqrt_det",
     "to_diagonal",
     "trace_pattern",

@@ -4,9 +4,8 @@ Backend selection happens once at import time from the environment variable
 ``DOUBLED_SPECTRAL_BACKEND`` ("numba" or "numpy"; default is numba when it
 imports, numpy otherwise).  Every reduction is accumulated over a fixed
 chunk decomposition of the node range, compensated-summation style:
-chunk partials are computed independently (optionally on a thread pool)
-and combined in chunk order with Neumaier summation.  Results are
-therefore bit-identical between runs and independent of the thread count.
+chunk partials are computed independently and combined in chunk order with
+Neumaier summation.  Results are therefore bit-identical between runs.
 The two backends agree to ~1 ulp per operation but are not required to be
 bit-identical with each other.
 """
@@ -14,7 +13,6 @@ bit-identical with each other.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,7 +25,6 @@ except ImportError:  # pragma: no cover - numba is an optional extra
     HAVE_NUMBA = False
 
 BACKEND_ENV = "DOUBLED_SPECTRAL_BACKEND"
-THREADS_ENV = "DOUBLED_SPECTRAL_THREADS"
 
 # Fixed chunk size; part of the determinism contract, do not make it
 # configurable.
@@ -57,29 +54,13 @@ def active_backend() -> str:
     return _ACTIVE
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    n = int(raw)
-    if n < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
-
-
-_THREADS = _default_threads()
-
-
-def set_threads(n: int) -> None:
-    """Set the worker count for chunk evaluation (results are unaffected)."""
-    global _THREADS
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    _THREADS = int(n)
-
-
 def get_threads() -> int:
-    return _THREADS
+    """Worker count for chunk evaluation: always 1.
+
+    Chunks run serially in the calling thread.  Kept for callers that
+    record the worker count, such as the benchmark's run record.
+    """
+    return 1
 
 
 # ----------------------------------------------------------------------
@@ -113,10 +94,18 @@ def _np_potential_chunk(xi, w, c1, c2, lo, hi):
 
 
 def _np_rational_chunk(xi, w, amat, lo, hi):
-    x = xi[lo:hi]
-    q = np.einsum("ni,ij,nj->n", x, amat, x)
+    x0, x1, x2, x3 = xi[lo:hi].T
+    # the 10 terms of xi^T A xi in _loop_rational_chunk's order
+    q = (
+        amat[0, 0] * x0 * x0 + amat[1, 1] * x1 * x1
+        + amat[2, 2] * x2 * x2 + amat[3, 3] * x3 * x3
+        + 2.0 * (
+            amat[0, 1] * x0 * x1 + amat[0, 2] * x0 * x2 + amat[0, 3] * x0 * x3
+            + amat[1, 2] * x1 * x2 + amat[1, 3] * x1 * x3 + amat[2, 3] * x2 * x3
+        )
+    )
     good = np.isfinite(q) & (q > 0.0)
-    bad = int(x.shape[0] - np.count_nonzero(good))
+    bad = int(q.size - np.count_nonzero(good))
     if bad:
         return 0.0, bad
     return float(np.sum(w[lo:hi] / q)), 0
@@ -254,17 +243,9 @@ def _impl(name, backend):
     return table[name]
 
 
-def _chunk_ranges(n):
-    return [(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
-
-
-def _map_chunks(fn, n):
-    """Evaluate fn(lo, hi) for every chunk, preserving chunk order."""
-    ranges = _chunk_ranges(n)
-    if _THREADS > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=_THREADS) as pool:
-            return list(pool.map(lambda r: fn(*r), ranges))
-    return [fn(lo, hi) for lo, hi in ranges]
+def _chunk_parts(fn, n, *args):
+    """Evaluate fn(*args, lo, hi) for every chunk of range(n), in order."""
+    return [fn(*args, lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
 
 
 def _neumaier_total(parts):
@@ -293,14 +274,14 @@ def _neumaier_total_vec(parts, width):
 def weighted_total(values, w, backend=None):
     """Compensated sum of values[i] * w[i] in fixed node order."""
     fn = _impl("weighted", backend)
-    parts = _map_chunks(lambda lo, hi: fn(values, w, lo, hi), len(w))
+    parts = _chunk_parts(fn, len(w), values, w)
     return _neumaier_total(parts)
 
 
 def kinetic_sum(xi, w, c1, c2, backend=None):
     """Sum of w * (Q1^-2 + Q2^-2) with Q_i = sum_j c_i[j] * xi_j^2."""
     fn = _impl("kinetic", backend)
-    parts = _map_chunks(lambda lo, hi: fn(xi, w, c1, c2, lo, hi), len(w))
+    parts = _chunk_parts(fn, len(w), xi, w, c1, c2)
     return _neumaier_total(parts)
 
 
@@ -310,14 +291,14 @@ def potential_moments(xi, w, c1, c2, backend=None):
     Returns a length-10 vector in row-major upper-triangle order.
     """
     fn = _impl("potential", backend)
-    parts = _map_chunks(lambda lo, hi: fn(xi, w, c1, c2, lo, hi), len(w))
+    parts = _chunk_parts(fn, len(w), xi, w, c1, c2)
     return _neumaier_total_vec(parts, 10)
 
 
 def rational_sum(xi, w, amat, backend=None):
     """Sum of w / (xi^T A xi); raises if the form is not positive there."""
     fn = _impl("rational", backend)
-    parts = _map_chunks(lambda lo, hi: fn(xi, w, amat, lo, hi), len(w))
+    parts = _chunk_parts(fn, len(w), xi, w, amat)
     bad = sum(p[1] for p in parts)
     if bad:
         raise ValueError(

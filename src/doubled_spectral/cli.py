@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from ._emit import to_csv, to_json
 from .conjecture import run_hypothesis_suite, v_prime
 from .geometry import DiagonalMetric, DoubledGeometry, effective_params
@@ -76,7 +75,7 @@ def _parse_metric(text: str, flag: str) -> DiagonalMetric:
 
 def _as_hopf(g: DiagonalMetric, flag: str) -> HopfMetric:
     a = g.scales
-    if a[0] != a[1] or a[2] != a[3]:
+    if not _is_hopf(g):
         raise CliError(
             f"{flag} is not Hopf-shaped (need a0 == a1 and a2 == a3): {a}"
         )
@@ -320,10 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write output to PATH instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default=None,
                         help="output format (json default; sweeps default to csv)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for node evaluation (results are "
-                             "independent of this; env DOUBLED_SPECTRAL_THREADS "
-                             "is the fallback; default 1)")
     common.add_argument("--emit-config", action="store_true",
                         help="print the resolved run configuration and exit")
 
@@ -390,12 +385,6 @@ def main(argv=None) -> int:
             raise CliError(f"--level must be >= 4, got {args.level}")
         if args.tol <= 0.0 and args.subcommand != "hypothesis":
             raise CliError(f"--tol must be > 0, got {args.tol}")
-        threads = args.threads
-        if threads is None:
-            threads = _kernels.get_threads()
-        if threads < 1:
-            raise CliError(f"--threads must be >= 1, got {args.threads}")
-        _kernels.set_threads(threads)
         if args.emit_config:
             config = RunConfig(
                 subcommand=args.subcommand,

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DiagonalMetric
-from .s3quad import SphereRule, potential_numeric
-
-TWO_PI_SQ = 2.0 * math.pi * math.pi
+from .s3quad import TWO_PI_SQ, SphereRule, potential_numeric
 
 # Metric entries are drawn log-uniformly from this box.
 PARAM_RANGE = (0.5, 2.0)

@@ -32,10 +32,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .s3quad import SphereRule, rational_integral
+from .s3quad import TWO_PI_SQ, SphereRule, rational_integral
 
 PI_SQ = math.pi * math.pi
-TWO_PI_SQ = 2.0 * PI_SQ
 
 # (2m-1)!! growth guards
 MAX_MATCHING_ORDER = 10

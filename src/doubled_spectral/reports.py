@@ -28,10 +28,8 @@ import numpy as np
 from ._emit import fmt_float
 from ._kernels import active_backend
 from .matchings import PerturbedForm, compare_series, pattern_census
-from .s3quad import build_rule, potential_numeric
+from .s3quad import TWO_PI_SQ, build_rule, potential_numeric
 from .geometry import DiagonalMetric
-
-TWO_PI_SQ = 2.0 * math.pi * math.pi
 
 SINGULAR_SEED = 20240901
 SERIES_SEED = 20240902

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -89,8 +90,9 @@ class TestDeterminism:
         second = _kernels.potential_moments(xi, w, c1, c2)
         assert np.array_equal(first, second)
 
-    def test_thread_count_does_not_change_bits(self, rule64):
-        # level 64 spans 2 chunks folded and 16 full, so the pool runs
+    def test_multi_chunk_repeatable_and_matches_fsum(self, rule64):
+        # level 64 spans 2 chunks folded and 16 full, so the Neumaier chunk
+        # combine runs; each driver is checked against a one-pass fsum
         rng = np.random.default_rng(223)
         c1 = 1.0 / np.exp(rng.uniform(np.log(0.5), np.log(2.0), 4)) ** 2
         c2 = 1.0 / np.exp(rng.uniform(np.log(0.5), np.log(2.0), 4)) ** 2
@@ -102,26 +104,38 @@ class TestDeterminism:
         ):
             assert len(w) > _kernels.CHUNK
             values = rng.standard_normal(len(w))
-            calls = (
-                lambda: _kernels.potential_moments(xi, w, c1, c2),
-                lambda: _kernels.kinetic_sum(xi, w, c1, c2),
-                lambda: _kernels.rational_sum(xi, w, amat),
-                lambda: _kernels.weighted_total(values, w),
+            z = xi * xi
+            q1 = z @ c1
+            q2 = z @ c2
+            big = w / ((q1 * q1) * (q2 * q2))
+            q = np.einsum("ni,ij,nj->n", xi, amat, xi)
+            cases = (
+                (
+                    lambda: _kernels.potential_moments(xi, w, c1, c2),
+                    [
+                        math.fsum((big * z[:, a] * z[:, b]).tolist())
+                        for a in range(4)
+                        for b in range(a, 4)
+                    ],
+                ),
+                (
+                    lambda: _kernels.kinetic_sum(xi, w, c1, c2),
+                    math.fsum((w * (1.0 / (q1 * q1) + 1.0 / (q2 * q2))).tolist()),
+                ),
+                (
+                    lambda: _kernels.rational_sum(xi, w, amat),
+                    math.fsum((w / q).tolist()),
+                ),
+                (
+                    lambda: _kernels.weighted_total(values, w),
+                    math.fsum((values * w).tolist()),
+                ),
             )
-            saved = _kernels.get_threads()
-            try:
-                _kernels.set_threads(1)
-                serial = [call() for call in calls]
-                _kernels.set_threads(2)
-                pooled = [call() for call in calls]
-            finally:
-                _kernels.set_threads(saved)
-            for a, b in zip(serial, pooled):
-                assert np.array_equal(a, b)
-
-    def test_thread_guard(self):
-        with pytest.raises(ValueError):
-            _kernels.set_threads(0)
+            for call, reference in cases:
+                first = call()
+                assert np.array_equal(first, call())
+                reference = np.asarray(reference)
+                assert np.all(np.abs(first - reference) <= 1e-13 * np.abs(reference))
 
 
 class TestBackendSelection:
