@@ -10,8 +10,8 @@ Layers:
 * conjecture-- randomized invariance suite for the bimetric factorization
 * cli       -- reproducible command-line front end
 
-Hot kernels are numba-jitted with a pure-numpy fallback; set
-DOUBLED_SPECTRAL_BACKEND=numpy to force the fallback.
+The hot node reductions are vectorized numpy kernels (``_kernels``) with a
+fixed chunk order, so every result is bit-identical between runs.
 """
 
 from ._kernels import active_backend, get_threads

@@ -29,7 +29,7 @@ from .matchings import (
     count_n_formula,
     pattern_census,
 )
-from .s3quad import build_rule, kinetic_term, potential_numeric
+from .s3quad import MIN_LEVEL, build_rule, kinetic_term, potential_numeric
 
 DEFAULT_LEVEL = 64
 DEFAULT_SEED = 42
@@ -310,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--level", type=int, default=DEFAULT_LEVEL,
-                        help="quadrature resolution (>= 4, default %(default)s)")
+                        help=f"quadrature resolution (>= {MIN_LEVEL}, "
+                             "default %(default)s)")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="RNG seed where applicable (default %(default)s)")
     common.add_argument("--tol", type=float, default=DEFAULT_TOL,
@@ -381,8 +382,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.level < 4:
-            raise CliError(f"--level must be >= 4, got {args.level}")
+        if args.level < MIN_LEVEL:
+            raise CliError(f"--level must be >= {MIN_LEVEL}, got {args.level}")
+        if not math.isfinite(args.tol):
+            raise CliError(f"--tol must be finite, got {args.tol}")
         if args.tol <= 0.0 and args.subcommand != "hypothesis":
             raise CliError(f"--tol must be > 0, got {args.tol}")
         if args.emit_config:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from doubled_spectral.cli import main
+from doubled_spectral.s3quad import MIN_LEVEL
 
 TWO_PI_SQ = 2.0 * math.pi**2
 
@@ -263,11 +264,27 @@ class TestConfigAndDeterminism:
         }
 
     def test_bad_level_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys, "potential", "--g1", "1,1,1,1", "--g2", "1,1,1,1",
-            "--level", "2",
-        )
+        for level in (2, MIN_LEVEL - 1):
+            code, _, err = run_cli(
+                capsys, "potential", "--g1", "1,1,1,1", "--g2", "1,1,1,1",
+                "--level", str(level),
+            )
+            assert code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("potential", "--g1", "1,1,1,1", "--g2", "2,2,1,1", "--emit-config"),
+            ("hypothesis", "--trials", "2", "--level", "8"),
+        ],
+        ids=["potential-emit-config", "hypothesis"],
+    )
+    def test_non_finite_tol_rejected(self, capsys, argv, tol):
+        code, out, err = run_cli(capsys, *argv, "--tol", tol)
         assert code == 2
+        assert out == ""
+        assert "--tol must be finite" in json.loads(err)["error"]
 
     def test_repeat_runs_byte_identical(self, capsys):
         args = ("series", "--omega", "1.5",
