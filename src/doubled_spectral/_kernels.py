@@ -40,17 +40,22 @@ def _np_weighted_chunk(values, w, lo, hi):
     return float(np.sum(values[lo:hi] * w[lo:hi]))
 
 
+def _form(z, c):
+    # sum_j c[j] z_j as its 4 explicit terms in a fixed order
+    return z[:, 0] * c[0] + z[:, 1] * c[1] + z[:, 2] * c[2] + z[:, 3] * c[3]
+
+
 def _np_kinetic_chunk(xi, w, c1, c2, lo, hi):
     z = xi[lo:hi] * xi[lo:hi]
-    q1 = z[:, 0] * c1[0] + z[:, 1] * c1[1] + z[:, 2] * c1[2] + z[:, 3] * c1[3]
-    q2 = z[:, 0] * c2[0] + z[:, 1] * c2[1] + z[:, 2] * c2[2] + z[:, 3] * c2[3]
+    q1 = _form(z, c1)
+    q2 = _form(z, c2)
     return float(np.sum(w[lo:hi] * (1.0 / (q1 * q1) + 1.0 / (q2 * q2))))
 
 
 def _np_potential_chunk(xi, w, c1, c2, lo, hi):
     z = xi[lo:hi] * xi[lo:hi]
-    q1 = z[:, 0] * c1[0] + z[:, 1] * c1[1] + z[:, 2] * c1[2] + z[:, 3] * c1[3]
-    q2 = z[:, 0] * c2[0] + z[:, 1] * c2[1] + z[:, 2] * c2[2] + z[:, 3] * c2[3]
+    q1 = _form(z, c1)
+    q2 = _form(z, c2)
     big = w[lo:hi] / ((q1 * q1) * (q2 * q2))
     out = np.empty(10)
     k = 0
@@ -62,17 +67,8 @@ def _np_potential_chunk(xi, w, c1, c2, lo, hi):
     return out
 
 
-def _np_rational_chunk(xi, w, amat, lo, hi):
-    x0, x1, x2, x3 = xi[lo:hi].T
-    # xi^T A xi as its 10 explicit terms in a fixed order (faster than einsum)
-    q = (
-        amat[0, 0] * x0 * x0 + amat[1, 1] * x1 * x1
-        + amat[2, 2] * x2 * x2 + amat[3, 3] * x3 * x3
-        + 2.0 * (
-            amat[0, 1] * x0 * x1 + amat[0, 2] * x0 * x2 + amat[0, 3] * x0 * x3
-            + amat[1, 2] * x1 * x2 + amat[1, 3] * x1 * x3 + amat[2, 3] * x2 * x3
-        )
-    )
+def _np_rational_chunk(xi, w, c, lo, hi):
+    q = _form(xi[lo:hi] * xi[lo:hi], c)
     good = np.isfinite(q) & (q > 0.0)
     bad = int(q.size - np.count_nonzero(good))
     if bad:
@@ -129,9 +125,10 @@ def potential_moments(xi, w, c1, c2):
     return _neumaier_total_vec(parts, 10)
 
 
-def rational_sum(xi, w, amat):
-    """Sum of w / (xi^T A xi); raises if the form is not positive there."""
-    parts = _chunk_parts(_np_rational_chunk, len(w), xi, w, amat)
+def rational_sum(xi, w, c):
+    """Sum of w / Q with Q = sum_j c[j] * xi_j^2; raises if Q is not
+    positive at a node."""
+    parts = _chunk_parts(_np_rational_chunk, len(w), xi, w, c)
     bad = sum(p[1] for p in parts)
     if bad:
         raise ValueError(

@@ -12,18 +12,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._emit import to_csv, to_json
-from .conjecture import run_hypothesis_suite, v_prime
+from .conjecture import check_suite_args, run_hypothesis_suite, v_prime
 from .geometry import DiagonalMetric, DoubledGeometry, effective_params
 from .hopf import HopfMetric, potential_closed, potential_via_conjecture
 from .matchings import (
     MAX_MOMENT_ORDER,
     PerturbedForm,
     c_coefficient,
+    check_series_order,
     compare_series,
     count_n,
     count_n_formula,
@@ -34,26 +34,6 @@ from .s3quad import MIN_LEVEL, build_rule, kinetic_term, potential_numeric
 DEFAULT_LEVEL = 64
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    level: int
-    seed: int
-    tol: float
-    output_path: str | None
-    format: str
-
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "level": self.level,
-            "seed": self.seed,
-            "tol": self.tol,
-            "output_path": self.output_path,
-            "format": self.format,
-        }
 
 
 class CliError(Exception):
@@ -103,6 +83,25 @@ def _emit(args, payload, default_format: str = "json") -> None:
     _write_out(args, text)
 
 
+def _config_only(args) -> bool:
+    """With --emit-config, print the resolved run configuration and return
+    True: the subcommand stops there.  Subcommands call this once their
+    inputs are validated, so an invalid run fails the same way with or
+    without the flag."""
+    if not args.emit_config:
+        return False
+    config = {
+        "subcommand": args.subcommand,
+        "level": args.level,
+        "seed": args.seed,
+        "tol": args.tol,
+        "output_path": args.output,
+        "format": args.format or ("csv" if args.subcommand == "sweep" else "json"),
+    }
+    sys.stdout.write(to_json(config) + "\n")
+    return True
+
+
 def _write_out(args, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -117,15 +116,17 @@ def _write_out(args, text: str) -> None:
 def _cmd_potential(args) -> None:
     g1 = _parse_metric(args.g1, "--g1")
     g2 = _parse_metric(args.g2, "--g2")
+    if args.method in ("closed", "conjecture", "both"):
+        h1 = _as_hopf(g1, "--g1")
+        h2 = _as_hopf(g2, "--g2")
+    if _config_only(args):
+        return
     record = {
         "g1": list(g1.scales),
         "g2": list(g2.scales),
         "method": args.method,
         "level": args.level,
     }
-    if args.method in ("closed", "conjecture", "both"):
-        h1 = _as_hopf(g1, "--g1")
-        h2 = _as_hopf(g2, "--g2")
     if args.method == "numeric":
         record["value"] = potential_numeric(g1, g2, build_rule(args.level))
     elif args.method == "closed":
@@ -155,6 +156,8 @@ def _cmd_action(args) -> None:
         moment_coeff=args.c,
     )
     ep = effective_params(dg)
+    if _config_only(args):
+        return
     rule = build_rule(args.level)
     kin = kinetic_term(g1, g2, rule)
     pot = potential_numeric(g1, g2, rule)
@@ -178,6 +181,9 @@ def _cmd_action(args) -> None:
 
 
 def _cmd_hypothesis(args) -> None:
+    check_suite_args(args.trials, args.tol)
+    if _config_only(args):
+        return
     report = run_hypothesis_suite(
         trials=args.trials, seed=args.seed, rule=build_rule(args.level), tol=args.tol
     )
@@ -206,6 +212,9 @@ def _cmd_series(args) -> None:
         pf = PerturbedForm(omega=args.omega, eps=eps)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    check_series_order(args.order)
+    if _config_only(args):
+        return
     cmp_ = compare_series(pf, args.order, build_rule(args.level))
     _emit(args, cmp_.to_dict())
 
@@ -214,6 +223,8 @@ def _cmd_moments(args) -> None:
     m = args.m
     if not 1 <= m <= MAX_MOMENT_ORDER:
         raise CliError(f"--m must be in 1..{MAX_MOMENT_ORDER}, got {m}")
+    if _config_only(args):
+        return
     frac = c_coefficient(m)
     census = pattern_census(m)
     _emit(
@@ -268,6 +279,8 @@ def _cmd_sweep(args) -> None:
     claimed = [ax for axes, *_ in specs for ax in axes]
     if len(set(claimed)) != len(claimed):
         raise CliError("swept axes overlap")
+    if _config_only(args):
+        return
     grids = [
         np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
         for _, lo, hi, steps in specs
@@ -388,17 +401,6 @@ def main(argv=None) -> int:
             raise CliError(f"--tol must be finite, got {args.tol}")
         if args.tol <= 0.0 and args.subcommand != "hypothesis":
             raise CliError(f"--tol must be > 0, got {args.tol}")
-        if args.emit_config:
-            config = RunConfig(
-                subcommand=args.subcommand,
-                level=args.level,
-                seed=args.seed,
-                tol=args.tol,
-                output_path=args.output,
-                format=args.format or ("csv" if args.subcommand == "sweep" else "json"),
-            )
-            sys.stdout.write(to_json(config.to_dict()) + "\n")
-            return 0
         args.func(args)
         return 0
     except (CliError, ValueError, OSError) as exc:

@@ -143,6 +143,14 @@ def _draw_log_uniform(rng, lo, hi, size):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
 
+def check_suite_args(trials: int, tol: float) -> None:
+    """Raise ValueError unless trials >= 1 and tol >= 0."""
+    if int(trials) < 1:
+        raise ValueError(f"trials must be >= 1, got {int(trials)}")
+    if not (tol >= 0.0):
+        raise ValueError(f"tol must be >= 0, got {tol}")
+
+
 def run_hypothesis_suite(
     trials: int, seed: int, rule: SphereRule, tol: float
 ) -> HypothesisReport:
@@ -152,10 +160,7 @@ def run_hypothesis_suite(
     so the report is a pure function of (trials, seed, rule, tol).
     """
     trials = int(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not (tol >= 0.0):
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    check_suite_args(trials, tol)
     rng = np.random.default_rng(seed)
     failures = []
     max_violation = 0.0

@@ -313,17 +313,24 @@ def _single_trace_term(m: int, traces) -> float:
     return (-2.0) ** m * float(c_coefficient(m)) * PI_SQ * count_n(m) * traces[m]
 
 
+def check_series_order(order: int, minimum: int = 2) -> int:
+    """`order` as an int; raises ValueError unless
+    minimum <= order <= MAX_SERIES_ORDER."""
+    order = int(order)
+    if order < minimum:
+        raise ValueError(f"order must be >= {minimum}, got {order}")
+    if order > MAX_SERIES_ORDER:
+        raise ValueError(f"order {order} exceeds the guard {MAX_SERIES_ORDER}")
+    return order
+
+
 def series_exact(pf: PerturbedForm, order: int) -> float:
     """Exact truncated expansion of the rational integral:
 
         (1/Omega) sum_{m=0}^{order} (-1)^m c_m
                   sum_{matchings} prod_cycles tr(eps^k).
     """
-    order = int(order)
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    if order > MAX_SERIES_ORDER:
-        raise ValueError(f"order {order} exceeds the guard {MAX_SERIES_ORDER}")
+    order = check_series_order(order, 0)
     traces = _trace_powers(pf.eps, max(order, 1))
     return math.fsum(_exact_term(m, traces) for m in range(order + 1)) / pf.omega
 
@@ -334,11 +341,7 @@ def series_single_trace(pf: PerturbedForm, order: int) -> float:
         (1/Omega) [ 2 pi^2 + (2 pi^2/3) tr(eps^2)
                     + sum_{m=3}^{order} (-2)^m c_m N_{2m} tr(eps^m) ].
     """
-    order = int(order)
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    if order > MAX_SERIES_ORDER:
-        raise ValueError(f"order {order} exceeds the guard {MAX_SERIES_ORDER}")
+    order = check_series_order(order)
     traces = _trace_powers(pf.eps, order)
     return (
         math.fsum(_single_trace_term(m, traces) for m in range(order + 1))
@@ -385,11 +388,7 @@ def compare_series(pf: PerturbedForm, order: int, rule: SphereRule) -> SeriesCom
     resolvably nonzero (threshold 1e-12 of the constant term), None
     elsewhere.
     """
-    order = int(order)
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    if order > MAX_SERIES_ORDER:
-        raise ValueError(f"order {order} exceeds the guard {MAX_SERIES_ORDER}")
+    order = check_series_order(order)
     traces = _trace_powers(pf.eps, order)
     terms_exact = tuple(
         _exact_term(m, traces) / pf.omega for m in range(order + 1)

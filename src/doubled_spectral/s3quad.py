@@ -14,28 +14,27 @@ Evaluators built on the rule: the kinetic term and the interaction potential
 of a pair of diagonal metrics, and the generic rational integral
 int dS / (xi^T A xi) for a positive quadratic form A.
 
-Fold.  The kinetic and potential integrands of diagonal metrics depend on xi
-only through z = xi^2 = ((1-t) cos^2 phi, (1-t) sin^2 phi, t cos^2 psi,
-t sin^2 psi).  On the grid phi_k = pi k / level (k = 0 .. 2 level - 1), the
-maps phi -> -phi and phi -> pi - phi leave cos^2 and sin^2 unchanged, so each
-angle grid collapses onto level//2 + 1 orbits with representatives k = 0 ..
-level//2 in the first quadrant: 2 members at k = 0 and at k = level/2 (even
-level), 4 elsewhere.  The folded set is the product of the t nodes with these
-representatives in both angles, weighted by the orbit multiplicities:
-level (level//2 + 1)^2 nodes, 69,696 at level 64 against 1,048,576.  Its sum
-is the full rule's sum regrouped, so values differ from the full set only by
-rounding.  `kinetic_term` and `potential_numeric` (and everything built on
-them) read the folded set, which `build_rule` builds.  `integrate` and
-`rational_integral` read the full set `rule.xi` / `rule.weights`, built on
-first access, because a general integrand or a non-diagonal form breaks the
-symmetry.
+Fold.  On the angle grid phi_k = pi k / level (k = 0 .. 2 level - 1), the
+maps phi -> -phi and phi -> pi - phi send a node to a sign flip of its
+coordinates.  Each angle grid therefore collapses onto level//2 + 1 orbits,
+represented by k = 0 .. level//2 in the first quadrant, with 2 members at
+k = 0 and at k = level/2 (even level) and 4 elsewhere.  The rule is stored
+only as this fold: the t nodes times the representatives in both angles,
+weighted by orbit size, level (level//2 + 1)^2 nodes (69,696 at level 64
+against 4 level^3 = 1,048,576).  An integrand of z = xi^2 alone takes one
+value per orbit, so its folded sum is the product rule's sum regrouped: the
+kinetic and potential integrands of diagonal metrics, and the rational
+integrand in the eigenbasis of A.  `integrate` averages a general integrand
+over the 16 sign images of each folded node, which regroups the product rule
+for any integrand.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,14 +48,13 @@ MIN_LEVEL = 4
 
 @dataclass(frozen=True)
 class SphereRule:
-    """Immutable quadrature rule of a given level.
+    """Immutable quadrature rule of a given level, stored as its fold.
 
-    `xi` (n, 4) and `weights` (n,) are the full product set: unit nodes and
-    positive weights summing to 2 pi^2, the area of the 3-sphere.  They are
-    built on first access.  `folded_xi` and `folded_weights` are the
-    first-quadrant orbit representatives and their summed weights (see the
-    module docstring); they are built with the rule.  All arrays are
-    read-only; rules are safe to share between threads.
+    `folded_xi` (n, 4) and `folded_weights` (n,) are the orbit
+    representatives and their summed weights (see the module docstring):
+    unit nodes and positive weights summing to 2 pi^2, the area of the
+    3-sphere.  Both arrays are read-only; rules are safe to share between
+    threads.
     """
 
     level: int
@@ -65,40 +63,24 @@ class SphereRule:
 
     @property
     def node_count(self) -> int:
-        """Size of the full product set, 4 * level^3."""
+        """Size of the product rule the fold regroups, 4 * level^3."""
         return 4 * self.level**3
 
-    @cached_property
-    def _full(self) -> tuple[np.ndarray, np.ndarray]:
-        return _nodes(self.level, fold=False)
 
-    @property
-    def xi(self) -> np.ndarray:
-        return self._full[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._full[1]
-
-
-def _nodes(level: int, fold: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the product rule, or of its cos^2 fold."""
+def _nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the cos^2 fold of the product rule."""
     t_nodes, t_weights = np.polynomial.legendre.leggauss(level)
     t_nodes = 0.5 * (t_nodes + 1.0)
     t_weights = 0.5 * t_weights
 
+    # k represents the orbit {k, level-k, level+k, 2 level-k} of the angle
+    # index, which has 2 members at k = 0 and k = level/2
     n_ang = 2 * level
-    if fold:
-        # k represents the orbit {k, level-k, level+k, 2 level-k} of the
-        # angle index, which has 2 members at k = 0 and k = level/2
-        k = np.arange(level // 2 + 1)
-        mult = np.full(k.shape, 4.0)
-        mult[0] = 2.0
-        if level % 2 == 0:
-            mult[-1] = 2.0
-    else:
-        k = np.arange(n_ang)
-        mult = np.ones(n_ang)
+    k = np.arange(level // 2 + 1)
+    mult = np.full(k.shape, 4.0)
+    mult[0] = 2.0
+    if level % 2 == 0:
+        mult[-1] = 2.0
     ang = 2.0 * math.pi * k / n_ang
     w_ang = 2.0 * math.pi / n_ang
 
@@ -112,7 +94,7 @@ def _nodes(level: int, fold: bool) -> tuple[np.ndarray, np.ndarray]:
         axis=-1,
     ).reshape(-1, 4)
     # multiplicities are powers of two, so a folded weight is exactly the
-    # sum of the full-rule weights of its orbit
+    # sum of the product-rule weights of its orbit
     w = (t_weights[:, None, None] * (mult[:, None] * mult[None, :])).reshape(-1)
     w = w * (w_ang * w_ang * 0.5)
 
@@ -130,14 +112,14 @@ def _nodes(level: int, fold: bool) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def _build_rule_cached(level: int) -> SphereRule:
-    xi, w = _nodes(level, fold=True)
+    xi, w = _nodes(level)
     return SphereRule(level=level, folded_xi=xi, folded_weights=w)
 
 
 def build_rule(level: int) -> SphereRule:
     """Product rule with `level` Gauss-Legendre nodes in t and 2*level
-    equispaced nodes in each angle (4*level^3 nodes total).  Cached; only
-    the folded set is built here."""
+    equispaced nodes in each angle (4*level^3 nodes), stored as its fold.
+    Cached."""
     level = int(level)
     if level < MIN_LEVEL:
         raise ValueError(f"level must be >= {MIN_LEVEL}, got {level}")
@@ -147,18 +129,24 @@ def build_rule(level: int) -> SphereRule:
 def integrate(rule: SphereRule, f) -> float:
     """Quadrature of a scalar field over the sphere.
 
-    f must map the (n, 4) node array to an (n,) array of values; it is
-    evaluated once.  Non-finite values signal a singular integrand and
-    raise.  Summation is compensated, in fixed node order.
+    f must map an (n, 4) node array to an (n,) array of values.  It is
+    called on each of the 16 sign images s * folded_xi, s in {+1, -1}^4,
+    and each folded node weighs the mean of its 16 values: the product rule
+    regrouped, for any integrand.  Non-finite values signal a singular
+    integrand and raise.  Summation is compensated, in fixed node order.
     """
-    values = np.asarray(f(rule.xi), dtype=float)
-    if values.shape != rule.weights.shape:
+    w = rule.folded_weights
+    total = sum(
+        np.asarray(f(rule.folded_xi * s), dtype=float)
+        for s in itertools.product((1.0, -1.0), repeat=4)
+    )
+    if total.shape != w.shape:
         raise ValueError(
-            f"integrand returned shape {values.shape}, expected {rule.weights.shape}"
+            f"integrand returned shape {total.shape}, expected {w.shape}"
         )
-    if not np.all(np.isfinite(values)):
+    if not np.all(np.isfinite(total)):
         raise ValueError("integrand is non-finite at a quadrature node")
-    return _kernels.weighted_total(values, rule.weights)
+    return _kernels.weighted_total(total, w) / 16.0
 
 
 def _inv_scales_sq(g: DiagonalMetric) -> np.ndarray:
@@ -227,12 +215,20 @@ def potential_numeric(
 def rational_integral(pf, rule: SphereRule) -> float:
     """int dS / (xi^T A xi) for A = omega (I + eps) positive definite.
 
-    Accepts any object with `omega` and `eps` attributes (see
-    matchings.PerturbedForm); raises if the form fails to be positive at
-    a node.
+    The integral does not change when xi is rotated, so it is evaluated in
+    the eigenbasis of A, where the form is sum_j lambda_j xi_j^2 and the
+    fold applies.  Accepts any object with `omega` and `eps` attributes
+    (see matchings.PerturbedForm); raises unless every eigenvalue is finite
+    and positive.
     """
-    amat = pf.omega * (np.eye(4) + np.asarray(pf.eps, dtype=float))
-    return _kernels.rational_sum(rule.xi, rule.weights, amat)
+    eps = np.asarray(pf.eps, dtype=float)
+    lam = pf.omega * (1.0 + np.linalg.eigvalsh(0.5 * (eps + eps.T)))
+    if not np.all(np.isfinite(lam) & (lam > 0.0)):
+        raise ValueError(
+            f"quadratic form has eigenvalues {lam.tolist()}; the form must "
+            "be positive definite"
+        )
+    return _kernels.rational_sum(rule.folded_xi, rule.folded_weights, lam)
 
 
 def action_density(dg, rule: SphereRule) -> float:

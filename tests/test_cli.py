@@ -286,6 +286,42 @@ class TestConfigAndDeterminism:
         assert out == ""
         assert "--tol must be finite" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hypothesis", "--tol", "-1"),
+            ("hypothesis", "--trials", "0"),
+            ("moments", "--m", "99"),
+            ("moments", "--m", "0"),
+            ("potential", "--g1", "1,0,1,1", "--g2", "1,1,1,1"),
+            ("potential", "--g1", "1,2,3,4", "--g2", "1,1,1,1", "--method", "closed"),
+            ("action", "--g1", "1,1,1,1", "--g2", "2,2,1,1", "--phi", "1",
+             "--kappa", "1", "--lambda", "-1", "--c", "1"),
+            ("sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1", "--sweep", "x:1:2:3"),
+            ("sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1",
+             "--sweep", "b:1:2:3", "--sweep", "0:1:2:3"),
+            ("series", "--omega", "1", "--eps", "0,0,0"),
+            ("series", "--omega", "1", "--eps", "0.5,0,0,0,0,0,0,0,0,0"),
+            ("series", "--omega", "1", "--eps", "0,0,0,0,0,0,0,0,0,0", "--order", "99"),
+            ("series", "--omega", "1", "--eps", "0,0,0,0,0,0,0,0,0,0", "--order", "1"),
+        ],
+        ids=[
+            "hypothesis-tol", "hypothesis-trials", "moments-m-high", "moments-m-low",
+            "potential-metric", "potential-hopf", "action-cutoff", "sweep-axis",
+            "sweep-overlap", "series-eps-arity", "series-eps-trace",
+            "series-order-high", "series-order-low",
+        ],
+    )
+    def test_emit_config_validates_first(self, capsys, argv):
+        # the configuration is printed only for a run that would be accepted
+        argv = (*argv, "--level", "8")
+        plain = run_cli(capsys, *argv)
+        flagged = run_cli(capsys, *argv, "--emit-config")
+        assert plain[0] == flagged[0] == 2
+        assert plain[1] == flagged[1] == ""
+        assert plain[2] == flagged[2]
+        assert "error" in json.loads(flagged[2])
+
     def test_repeat_runs_byte_identical(self, capsys):
         args = ("series", "--omega", "1.5",
                 "--eps", "0.02,0.01,0,0,0.01,0,0,-0.02,0,-0.01",

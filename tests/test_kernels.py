@@ -4,49 +4,37 @@ import numpy as np
 import pytest
 
 from doubled_spectral import _kernels
-
-
-def _node_data(rule):
-    rng = np.random.default_rng(211)
-    c1 = 1.0 / np.exp(rng.uniform(np.log(0.5), np.log(2.0), 4)) ** 2
-    c2 = 1.0 / np.exp(rng.uniform(np.log(0.5), np.log(2.0), 4)) ** 2
-    raw = rng.standard_normal((4, 4))
-    amat = np.eye(4) + 0.05 * (raw + raw.T)
-    values = rng.standard_normal(rule.node_count)
-    return rule.xi, rule.weights, c1, c2, amat, values
-
-
-@pytest.fixture
-def node_data(rule16):
-    return _node_data(rule16)
+from conftest import full_product_set
 
 
 class TestDeterminism:
-    def test_bitwise_repeatable(self, node_data):
-        xi, w, c1, c2, amat, values = node_data
+    def test_bitwise_repeatable(self, rule16):
+        rng = np.random.default_rng(211)
+        c1 = 1.0 / np.exp(rng.uniform(np.log(0.5), np.log(2.0), 4)) ** 2
+        c2 = 1.0 / np.exp(rng.uniform(np.log(0.5), np.log(2.0), 4)) ** 2
+        xi, w = rule16.folded_xi, rule16.folded_weights
         first = _kernels.potential_moments(xi, w, c1, c2)
         second = _kernels.potential_moments(xi, w, c1, c2)
         assert np.array_equal(first, second)
 
     def test_multi_chunk_repeatable_and_matches_fsum(self, rule64):
-        # level 64 spans 2 chunks folded and 16 full, so the Neumaier chunk
-        # combine runs; each driver is checked against a one-pass fsum
+        # level 64 spans 2 chunks folded and 16 unfolded, so the Neumaier
+        # chunk combine runs; each driver is checked against a one-pass fsum
         rng = np.random.default_rng(223)
         c1 = 1.0 / np.exp(rng.uniform(np.log(0.5), np.log(2.0), 4)) ** 2
         c2 = 1.0 / np.exp(rng.uniform(np.log(0.5), np.log(2.0), 4)) ** 2
-        raw = rng.standard_normal((4, 4))
-        amat = np.eye(4) + 0.05 * (raw + raw.T)
-        for xi, w in (
-            (rule64.folded_xi, rule64.folded_weights),
-            (rule64.xi, rule64.weights),
+        lam = 1.0 + 0.1 * rng.standard_normal(4)
+        for (xi, w), chunks in (
+            ((rule64.folded_xi, rule64.folded_weights), 2),
+            (full_product_set(64), 16),
         ):
-            assert len(w) > _kernels.CHUNK
+            assert -(-len(w) // _kernels.CHUNK) == chunks
             values = rng.standard_normal(len(w))
             z = xi * xi
             q1 = z @ c1
             q2 = z @ c2
             big = w / ((q1 * q1) * (q2 * q2))
-            q = np.einsum("ni,ij,nj->n", xi, amat, xi)
+            q = z @ lam
             cases = (
                 (
                     lambda: _kernels.potential_moments(xi, w, c1, c2),
@@ -61,7 +49,7 @@ class TestDeterminism:
                     math.fsum((w * (1.0 / (q1 * q1) + 1.0 / (q2 * q2))).tolist()),
                 ),
                 (
-                    lambda: _kernels.rational_sum(xi, w, amat),
+                    lambda: _kernels.rational_sum(xi, w, lam),
                     math.fsum((w / q).tolist()),
                 ),
                 (
@@ -74,6 +62,13 @@ class TestDeterminism:
                 assert np.array_equal(first, call())
                 reference = np.asarray(reference)
                 assert np.all(np.abs(first - reference) <= 1e-13 * np.abs(reference))
+
+    def test_rational_node_guard(self, rule8):
+        # the node-level guard behind rational_integral's eigenvalue check
+        xi, w = rule8.folded_xi, rule8.folded_weights
+        for lam in ([-1.0, 1.0, 1.0, 1.0], [np.nan, 1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError, match="positive definite"):
+                _kernels.rational_sum(xi, w, np.array(lam))
 
 
 class TestBackendSelection:

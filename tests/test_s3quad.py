@@ -18,7 +18,7 @@ from doubled_spectral import (
     rational_integral,
 )
 from doubled_spectral.matchings import PerturbedForm
-from conftest import draw_scales
+from conftest import draw_scales, full_product_set
 
 TWO_PI_SQ = 2.0 * math.pi**2
 FOLD_LEVELS = [4, 5, 7, 8, 16, 64]
@@ -33,44 +33,42 @@ class TestRule:
         # odd levels and even ones, whose k = level/2 orbit has 2 members
         for level in FOLD_LEVELS:
             rule = build_rule(level)
+            xi, w = rule.folded_xi, rule.folded_weights
             assert rule.node_count == 4 * level**3
-            assert rule.folded_weights.shape == ((level // 2 + 1) ** 2 * level,)
-            assert rule.weights.shape == (rule.node_count,)
-            for xi, w in (
-                (rule.xi, rule.weights),
-                (rule.folded_xi, rule.folded_weights),
-            ):
-                assert xi.shape == (w.shape[0], 4)
-                assert abs(math.fsum(w.tolist()) - TWO_PI_SQ) <= 1e-12 * TWO_PI_SQ
-                norms = np.einsum("ij,ij->i", xi, xi)
-                assert float(np.abs(norms - 1.0).max()) <= 1e-14
-                assert np.all(w > 0)
+            assert w.shape == ((level // 2 + 1) ** 2 * level,)
+            assert xi.shape == (w.shape[0], 4)
+            assert abs(math.fsum(w.tolist()) - TWO_PI_SQ) <= 1e-12 * TWO_PI_SQ
+            norms = np.einsum("ij,ij->i", xi, xi)
+            assert float(np.abs(norms - 1.0).max()) <= 1e-14
+            assert np.all(w > 0)
+            # the fold is the only node set
+            assert not hasattr(rule, "xi")
+            assert not hasattr(rule, "weights")
 
     def test_rule_arrays_read_only(self, rule8):
         with pytest.raises(ValueError):
-            rule8.weights[0] = 0.0
+            rule8.folded_xi[0, 0] = 0.0
         with pytest.raises(ValueError):
             rule8.folded_weights[0] = 0.0
 
-    def test_potential_leaves_full_set_unbuilt(self):
+    def test_no_evaluator_allocates_the_product_set(self):
         level = 36  # no other test builds this level, so the rule is fresh
         g1 = DiagonalMetric((0.7, 1.3, 1.1, 0.9))
         g2 = DiagonalMetric((1.2, 0.8, 0.6, 1.5))
+        pf = PerturbedForm(omega=1.0, eps=np.diag([0.3, -0.1, -0.4, 0.2]))
+        rule = build_rule(level)
         tracemalloc.start()
         try:
-            rule = build_rule(level)
             potential_numeric(g1, g2, rule)
             kinetic_term(g1, g2, rule)
-            _, folded_peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            full_bytes = rule.xi.nbytes + rule.weights.nbytes
-            _, full_peak = tracemalloc.get_traced_memory()
+            rational_integral(pf, rule)
+            integrate(rule, lambda x: x[:, 0] ** 2 * (1.0 + x[:, 1]))
+            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the full set is allocated on first access, not before; building
-        # it peaks at several times its own size
-        assert full_peak >= full_bytes
-        assert folded_peak < full_peak / 4
+        # nodes (4 floats) and weights (1 float) of the 4 L^3 product set
+        product_bytes = rule.node_count * 5 * 8
+        assert peak < product_bytes / 4
 
 
 class TestIntegrate:
@@ -170,10 +168,9 @@ class TestPotential:
     @pytest.mark.parametrize("level", FOLD_LEVELS)
     def test_fold_matches_full_rule(self, level):
         rule = build_rule(level)
-        # the same evaluators, run over the full product set
-        unfolded = dataclasses.replace(
-            rule, folded_xi=rule.xi, folded_weights=rule.weights
-        )
+        xi, w = full_product_set(level)
+        # the same evaluators, run over the unfolded product set
+        unfolded = dataclasses.replace(rule, folded_xi=xi, folded_weights=w)
         rng = np.random.default_rng(53)
         pairs = [
             (DiagonalMetric(draw_scales(rng)), DiagonalMetric(draw_scales(rng)))
@@ -185,6 +182,15 @@ class TestPotential:
                 folded = fn(g1, g2, rule)
                 full = fn(g1, g2, unfolded)
                 assert abs(folded - full) <= 1e-14 * abs(full)
+        # integrate over the sign images of the fold, against the plain
+        # product-rule sum: an even integrand and an odd one
+        even = lambda x: np.exp(x[:, 0] ** 2 - x[:, 3] ** 2) * (1.0 + x[:, 1] ** 2)
+        odd = lambda x: x[:, 0] * np.exp(x[:, 1] + 2.0 * x[:, 2] - 0.5 * x[:, 3])
+        for f in (even, odd):
+            values = f(xi)
+            full = math.fsum((w * values).tolist())
+            scale = math.fsum((w * np.abs(values)).tolist())
+            assert abs(integrate(rule, f) - full) <= 1e-14 * max(abs(full), scale)
 
     def test_joint_permutation_invariance(self, rule32):
         rng = np.random.default_rng(37)
@@ -219,11 +225,39 @@ class TestRationalIntegral:
         scaled = rational_integral(PerturbedForm(omega=2.5, eps=eps), rule16)
         assert abs(scaled - one / 2.5) <= 1e-13 * abs(one)
 
-    def test_indefinite_form_rejected(self, rule8):
-        # bypasses PerturbedForm validation to exercise the node-level guard
-        bad = SimpleNamespace(omega=1.0, eps=np.diag([-3.0, 1.0, 1.0, 1.0]))
-        with pytest.raises(ValueError, match="positive"):
-            rational_integral(bad, rule8)
+    @pytest.mark.parametrize("rho", [0.05, 0.5])
+    @pytest.mark.parametrize("level", [32, 64])
+    def test_eigenbasis_matches_general_form(self, level, rho):
+        # the product rule applied to xi^T A xi, with no rotation
+        rng = np.random.default_rng(59)
+        raw = rng.standard_normal((4, 4))
+        eps = raw + raw.T
+        eps -= np.eye(4) * (np.trace(eps) / 4)
+        eps *= rho / np.abs(np.linalg.eigvalsh(eps)).max()
+        pf = PerturbedForm(omega=1.7, eps=eps)
+        amat = pf.omega * (np.eye(4) + eps)
+        xi, w = full_product_set(level)
+        q = np.einsum("ni,ij,nj->n", xi, amat, xi)
+        reference = math.fsum((w / q).tolist())
+        val = rational_integral(pf, build_rule(level))
+        assert abs(val - reference) <= 1e-14 * reference
+
+    def test_asymmetric_eps_uses_symmetric_part(self, rule16):
+        # xi^T A xi sees only the symmetric part of A
+        rng = np.random.default_rng(61)
+        raw = 0.1 * rng.standard_normal((4, 4))
+        sym = SimpleNamespace(omega=1.2, eps=0.5 * (raw + raw.T))
+        asym = SimpleNamespace(omega=1.2, eps=raw)
+        assert rational_integral(asym, rule16) == rational_integral(sym, rule16)
+
+    def test_indefinite_form_rejected(self, rule8, rule64):
+        # bypasses PerturbedForm validation.  The second form has the
+        # eigenvalue -1e-4, yet xi^T A xi > 0 at every node of either rule.
+        for eps in (np.diag([-3.0, 1.0, 1.0, 1.0]), np.diag([-1.0001, 0.0, 0.0, 0.0])):
+            bad = SimpleNamespace(omega=1.0, eps=eps)
+            for rule in (rule8, rule64):
+                with pytest.raises(ValueError, match="positive definite"):
+                    rational_integral(bad, rule)
 
 
 class TestActionDensity:
