@@ -4,6 +4,7 @@ the two constant diagonal metrics of a doubled (two-sheeted) geometry.
 Layers:
 
 * geometry  -- diagonal-metric domain types and the 2x2 symbol algebra
+* feynman   -- one-dimensional Feynman-parameter integral for the potential
 * s3quad    -- deterministic product quadrature on the 3-sphere (the oracle)
 * hopf      -- closed forms for the two-parameter Hopf-symmetric family
 * matchings -- Wick-pairing combinatorics and the perturbative series
@@ -12,115 +13,84 @@ Layers:
 
 The hot node reductions are vectorized numpy kernels (``_kernels``) with a
 fixed chunk order, so every result is bit-identical between runs.
+
+numpy is imported by s3quad, _kernels and conjecture, and inside the
+functions of geometry and matchings that handle arrays; feynman, hopf, the
+combinatorial half of matchings (c_coefficient, pattern_census, count_n,
+count_n_formula) and _emit are pure Python.  The names below are resolved
+on first access (PEP 562), and cli imports the numpy layers inside the
+subcommands that use them, so ``potential --method closed|conjecture`` and
+``moments`` never load numpy.
 """
 
-from ._kernels import active_backend, get_threads
-from .conjecture import (
-    HypothesisReport,
-    check_exchange_identity,
-    check_permutation_invariance,
-    check_scaling_invariance,
-    run_hypothesis_suite,
-    sqrt_det,
-    v_prime,
-)
-from .geometry import (
-    DiagonalMetric,
-    DoubledGeometry,
-    EffectiveParams,
-    UnitVector4,
-    b2_trace_closed,
-    b2_trace_matrix,
-    effective_params,
-    inverse_rates,
-    quadratic_form,
-    relative_eigenvalues,
-)
-from .hopf import (
-    HopfMetric,
-    f_term,
-    g_term,
-    potential_closed,
-    potential_via_conjecture,
-    script_v,
-    to_diagonal,
-)
-from .matchings import (
-    Matching,
-    PerturbedForm,
-    SeriesComparison,
-    TracePattern,
-    c_coefficient,
-    compare_series,
-    count_n,
-    count_n_formula,
-    double_factorial,
-    enumerate_matchings,
-    moment_integral,
-    pattern_census,
-    series_exact,
-    series_single_trace,
-    trace_pattern,
-)
-from .s3quad import (
-    SphereRule,
-    action_density,
-    build_rule,
-    integrate,
-    kinetic_term,
-    potential_numeric,
-    rational_integral,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DiagonalMetric",
-    "DoubledGeometry",
-    "EffectiveParams",
-    "HopfMetric",
-    "HypothesisReport",
-    "Matching",
-    "PerturbedForm",
-    "SeriesComparison",
-    "SphereRule",
-    "TracePattern",
-    "UnitVector4",
-    "action_density",
-    "active_backend",
-    "b2_trace_closed",
-    "b2_trace_matrix",
-    "build_rule",
-    "c_coefficient",
-    "check_exchange_identity",
-    "check_permutation_invariance",
-    "check_scaling_invariance",
-    "compare_series",
-    "count_n",
-    "count_n_formula",
-    "double_factorial",
-    "effective_params",
-    "enumerate_matchings",
-    "f_term",
-    "g_term",
-    "get_threads",
-    "integrate",
-    "inverse_rates",
-    "kinetic_term",
-    "moment_integral",
-    "pattern_census",
-    "potential_closed",
-    "potential_numeric",
-    "potential_via_conjecture",
-    "quadratic_form",
-    "rational_integral",
-    "relative_eigenvalues",
-    "run_hypothesis_suite",
-    "script_v",
-    "series_exact",
-    "series_single_trace",
-    "sqrt_det",
-    "to_diagonal",
-    "trace_pattern",
-    "v_prime",
-]
+# public name -> defining module
+_EXPORTS = {
+    "active_backend": "_kernels",
+    "get_threads": "_kernels",
+    "HypothesisReport": "conjecture",
+    "check_exchange_identity": "conjecture",
+    "check_permutation_invariance": "conjecture",
+    "check_scaling_invariance": "conjecture",
+    "run_hypothesis_suite": "conjecture",
+    "sqrt_det": "conjecture",
+    "v_prime": "conjecture",
+    "potential_1d": "feynman",
+    "DiagonalMetric": "geometry",
+    "DoubledGeometry": "geometry",
+    "EffectiveParams": "geometry",
+    "UnitVector4": "geometry",
+    "b2_trace_closed": "geometry",
+    "b2_trace_matrix": "geometry",
+    "effective_params": "geometry",
+    "inverse_rates": "geometry",
+    "quadratic_form": "geometry",
+    "relative_eigenvalues": "geometry",
+    "HopfMetric": "hopf",
+    "f_term": "hopf",
+    "g_term": "hopf",
+    "potential_closed": "hopf",
+    "potential_via_conjecture": "hopf",
+    "script_v": "hopf",
+    "to_diagonal": "hopf",
+    "Matching": "matchings",
+    "PerturbedForm": "matchings",
+    "SeriesComparison": "matchings",
+    "TracePattern": "matchings",
+    "c_coefficient": "matchings",
+    "compare_series": "matchings",
+    "count_n": "matchings",
+    "count_n_formula": "matchings",
+    "double_factorial": "matchings",
+    "enumerate_matchings": "matchings",
+    "moment_integral": "matchings",
+    "pattern_census": "matchings",
+    "series_exact": "matchings",
+    "series_single_trace": "matchings",
+    "trace_pattern": "matchings",
+    "SphereRule": "s3quad",
+    "action_density": "s3quad",
+    "build_rule": "s3quad",
+    "integrate": "s3quad",
+    "kinetic_term": "s3quad",
+    "potential_numeric": "s3quad",
+    "rational_integral": "s3quad",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -5,6 +5,12 @@ is machine-readable (JSON by default, CSV for sweeps), floats are printed
 with 17 significant digits, and a given command line always produces
 byte-identical output.  Metrics are passed as comma-separated 4-tuples of
 scale factors a_j (the square roots of the diagonal metric components).
+A result that is not a finite double is an error (exit status 2), never a
+printed NaN or Infinity.
+
+numpy, the S^3 rule and the invariance suite are imported inside the
+subcommands that use them: `potential --method closed|conjecture` and
+`moments` run without numpy.
 """
 
 from __future__ import annotations
@@ -13,11 +19,8 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from ._emit import to_csv, to_json
-from .conjecture import check_suite_args, run_hypothesis_suite, v_prime
-from .geometry import DiagonalMetric, DoubledGeometry, effective_params
+from ._emit import fmt_float, to_csv, to_json
+from .geometry import MIN_LEVEL, DiagonalMetric, DoubledGeometry, effective_params
 from .hopf import HopfMetric, potential_closed, potential_via_conjecture
 from .matchings import (
     MAX_MOMENT_ORDER,
@@ -29,7 +32,6 @@ from .matchings import (
     count_n_formula,
     pattern_census,
 )
-from .s3quad import MIN_LEVEL, build_rule, kinetic_term, potential_numeric
 
 DEFAULT_LEVEL = 64
 DEFAULT_SEED = 42
@@ -67,7 +69,21 @@ def _is_hopf(g: DiagonalMetric) -> bool:
     return a[0] == a[1] and a[2] == a[3]
 
 
+def _check_finite(obj, name: str = "") -> None:
+    """Raise CliError naming the first float in obj (nested dicts and
+    lists) that is NaN or infinite."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise CliError(f"{name} is not finite: {fmt_float(obj)}")
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _check_finite(value, f"{name}.{key}" if name else str(key))
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            _check_finite(value, f"{name}[{i}]")
+
+
 def _emit(args, payload, default_format: str = "json") -> None:
+    _check_finite(payload)
     fmt = args.format or default_format
     if fmt == "json":
         text = to_json(payload) + "\n"
@@ -127,18 +143,21 @@ def _cmd_potential(args) -> None:
         "method": args.method,
         "level": args.level,
     }
-    if args.method == "numeric":
-        record["value"] = potential_numeric(g1, g2, build_rule(args.level))
-    elif args.method == "closed":
+    if args.method == "closed":
         record["value"] = potential_closed(h1, h2)
     elif args.method == "conjecture":
         record["value"] = potential_via_conjecture(h1, h2)
     else:
+        from .s3quad import build_rule, potential_numeric
+
         vn = potential_numeric(g1, g2, build_rule(args.level))
-        vc = potential_closed(h1, h2)
-        record["value_numeric"] = vn
-        record["value_closed"] = vc
-        record["abs_difference"] = abs(vn - vc)
+        if args.method == "numeric":
+            record["value"] = vn
+        else:
+            vc = potential_closed(h1, h2)
+            record["value_numeric"] = vn
+            record["value_closed"] = vc
+            record["abs_difference"] = abs(vn - vc)
     _emit(args, record)
 
 
@@ -158,6 +177,8 @@ def _cmd_action(args) -> None:
     ep = effective_params(dg)
     if _config_only(args):
         return
+    from .s3quad import build_rule, kinetic_term, potential_numeric
+
     rule = build_rule(args.level)
     kin = kinetic_term(g1, g2, rule)
     pot = potential_numeric(g1, g2, rule)
@@ -181,6 +202,9 @@ def _cmd_action(args) -> None:
 
 
 def _cmd_hypothesis(args) -> None:
+    from .conjecture import check_suite_args, run_hypothesis_suite
+    from .s3quad import build_rule
+
     check_suite_args(args.trials, args.tol)
     if _config_only(args):
         return
@@ -201,6 +225,8 @@ def _cmd_series(args) -> None:
         vals = [float(e) for e in entries]
     except ValueError as exc:
         raise CliError(f"--eps: {exc}") from exc
+    import numpy as np
+
     eps = np.zeros((4, 4))
     k = 0
     for i in range(4):
@@ -215,6 +241,8 @@ def _cmd_series(args) -> None:
     check_series_order(args.order)
     if _config_only(args):
         return
+    from .s3quad import build_rule
+
     cmp_ = compare_series(pf, args.order, build_rule(args.level))
     _emit(args, cmp_.to_dict())
 
@@ -281,6 +309,11 @@ def _cmd_sweep(args) -> None:
         raise CliError("swept axes overlap")
     if _config_only(args):
         return
+    import numpy as np
+
+    from .conjecture import v_prime
+    from .s3quad import build_rule, potential_numeric
+
     grids = [
         np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
         for _, lo, hi, steps in specs
@@ -305,6 +338,7 @@ def _cmd_sweep(args) -> None:
         if _is_hopf(g1) and _is_hopf(g2):
             vc = potential_closed(_as_hopf(g1, "--base"), _as_hopf(g2, "--g2"))
         rows.append(list(g1.scales) + [vn, vc, v_prime(g1, g2, rule)])
+    _check_finite([dict(zip(header, row)) for row in rows], "rows")
     _write_out(args, to_csv(header, rows))
 
 

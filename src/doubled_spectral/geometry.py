@@ -1,13 +1,25 @@
 """Core domain types: constant diagonal metrics, the doubled geometry built
 from a pair of them, and the 2x2 symbol algebra of the squared coupled Dirac
-operator (everything here is post-Clifford-trace scalar/2x2 algebra)."""
+operator (everything here is post-Clifford-trace scalar/2x2 algebra).
+
+The module imports numpy only inside the functions that use it, so the
+closed-form and census paths of the CLI load without it."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+
+# area of the unit 3-sphere
+TWO_PI_SQ = 2.0 * math.pi * math.pi
+
+# smallest level of the S^3 quadrature rule (s3quad); here so that the CLI
+# validates --level without loading the rule
+MIN_LEVEL = 4
 
 UNIT_NORM_TOL = 1e-14
 
@@ -27,6 +39,8 @@ class DiagonalMetric:
         object.__setattr__(self, "scales", vals)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.scales)
 
 
@@ -47,6 +61,8 @@ class UnitVector4:
 
     @classmethod
     def normalized(cls, components) -> "UnitVector4":
+        import numpy as np
+
         v = np.asarray(components, dtype=float)
         norm = math.sqrt(float(v @ v))
         if norm == 0.0 or not math.isfinite(norm):
@@ -102,6 +118,17 @@ def quadratic_form(g: DiagonalMetric, xi: UnitVector4) -> float:
     return math.fsum((x[j] / a[j]) ** 2 for j in range(4))
 
 
+def check_inverse_squares(g: DiagonalMetric, c, name: str) -> None:
+    """Raise ValueError unless every 1/a^2 in c, the inverse squared scales
+    of g as an evaluator computed them, is positive and finite."""
+    if not all(0.0 < v < math.inf for v in c):
+        raise ValueError(
+            f"{name} = {g.scales}: a 1/a^2 underflows to 0 or overflows to "
+            "inf in double precision; scale factors must lie within about "
+            "1e-154 .. 1e154"
+        )
+
+
 def relative_eigenvalues(g1: DiagonalMetric, g2: DiagonalMetric) -> tuple[float, ...]:
     """Eigenvalues of sqrt(g2^-1 g1) in axis order: a_{1,j} / a_{2,j}."""
     return tuple(u / v for u, v in zip(g1.scales, g2.scales))
@@ -118,9 +145,6 @@ def effective_params(dg: DoubledGeometry) -> EffectiveParams:
     return EffectiveParams(lambda_e_sq=lambda_e_sq, alpha=alpha)
 
 
-_OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
 def b2_trace_matrix(dg: DoubledGeometry, xi: UnitVector4) -> float:
     """Commutator part of the subleading inverse-symbol trace, evaluated by
     explicit 2x2 matrix products:
@@ -131,10 +155,12 @@ def b2_trace_matrix(dg: DoubledGeometry, xi: UnitVector4) -> float:
     A_j = diag(1/a_{1,j}, 1/a_{2,j}).  The F^2 term is not included here;
     it is absorbed into lambda_e_sq by the effective parametrization.
     """
+    import numpy as np
+
     q1 = quadratic_form(dg.g1, xi)
     q2 = quadratic_form(dg.g2, xi)
     b0 = np.diag([1.0 / q1, 1.0 / q2])
-    fmat = dg.coupling * _OFFDIAG
+    fmat = dg.coupling * np.array([[0.0, 1.0], [1.0, 0.0]])
     acc = np.zeros((2, 2))
     for j in range(4):
         aj = np.diag([1.0 / dg.g1.scales[j], 1.0 / dg.g2.scales[j]])
@@ -149,6 +175,8 @@ def b2_trace_closed(dg: DoubledGeometry, xi: UnitVector4) -> float:
         4 kappa |Phi|^2 sum_{j,k} (A_{2,j}-A_{1,j})^2 (A_{1,k}^2+A_{2,k}^2)
                          xi_j^2 xi_k^2 / (Q_1^2 Q_2^2)
     """
+    import numpy as np
+
     a1 = dg.g1.as_array()
     a2 = dg.g2.as_array()
     x = np.asarray(xi.xi)

@@ -7,9 +7,11 @@ For two such metrics the interaction potential has the closed form
 
 with a logarithmic term F and a polynomial term G.  The denominator vanishes
 on the surface a2 b1 = a1 b2 where the singularity is removable; inside a
-narrow relative tube around it the quadrature evaluator is used instead.
-Everything is kept in factored form (products of single differences) so the
-reductions at a1 = a2 and b1 = b2 hold to machine precision.
+narrow relative tube around it the one-dimensional Feynman-parameter
+integral (feynman.potential_1d), which has no such singularity, is used
+instead.  Everything is kept in factored form (products of single
+differences) so the reductions at a1 = a2 and b1 = b2 hold to machine
+precision.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import DiagonalMetric
-from .s3quad import TWO_PI_SQ, build_rule, potential_numeric
+from .feynman import potential_1d
+from .geometry import TWO_PI_SQ, DiagonalMetric
 
 # relative half-width of the fallback tube around the singular surface
 SINGULAR_TUBE = 1e-6
@@ -26,8 +28,6 @@ SINGULAR_TUBE = 1e-6
 # relative |x - y| below which the ratio-variable function switches to its
 # analytic limit
 RATIO_LIMIT_TUBE = 1e-6
-
-FALLBACK_LEVEL = 64
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,13 @@ def f_term(a1: float, a2: float, b1: float, b2: float) -> float:
     """Logarithmic part: 4 a1^2 a2^2 b1^2 b2^2 (a1-a2)(b1-b2) log(a1 b2 / (a2 b1)).
 
     The log is evaluated as log1p of the relative difference so it stays
-    accurate when a1 b2 / (a2 b1) is close to 1.
+    accurate when a1 b2 / (a2 b1) is close to 1; where that difference
+    rounds to -1 (a ratio below about 1e-16) as log(v) - log(u).
     """
     u = a2 * b1
     v = a1 * b2
-    log_ratio = math.log1p((v - u) / u)
+    rel = (v - u) / u
+    log_ratio = math.log1p(rel) if rel > -1.0 else math.log(v) - math.log(u)
     return 4.0 * (a1 * a1) * (a2 * a2) * (b1 * b1) * (b2 * b2) * (a1 - a2) * (
         b1 - b2
     ) * log_ratio
@@ -83,7 +85,8 @@ def potential_closed(h1: HopfMetric, h2: HopfMetric) -> float:
     """Closed-form interaction potential of two Hopf metrics.
 
     Inside the relative tube |a2 b1 - a1 b2| < SINGULAR_TUBE * (a2 b1 + a1 b2)
-    the 0/0 form is avoided by falling back to quadrature at FALLBACK_LEVEL.
+    the 0/0 form is avoided by falling back to the one-dimensional integral
+    potential_1d.  Raises ValueError where the value overflows.
     """
     a1, b1 = h1.a, h1.b
     a2, b2 = h2.a, h2.b
@@ -92,11 +95,16 @@ def potential_closed(h1: HopfMetric, h2: HopfMetric) -> float:
     diff = u - v
     total = u + v
     if abs(diff) < SINGULAR_TUBE * total:
-        rule = build_rule(FALLBACK_LEVEL)
-        return potential_numeric(to_diagonal(h1), to_diagonal(h2), rule)
+        return potential_1d(to_diagonal(h1), to_diagonal(h2))
     fval = f_term(a1, a2, b1, b2)
     gval = g_term(a1, a2, b1, b2)
-    return TWO_PI_SQ * (fval + gval) / (diff * total * total)
+    value = TWO_PI_SQ * (fval + gval) / (diff * total * total)
+    if not math.isfinite(value):
+        raise ValueError(
+            f"the closed-form potential overflows double precision for "
+            f"a1={a1!r}, b1={b1!r}, a2={a2!r}, b2={b2!r}"
+        )
+    return value
 
 
 def script_v(x: float, y: float) -> float:
@@ -107,7 +115,8 @@ def script_v(x: float, y: float) -> float:
 
     On |x - y| < RATIO_LIMIT_TUBE * max(x, y) the log coefficient is a 0/0
     form; the analytic limit (z-1)^2 (z^2+1) is used instead, evaluated at
-    the midpoint z = (x+y)/2 so the function stays exactly symmetric.
+    the midpoint z = (x+y)/2 so the function stays exactly symmetric.  The
+    log is taken as in f_term.
     """
     if not (x > 0.0 and y > 0.0):
         raise ValueError(f"ratio variables must be positive, got x={x}, y={y}")
@@ -116,9 +125,11 @@ def script_v(x: float, y: float) -> float:
         zm = z - 1.0
         return zm * zm * (z * z + 1.0)
     xy = x * y
+    rel = (y - x) / x
+    log_ratio = math.log1p(rel) if rel > -1.0 else math.log(y) - math.log(x)
     log_term = (
         4.0 * xy * xy * (x - 1.0) * (y - 1.0) / ((x - y) * (x + y) * (x + y))
-    ) * math.log1p((y - x) / x)
+    ) * log_ratio
     return log_term + xy * xy + 1.0 - 2.0 * xy * (xy + 1.0) / (x + y)
 
 

@@ -19,7 +19,10 @@ coefficient (-2)^m N_{2m} c_m, is implemented alongside for comparison.
 N_{2m} counts the matchings with no block pair (2l-1, 2l), i.e. no 1-cycle.
 
 Rational bookkeeping (fractions.Fraction, in units of pi^2) is kept exact;
-floats appear only when a series is evaluated.
+floats appear only when a series is evaluated.  The combinatorial half
+(c_coefficient, pattern_census, count_n, count_n_formula) needs no numpy;
+the series half imports numpy, and compare_series the S^3 rule, inside the
+functions that use them.
 """
 
 from __future__ import annotations
@@ -29,10 +32,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .geometry import TWO_PI_SQ
 
-from .s3quad import TWO_PI_SQ, SphereRule, rational_integral
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .s3quad import SphereRule
 
 PI_SQ = math.pi * math.pi
 
@@ -73,6 +80,8 @@ class PerturbedForm:
     eps: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         if not (math.isfinite(self.omega) and self.omega > 0.0):
             raise ValueError(f"omega must be positive, got {self.omega}")
         eps = np.array(self.eps, dtype=float)
@@ -94,6 +103,8 @@ class PerturbedForm:
 
     @property
     def spectral_radius(self) -> float:
+        import numpy as np
+
         return float(np.abs(np.linalg.eigvalsh(self.eps)).max())
 
 
@@ -281,6 +292,8 @@ def moment_integral(indices) -> Fraction:
 
 def _trace_powers(eps: np.ndarray, kmax: int) -> list[float]:
     """[unused, tr(eps), tr(eps^2), ..., tr(eps^kmax)]."""
+    import numpy as np
+
     traces = [0.0] * (kmax + 1)
     power = np.eye(4)
     for k in range(1, kmax + 1):
@@ -388,6 +401,8 @@ def compare_series(pf: PerturbedForm, order: int, rule: SphereRule) -> SeriesCom
     resolvably nonzero (threshold 1e-12 of the constant term), None
     elsewhere.
     """
+    from .s3quad import rational_integral
+
     order = check_series_order(order)
     traces = _trace_powers(pf.eps, order)
     terms_exact = tuple(

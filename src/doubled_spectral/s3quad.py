@@ -39,11 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .geometry import DiagonalMetric
-
-TWO_PI_SQ = 2.0 * math.pi * math.pi
-
-MIN_LEVEL = 4
+from .geometry import MIN_LEVEL, TWO_PI_SQ, DiagonalMetric, check_inverse_squares
 
 
 @dataclass(frozen=True)
@@ -149,18 +145,22 @@ def integrate(rule: SphereRule, f) -> float:
     return _kernels.weighted_total(total, w) / 16.0
 
 
-def _inv_scales_sq(g: DiagonalMetric) -> np.ndarray:
+def _inv_scales_sq(g: DiagonalMetric, name: str) -> np.ndarray:
     a = g.as_array()
-    return 1.0 / (a * a)
+    with np.errstate(over="ignore"):
+        c = 1.0 / (a * a)
+    check_inverse_squares(g, c, name)
+    return c
 
 
 def kinetic_term(g1: DiagonalMetric, g2: DiagonalMetric, rule: SphereRule) -> float:
-    """int dS (Q1^-2 + Q2^-2) with Q_i(xi) = sum_j xi_j^2 / a_{i,j}^2."""
+    """int dS (Q1^-2 + Q2^-2) with Q_i(xi) = sum_j xi_j^2 / a_{i,j}^2.
+    Raises ValueError when a 1/a^2 is 0 or inf in double precision."""
     return _kernels.kinetic_sum(
         rule.folded_xi,
         rule.folded_weights,
-        _inv_scales_sq(g1),
-        _inv_scales_sq(g2),
+        _inv_scales_sq(g1, "g1"),
+        _inv_scales_sq(g2, "g2"),
     )
 
 
@@ -185,6 +185,7 @@ def potential_numeric(
         I_{jk}    = int dS xi_j^2 xi_k^2 / (Q1^2 Q2^2),
 
     with all 16 moment integrals accumulated in a single pass over the nodes.
+    Raises ValueError when a 1/a^2 is 0 or inf in double precision.
     """
     a1 = g1.as_array()
     a2 = g2.as_array()
@@ -193,9 +194,12 @@ def potential_numeric(
     a2 = a2[order]
     inv1 = 1.0 / a1
     inv2 = 1.0 / a2
-    tri = _kernels.potential_moments(
-        rule.folded_xi, rule.folded_weights, inv1 * inv1, inv2 * inv2
-    )
+    with np.errstate(over="ignore"):
+        c1 = inv1 * inv1
+        c2 = inv2 * inv2
+    check_inverse_squares(g1, c1, "g1")
+    check_inverse_squares(g2, c2, "g2")
+    tri = _kernels.potential_moments(rule.folded_xi, rule.folded_weights, c1, c2)
     moments = np.empty((4, 4))
     k = 0
     for j in range(4):
@@ -204,7 +208,7 @@ def potential_numeric(
             moments[l, j] = tri[k]
             k += 1
     diff_sq = (inv2 - inv1) ** 2
-    sum_sq = inv1 * inv1 + inv2 * inv2
+    sum_sq = c1 + c2
     total = 0.0
     for j in range(4):
         for l in range(4):

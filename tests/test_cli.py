@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from doubled_spectral.cli import main
+from doubled_spectral.cli import CliError, _check_finite, main
 from doubled_spectral.s3quad import MIN_LEVEL
 
 TWO_PI_SQ = 2.0 * math.pi**2
@@ -75,6 +75,25 @@ class TestPotential:
         assert code == 2
         assert "positive" in json.loads(err)["error"]
 
+    def test_numeric_rejects_out_of_range_scale(self, capsys):
+        # 1/a^2 = 1e320 overflows; the oracle used to print NaN and exit 0
+        code, out, err = run_cli(
+            capsys, "potential", "--g1", "1,1,1e-160,1e-160", "--g2", "1,1,1,1",
+            "--method", "numeric", "--level", "8",
+        )
+        assert code == 2
+        assert out == ""
+        assert "1/a^2" in json.loads(err)["error"]
+
+    def test_closed_overflow_names_it(self, capsys):
+        code, out, err = run_cli(
+            capsys, "potential", "--g1", "1e200,1e200,1,1", "--g2", "1,1,1,1",
+            "--method", "closed",
+        )
+        assert code == 2
+        assert out == ""
+        assert "potential overflows" in json.loads(err)["error"]
+
 
 class TestAction:
     def test_decoupled(self, capsys):
@@ -111,6 +130,19 @@ class TestAction:
         )
         assert code == 2
         assert "nonzero" in json.loads(err)["error"]
+
+
+    def test_rejects_out_of_range_scale(self, capsys):
+        # 1/a^2 = 1e-400 underflows to 0; the kinetic term used to come out
+        # as 3006.8 where the identity gives 2 pi^2 (prod a1 + prod a2) = 2e201
+        code, out, err = run_cli(
+            capsys, "action", "--g1", "1e200,1,1,1", "--g2", "1,1,1,1",
+            "--phi", "1", "--kappa", "1", "--lambda", "1", "--c", "1",
+            "--level", "8",
+        )
+        assert code == 2
+        assert out == ""
+        assert "1/a^2" in json.loads(err)["error"]
 
 
 class TestHypothesis:
@@ -162,6 +194,16 @@ class TestSeries:
             capsys, "series", "--omega", "1", "--eps", "0,0,0", "--order", "3",
         )
         assert code == 2
+
+    def test_non_finite_result_rejected(self, capsys):
+        # 2 pi^2 / omega overflows; this used to print Infinity and NaN
+        code, out, err = run_cli(
+            capsys, "series", "--omega", "1e-320",
+            "--eps", "0,0,0,0,0,0,0,0,0,0", "--order", "2", "--level", "8",
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "terms_exact[0] is not finite: Infinity"
 
 
 class TestMoments:
@@ -246,6 +288,49 @@ class TestSweep:
             "--sweep", "b:1:2:3", "--sweep", "0:1:2:3",
         )
         assert code == 2
+
+
+class TestFiniteOutput:
+    def test_names_first_non_finite_field(self):
+        payload = {"n": 1, "ok": 2.0, "rows": [{"v": 1.0, "w": None}, {"v": math.nan}]}
+        with pytest.raises(CliError, match=r"^rows\[1\]\.v is not finite: NaN$"):
+            _check_finite(payload)
+        _check_finite({"a": [1.0, {"b": -2.5}], "c": "text"})
+
+    def test_sweep_rows_checked(self, capsys):
+        # at a = 1e-100 the oracle's Q^2 overflows and its sum comes out NaN
+        code, out, err = run_cli(
+            capsys, "sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1",
+            "--sweep", "b:1e-100:1e-100:1", "--level", "8",
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "rows[0].v_numeric is not finite: NaN"
+
+
+NUMPY_FREE_REQUESTS = {
+    "closed": ["potential", "--g1", "2,2,1,1", "--g2", "1,1,1,1", "--method", "closed"],
+    # a2 b1 = a1 b2: the singular tube, where the 1-D integral is used
+    "closed-tube": ["potential", "--g1", "1.5,1.5,1.2,1.2", "--g2", "1.25,1.25,1,1",
+                    "--method", "closed"],
+    "conjecture": ["potential", "--g1", "2,2,1,1", "--g2", "1,1,1,1",
+                   "--method", "conjecture"],
+    "moments": ["moments", "--m", "7"],
+}
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_REQUESTS.values(), ids=NUMPY_FREE_REQUESTS.keys())
+def test_closed_form_and_census_requests_do_not_import_numpy(argv):
+    code = (
+        "import sys\n"
+        "from doubled_spectral.cli import main\n"
+        f"code = main({argv!r})\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["value" if argv[0] == "potential" else "m"]
 
 
 class TestConfigAndDeterminism:

@@ -9,6 +9,7 @@ from doubled_spectral import (
     HopfMetric,
     f_term,
     g_term,
+    potential_1d,
     potential_closed,
     potential_numeric,
     potential_via_conjecture,
@@ -127,14 +128,27 @@ class TestPotentialClosed:
             vb = potential_closed(h2, h1)
             assert abs(va - vb) <= 1e-12 * max(abs(va), 1e-30)
 
-    def test_singular_tube_uses_quadrature(self):
-        # on the surface itself the closed form is 0/0; the fallback value
-        # must match the analytic limit
+    def test_singular_tube_uses_1d_fallback(self):
+        # on the surface itself the closed form is 0/0; the fallback, the
+        # 1-D Feynman-parameter integral, must match the analytic limit
         a1, a2, b2 = 1.4, 0.9, 1.1
         b1 = b2 * a1 / a2
-        val = potential_closed(HopfMetric(a=a1, b=b1), HopfMetric(a=a2, b=b2))
+        h1, h2 = HopfMetric(a=a1, b=b1), HopfMetric(a=a2, b=b2)
+        val = potential_closed(h1, h2)
         limit = TWO_PI_SQ * (b2**2 / a2**2) * (a1 - a2) ** 2 * (a1**2 + a2**2)
-        assert abs(val - limit) <= 1e-6 * limit
+        assert abs(val - limit) <= 1e-12 * limit
+        assert val == potential_1d(to_diagonal(h1), to_diagonal(h2))
+
+    def test_wide_log_ratio(self):
+        # a1 b2 / (a2 b1) = 1e-20 rounds log1p's argument to -1; the log
+        # is then taken as a difference of logs
+        val = potential_closed(HopfMetric(a=1.0, b=1e20), HopfMetric(a=1.0, b=1.0))
+        expect = TWO_PI_SQ * (1e20 - 1.0) ** 2
+        assert abs(val - expect) <= 1e-12 * expect
+
+    def test_overflow_raises(self):
+        with pytest.raises(ValueError, match="potential overflows"):
+            potential_closed(HopfMetric(a=1.0, b=1e200), HopfMetric(a=1.0, b=1.0))
 
     def test_continuity_across_surface(self):
         rng = np.random.default_rng(73)
@@ -186,6 +200,11 @@ class TestScriptV:
             lhs = script_v(x, y)
             rhs = script_v(1 / x, 1 / y) * x**2 * y**2
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-30)
+
+    def test_wide_log_ratio(self):
+        # y / x = 1e-20 rounds log1p's argument to -1
+        expect = (1e20 - 1.0) ** 2
+        assert abs(script_v(1e20, 1.0) - expect) <= 1e-12 * expect
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

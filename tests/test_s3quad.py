@@ -137,6 +137,20 @@ class TestKinetic:
         assert abs(kinetic_term(g1, g2, rule8) - expect) <= 1e-12 * expect
 
 
+@pytest.mark.parametrize(
+    "scales", [(1e200, 1.0, 1.0, 1.0), (1.0, 1.0, 1e-160, 1e-160)],
+    ids=["inverse-square-zero", "inverse-square-inf"],
+)
+@pytest.mark.parametrize("evaluator", [kinetic_term, potential_numeric],
+                         ids=["kinetic", "potential"])
+def test_out_of_range_scale_rejected(rule8, evaluator, scales):
+    # 1/a^2 = 0 or inf: the sums used to come out NaN or silently wrong
+    g = DiagonalMetric((1.0, 1.0, 1.0, 1.0))
+    for pair in ((DiagonalMetric(scales), g), (g, DiagonalMetric(scales))):
+        with pytest.raises(ValueError, match="1/a\\^2"):
+            evaluator(*pair, rule8)
+
+
 class TestPotential:
     def test_equal_metrics_exactly_zero(self, rule16):
         rng = np.random.default_rng(23)
