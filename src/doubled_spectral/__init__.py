@@ -4,17 +4,17 @@ the two constant diagonal metrics of a doubled (two-sheeted) geometry.
 Layers:
 
 * geometry  -- diagonal-metric domain types and the 2x2 symbol algebra
-* feynman   -- one-dimensional Feynman-parameter integral for the potential
+* feynman   -- kinetic identity and 1-D Feynman-parameter potential
 * s3quad    -- deterministic product quadrature on the 3-sphere (the oracle)
 * hopf      -- closed forms for the two-parameter Hopf-symmetric family
 * matchings -- Wick-pairing combinatorics and the perturbative series
 * conjecture-- randomized invariance suite for the bimetric factorization
 * cli       -- reproducible command-line front end
 
-The hot node reductions are vectorized numpy kernels (``_kernels``) with a
-fixed chunk order, so every result is bit-identical between runs.
+Every S^3 rule sum runs through one numpy reduction (``s3quad._rule_sum``)
+with a fixed chunk order, so every result is bit-identical between runs.
 
-numpy is imported by s3quad, _kernels and conjecture, and inside the
+numpy is imported by s3quad, conjecture and reports, and inside the
 functions of geometry and matchings that handle arrays; feynman, hopf, the
 combinatorial half of matchings (c_coefficient, pattern_census, count_n,
 count_n_formula) and _emit are pure Python.  The names below are resolved
@@ -29,8 +29,8 @@ __version__ = "0.1.0"
 
 # public name -> defining module
 _EXPORTS = {
-    "active_backend": "_kernels",
-    "get_threads": "_kernels",
+    "active_backend": "s3quad",
+    "get_threads": "s3quad",
     "HypothesisReport": "conjecture",
     "check_exchange_identity": "conjecture",
     "check_permutation_invariance": "conjecture",
@@ -38,6 +38,7 @@ _EXPORTS = {
     "run_hypothesis_suite": "conjecture",
     "sqrt_det": "conjecture",
     "v_prime": "conjecture",
+    "kinetic_term": "feynman",
     "potential_1d": "feynman",
     "DiagonalMetric": "geometry",
     "DoubledGeometry": "geometry",
@@ -75,7 +76,6 @@ _EXPORTS = {
     "action_density": "s3quad",
     "build_rule": "s3quad",
     "integrate": "s3quad",
-    "kinetic_term": "s3quad",
     "potential_numeric": "s3quad",
     "rational_integral": "s3quad",
 }

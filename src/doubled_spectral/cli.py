@@ -20,6 +20,7 @@ import math
 import sys
 
 from ._emit import fmt_float, to_csv, to_json
+from .feynman import kinetic_term
 from .geometry import MIN_LEVEL, DiagonalMetric, DoubledGeometry, effective_params
 from .hopf import HopfMetric, potential_closed, potential_via_conjecture
 from .matchings import (
@@ -177,11 +178,10 @@ def _cmd_action(args) -> None:
     ep = effective_params(dg)
     if _config_only(args):
         return
-    from .s3quad import build_rule, kinetic_term, potential_numeric
+    from .s3quad import build_rule, potential_numeric
 
-    rule = build_rule(args.level)
-    kin = kinetic_term(g1, g2, rule)
-    pot = potential_numeric(g1, g2, rule)
+    kin = kinetic_term(g1, g2)
+    pot = potential_numeric(g1, g2, build_rule(args.level))
     _emit(
         args,
         {

@@ -1,9 +1,14 @@
-"""One-dimensional evaluator of the interaction potential, in pure Python.
+"""Pure-Python evaluators of the kinetic term and the interaction potential,
+both from the sphere identity int dS / (xi^T C xi)^2 = 2 pi^2 / sqrt(det C)
+for a diagonal positive C.
 
-Feynman parameters write 1 / (Q1^2 Q2^2) = 6 int_0^1 t (1-t) / Q_t^4 dt with
-Q_t = t Q1 + (1-t) Q2, and two derivatives of the sphere identity
-int dS / (xi^T C xi)^2 = 2 pi^2 / sqrt(det C) in the entries of a diagonal C
-then give the potential of potential_numeric as an integral over t alone:
+The kinetic term is the identity itself: with C = diag(a^-2),
+sqrt(det C) = 1 / prod_j a_j.
+
+For the potential, Feynman parameters write 1 / (Q1^2 Q2^2) =
+6 int_0^1 t (1-t) / Q_t^4 dt with Q_t = t Q1 + (1-t) Q2, and two
+derivatives of the identity in the entries of C then give the potential
+of potential_numeric as an integral over t alone:
 
     V = 2 pi^2 int_0^1 t (1-t) / (4 sqrt(prod_j c_j(t)))
           [ (sum_j d_j / c_j(t)) (sum_l s_l / c_l(t)) + 2 sum_j d_j s_j / c_j(t)^2 ] dt
@@ -57,6 +62,19 @@ def _term(u: float, c1, c2, d, s) -> float:
     bracket = sum(dc) * sum(sc) + 2.0 * sum(p * q for p, q in zip(dc, sc))
     root = math.sqrt(c[0]) * math.sqrt(c[1]) * math.sqrt(c[2]) * math.sqrt(c[3])
     return math.pi * math.cosh(u) * bracket / root
+
+
+def kinetic_term(g1: DiagonalMetric, g2: DiagonalMetric) -> float:
+    """int dS (Q1^-2 + Q2^-2) with Q_i(xi) = sum_j xi_j^2 / a_{i,j}^2, which
+    the sphere identity (module docstring) makes 2 pi^2 (prod a1 + prod a2).
+    Raises ValueError when the value overflows double precision."""
+    value = TWO_PI_SQ * (math.prod(g1.scales) + math.prod(g2.scales))
+    if not math.isfinite(value):
+        raise ValueError(
+            f"the kinetic term overflows double precision for g1 = {g1.scales}, "
+            f"g2 = {g2.scales}"
+        )
+    return value
 
 
 def potential_1d(g1: DiagonalMetric, g2: DiagonalMetric) -> float:

@@ -26,9 +26,8 @@ import math
 import numpy as np
 
 from ._emit import fmt_float
-from ._kernels import active_backend
 from .matchings import PerturbedForm, compare_series, pattern_census
-from .s3quad import TWO_PI_SQ, build_rule, potential_numeric
+from .s3quad import TWO_PI_SQ, active_backend, build_rule, potential_numeric
 from .geometry import DiagonalMetric
 
 SINGULAR_SEED = 20240901

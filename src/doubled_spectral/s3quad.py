@@ -10,9 +10,12 @@ absorbs the cos(theta) sin(theta) Jacobian, so the surface element becomes
 dS = (1/2) dt dphi dpsi and the natural rule is Gauss-Legendre in t times
 periodic trapezoid in each angle.  Smooth integrands converge spectrally.
 
-Evaluators built on the rule: the kinetic term and the interaction potential
-of a pair of diagonal metrics, and the generic rational integral
-int dS / (xi^T A xi) for a positive quadratic form A.
+Evaluators built on the rule: the interaction potential of a pair of
+diagonal metrics, the generic rational integral int dS / (xi^T A xi) for a
+positive quadratic form A, and `integrate` for any scalar field.  Each is one
+scalar integrand passed to `_rule_sum`, the only code that accumulates a rule
+sum.  The kinetic term is the identity of `feynman.kinetic_term`; the rule
+checks it through `integrate`.
 
 Fold.  On the angle grid phi_k = pi k / level (k = 0 .. 2 level - 1), the
 maps phi -> -phi and phi -> pi - phi send a node to a sign flip of its
@@ -23,10 +26,10 @@ only as this fold: the t nodes times the representatives in both angles,
 weighted by orbit size, level (level//2 + 1)^2 nodes (69,696 at level 64
 against 4 level^3 = 1,048,576).  An integrand of z = xi^2 alone takes one
 value per orbit, so its folded sum is the product rule's sum regrouped: the
-kinetic and potential integrands of diagonal metrics, and the rational
-integrand in the eigenbasis of A.  `integrate` averages a general integrand
-over the 16 sign images of each folded node, which regroups the product rule
-for any integrand.
+potential integrand of diagonal metrics, and the rational integrand in the
+eigenbasis of A.  `integrate` averages a general integrand over the 16 sign
+images of each folded node, which regroups the product rule for any
+integrand.
 """
 
 from __future__ import annotations
@@ -38,8 +41,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
+from .feynman import kinetic_term
 from .geometry import MIN_LEVEL, TWO_PI_SQ, DiagonalMetric, check_inverse_squares
+
+# Fixed chunk size; part of the determinism contract, do not make it
+# configurable.
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -122,46 +129,75 @@ def build_rule(level: int) -> SphereRule:
     return _build_rule_cached(level)
 
 
+def _rule_sum(rule: SphereRule, f) -> float:
+    """Sum of w * f(xi) over the nodes of the fold.
+
+    f maps an (n, 4) slice of `folded_xi` to an (n,) array.  It is called
+    on consecutive slices of CHUNK nodes; each slice is summed pairwise by
+    np.sum and the partials are combined in chunk order with Neumaier
+    summation, so the result is bit-identical between runs.  numpy
+    floating-point warnings are off while f runs: an overflow shows as a
+    non-finite value, which the caller checks.
+    """
+    xi, w = rule.folded_xi, rule.folded_weights
+    total = 0.0
+    comp = 0.0
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(w), CHUNK):
+            part = float(np.sum(w[lo : lo + CHUNK] * f(xi[lo : lo + CHUNK])))
+            t = total + part
+            if abs(total) >= abs(part):
+                comp += (total - t) + part
+            else:
+                comp += (part - t) + total
+            total = t
+    return total + comp
+
+
+def active_backend() -> str:
+    """Name of the node-reduction implementation: always "numpy".
+
+    Kept for callers that record it, such as the benchmark's run record.
+    """
+    return "numpy"
+
+
+def get_threads() -> int:
+    """Worker count of the node reduction: always 1.
+
+    Chunks run serially in the calling thread.  Kept for callers that
+    record the worker count, such as the benchmark's run record.
+    """
+    return 1
+
+
 def integrate(rule: SphereRule, f) -> float:
     """Quadrature of a scalar field over the sphere.
 
     f must map an (n, 4) node array to an (n,) array of values.  It is
-    called on each of the 16 sign images s * folded_xi, s in {+1, -1}^4,
-    and each folded node weighs the mean of its 16 values: the product rule
-    regrouped, for any integrand.  Non-finite values signal a singular
-    integrand and raise.  Summation is compensated, in fixed node order.
+    called on each of the 16 sign images s * xi, s in {+1, -1}^4, of the
+    folded nodes, and each folded node weighs the mean of its 16 values:
+    the product rule regrouped, for any integrand.  Non-finite values
+    signal a singular integrand and raise.
     """
-    w = rule.folded_weights
-    total = sum(
-        np.asarray(f(rule.folded_xi * s), dtype=float)
-        for s in itertools.product((1.0, -1.0), repeat=4)
-    )
-    if total.shape != w.shape:
-        raise ValueError(
-            f"integrand returned shape {total.shape}, expected {w.shape}"
-        )
-    if not np.all(np.isfinite(total)):
-        raise ValueError("integrand is non-finite at a quadrature node")
-    return _kernels.weighted_total(total, w) / 16.0
+    signs = list(itertools.product((1.0, -1.0), repeat=4))
+
+    def image_mean(x):
+        total = sum(np.asarray(f(x * s), dtype=float) for s in signs)
+        if total.shape != (len(x),):
+            raise ValueError(
+                f"integrand returned shape {total.shape}, expected {(len(x),)}"
+            )
+        if not np.all(np.isfinite(total)):
+            raise ValueError("integrand is non-finite at a quadrature node")
+        return total / 16.0
+
+    return _rule_sum(rule, image_mean)
 
 
-def _inv_scales_sq(g: DiagonalMetric, name: str) -> np.ndarray:
-    a = g.as_array()
-    with np.errstate(over="ignore"):
-        c = 1.0 / (a * a)
-    check_inverse_squares(g, c, name)
-    return c
-
-
-def kinetic_term(g1: DiagonalMetric, g2: DiagonalMetric, rule: SphereRule) -> float:
-    """int dS (Q1^-2 + Q2^-2) with Q_i(xi) = sum_j xi_j^2 / a_{i,j}^2.
-    Raises ValueError when a 1/a^2 is 0 or inf in double precision."""
-    return _kernels.kinetic_sum(
-        rule.folded_xi,
-        rule.folded_weights,
-        _inv_scales_sq(g1, "g1"),
-        _inv_scales_sq(g2, "g2"),
-    )
+def _form(z, c):
+    # sum_j c[j] z_j as its 4 explicit terms in a fixed order
+    return z[:, 0] * c[0] + z[:, 1] * c[1] + z[:, 2] * c[2] + z[:, 3] * c[3]
 
 
 def _canonical_axis_order(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
@@ -181,11 +217,12 @@ def potential_numeric(
 ) -> float:
     """Interaction potential of a pair of diagonal metrics:
 
-        V(g1, g2) = sum_{j,k} (A_{2,j}-A_{1,j})^2 (A_{1,k}^2+A_{2,k}^2) I_{jk},
-        I_{jk}    = int dS xi_j^2 xi_k^2 / (Q1^2 Q2^2),
+        V(g1, g2) = int dS (sum_j d_j xi_j^2) (sum_l s_l xi_l^2) / (Q1^2 Q2^2),
+        d_j = (A_{2,j} - A_{1,j})^2,   s_l = A_{1,l}^2 + A_{2,l}^2,
 
-    with all 16 moment integrals accumulated in a single pass over the nodes.
-    Raises ValueError when a 1/a^2 is 0 or inf in double precision.
+    with A_{i,j} = 1 / a_{i,j} and Q_i = sum_j A_{i,j}^2 xi_j^2.  Raises
+    ValueError when a 1/a^2 is 0 or inf in double precision, or when the
+    sum is not finite (Q^2 overflows at a node).
     """
     a1 = g1.as_array()
     a2 = g2.as_array()
@@ -199,21 +236,38 @@ def potential_numeric(
         c2 = inv2 * inv2
     check_inverse_squares(g1, c1, "g1")
     check_inverse_squares(g2, c2, "g2")
-    tri = _kernels.potential_moments(rule.folded_xi, rule.folded_weights, c1, c2)
-    moments = np.empty((4, 4))
-    k = 0
-    for j in range(4):
-        for l in range(j, 4):
-            moments[j, l] = tri[k]
-            moments[l, j] = tri[k]
-            k += 1
-    diff_sq = (inv2 - inv1) ** 2
-    sum_sq = c1 + c2
-    total = 0.0
-    for j in range(4):
-        for l in range(4):
-            total += diff_sq[j] * sum_sq[l] * moments[j, l]
+    d = (inv2 - inv1) ** 2
+    s = c1 + c2
+
+    def integrand(x):
+        z = x * x
+        q1 = _form(z, c1)
+        q2 = _form(z, c2)
+        return _form(z, d) * _form(z, s) / ((q1 * q1) * (q2 * q2))
+
+    total = _rule_sum(rule, integrand)
+    if not math.isfinite(total):
+        raise ValueError(
+            f"the potential of g1 = {g1.scales} and g2 = {g2.scales} is not "
+            "finite on the S^3 rule: Q^2 overflows double precision at a node"
+        )
     return total
+
+
+def _reciprocal_form(lam: np.ndarray):
+    """The integrand 1 / sum_j lam_j x_j^2; raises unless the form is
+    positive and finite at every node it sees."""
+
+    def integrand(x):
+        q = _form(x * x, lam)
+        if not np.all(np.isfinite(q) & (q > 0.0)):
+            raise ValueError(
+                "quadratic form nonpositive or non-finite at a quadrature "
+                "node; the form must be positive definite"
+            )
+        return 1.0 / q
+
+    return integrand
 
 
 def rational_integral(pf, rule: SphereRule) -> float:
@@ -232,7 +286,7 @@ def rational_integral(pf, rule: SphereRule) -> float:
             f"quadratic form has eigenvalues {lam.tolist()}; the form must "
             "be positive definite"
         )
-    return _kernels.rational_sum(rule.folded_xi, rule.folded_weights, lam)
+    return _rule_sum(rule, _reciprocal_form(lam))
 
 
 def action_density(dg, rule: SphereRule) -> float:
@@ -242,6 +296,6 @@ def action_density(dg, rule: SphereRule) -> float:
     from .geometry import effective_params
 
     ep = effective_params(dg)
-    kin = kinetic_term(dg.g1, dg.g2, rule)
+    kin = kinetic_term(dg.g1, dg.g2)
     pot = potential_numeric(dg.g1, dg.g2, rule)
     return ep.lambda_e_sq * kin + ep.alpha * pot

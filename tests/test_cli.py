@@ -305,7 +305,30 @@ class TestFiniteOutput:
         )
         assert code == 2
         assert out == ""
-        assert json.loads(err)["error"] == "rows[0].v_numeric is not finite: NaN"
+        assert json.loads(err)["error"] == (
+            "the potential of g1 = (1e-100, 1e-100, 1.0, 1.0) and g2 = "
+            "(1.0, 1.0, 1.0, 1.0) is not finite on the S^3 rule: Q^2 overflows "
+            "double precision at a node"
+        )
+
+
+OVERFLOWING_REQUESTS = {
+    "sweep": ["sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1",
+              "--sweep", "b:1e-100:1e-100:1", "--level", "8"],
+    "series": ["series", "--omega", "1e-320", "--eps=0,0,0,0,0,0,0,0,0,0",
+               "--order", "2", "--level", "8"],
+}
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING_REQUESTS.values(),
+                         ids=OVERFLOWING_REQUESTS.keys())
+def test_overflow_error_is_one_json_record(argv):
+    # numpy overflow warnings would print ahead of the error record
+    out = subprocess.run([sys.executable, "-m", "doubled_spectral", *argv],
+                         capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert set(json.loads(out.stderr)) == {"error"}
 
 
 NUMPY_FREE_REQUESTS = {
