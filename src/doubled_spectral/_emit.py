@@ -51,6 +51,8 @@ def to_json(obj, indent: int = 0) -> str:
 
 
 def _csv_cell(v) -> str:
+    """One CSV field.  A list is one field: its elements' fields joined by
+    ';'."""
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -59,7 +61,10 @@ def _csv_cell(v) -> str:
         return fmt_float(v)
     if isinstance(v, int):
         return str(v)
-    s = str(v)
+    if isinstance(v, (list, tuple)):
+        s = ";".join(_csv_cell(x) for x in v)
+    else:
+        s = str(v)
     if any(c in s for c in ',"\n'):
         s = '"' + s.replace('"', '""') + '"'
     return s

@@ -1,11 +1,14 @@
 """Command-line interface.
 
-Subcommands: potential, action, hypothesis, series, moments, sweep.  Output
-is machine-readable (JSON by default, CSV for sweeps), floats are printed
-with 17 significant digits, and a given command line always produces
+Subcommands: potential, action, hypothesis, series, moments, sweep.  Each
+declares only the options it reads.  Output is machine-readable: one JSON
+record (`--format csv` gives a header and one row for potential, action and
+series), or the CSV table of a sweep.  Floats are printed with 17
+significant digits, and a given command line always produces
 byte-identical output.  Metrics are passed as comma-separated 4-tuples of
 scale factors a_j (the square roots of the diagonal metric components).
-A result that is not a finite double is an error (exit status 2), never a
+Invalid input, usage errors included, and a result that is not a finite
+double are one JSON error record on stderr and exit status 2, never a
 printed NaN or Infinity.
 
 numpy, the S^3 rule and the invariance suite are imported inside the
@@ -83,21 +86,19 @@ def _check_finite(obj, name: str = "") -> None:
             _check_finite(value, f"{name}[{i}]")
 
 
-def _emit(args, payload, default_format: str = "json") -> None:
+def _emit(args, payload) -> None:
+    """Write one record: JSON, or a header and one CSV row where the
+    subcommand has --format."""
     _check_finite(payload)
-    fmt = args.format or default_format
-    if fmt == "json":
-        text = to_json(payload) + "\n"
-    elif fmt == "csv":
-        header = list(payload.keys())
-        row = [
-            v if not isinstance(v, (list, tuple)) else ";".join(str(x) for x in v)
-            for v in payload.values()
-        ]
-        text = to_csv(header, [row])
+    if getattr(args, "format", "json") == "csv":
+        text = to_csv(list(payload), [list(payload.values())])
     else:
-        raise CliError(f"unknown format {fmt!r}")
+        text = to_json(payload) + "\n"
     _write_out(args, text)
+
+
+# --emit-config keys, in this order, for the options a subcommand declares
+_CONFIG_KEYS = ("level", "seed", "tol", "output_path", "format")
 
 
 def _config_only(args) -> bool:
@@ -107,21 +108,16 @@ def _config_only(args) -> bool:
     without the flag."""
     if not args.emit_config:
         return False
-    config = {
-        "subcommand": args.subcommand,
-        "level": args.level,
-        "seed": args.seed,
-        "tol": args.tol,
-        "output_path": args.output,
-        "format": args.format or ("csv" if args.subcommand == "sweep" else "json"),
-    }
+    options = vars(args)
+    config = {"subcommand": args.subcommand}
+    config.update((key, options[key]) for key in _CONFIG_KEYS if key in options)
     sys.stdout.write(to_json(config) + "\n")
     return True
 
 
 def _write_out(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    if args.output_path:
+        with open(args.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -293,8 +289,8 @@ def _parse_sweep(spec: str):
         steps_i = int(steps)
     except ValueError as exc:
         raise CliError(f"sweep spec {spec!r}: {exc}") from exc
-    if not (0.0 < lo_f <= hi_f) or steps_i < 1:
-        raise CliError(f"sweep spec {spec!r}: need 0 < min <= max and steps >= 1")
+    if not (0.0 < lo_f <= hi_f < math.inf) or steps_i < 1:
+        raise CliError(f"sweep spec {spec!r}: need finite 0 < min <= max and steps >= 1")
     return _SWEEP_AXES[axis], lo_f, hi_f, steps_i
 
 
@@ -311,14 +307,15 @@ def _cmd_sweep(args) -> None:
         return
     import numpy as np
 
-    from .conjecture import v_prime
-    from .s3quad import build_rule, potential_numeric
+    from .conjecture import sqrt_det
+    from .s3quad import TWO_PI_SQ, build_rule, potential_numeric
 
     grids = [
         np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
         for _, lo, hi, steps in specs
     ]
     rule = build_rule(args.level)
+    norm = TWO_PI_SQ * sqrt_det(g2)  # V' = V / norm, as conjecture.v_prime
     header = ["g1_0", "g1_1", "g1_2", "g1_3", "v_numeric", "v_closed", "v_prime"]
     rows = []
     mesh = np.meshgrid(*grids, indexing="ij") if grids else []
@@ -337,7 +334,7 @@ def _cmd_sweep(args) -> None:
         vc = None
         if _is_hopf(g1) and _is_hopf(g2):
             vc = potential_closed(_as_hopf(g1, "--base"), _as_hopf(g2, "--g2"))
-        rows.append(list(g1.scales) + [vn, vc, v_prime(g1, g2, rule)])
+        rows.append(list(g1.scales) + [vn, vc, vn / norm])
     _check_finite([dict(zip(header, row)) for row in rows], "rows")
     _write_out(args, to_csv(header, rows))
 
@@ -345,8 +342,26 @@ def _cmd_sweep(args) -> None:
 # ----------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as CliError, so main prints it as one JSON
+    record like any other invalid input."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
+def _level(text: str) -> int:
+    """argparse type of --level: an integer >= MIN_LEVEL."""
+    try:
+        if int(text) >= MIN_LEVEL:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= {MIN_LEVEL}, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="doubled-spectral",
         description=(
             "Interaction potential between the two constant diagonal metrics "
@@ -355,24 +370,24 @@ def _build_parser() -> argparse.ArgumentParser:
             "scale factors a_j (ds^2 = sum a_j^2 (dx^j)^2)."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--level", type=int, default=DEFAULT_LEVEL,
-                        help=f"quadrature resolution (>= {MIN_LEVEL}, "
-                             "default %(default)s)")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="RNG seed where applicable (default %(default)s)")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="tolerance where applicable (default %(default)s)")
-    common.add_argument("--output", default=None, metavar="PATH",
+    # option groups; each subcommand takes only the groups it reads
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", dest="output_path", default=None, metavar="PATH",
                         help="write output to PATH instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format (json default; sweeps default to csv)")
-    common.add_argument("--emit-config", action="store_true",
+    output.add_argument("--emit-config", action="store_true",
                         help="print the resolved run configuration and exit")
+    level = argparse.ArgumentParser(add_help=False)
+    level.add_argument("--level", type=_level, default=DEFAULT_LEVEL,
+                       help=f"quadrature resolution (>= {MIN_LEVEL}, "
+                            "default %(default)s)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"), default="json",
+                     help="output format (default %(default)s)")
+    record = [output, level, fmt]
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("potential", parents=[common],
+    p = sub.add_parser("potential", parents=record,
                        help="interaction potential of a metric pair")
     p.add_argument("--g1", required=True, help="first metric, e.g. 2,2,1,1")
     p.add_argument("--g2", required=True, help="second metric")
@@ -382,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(a0 == a1 and a2 == a3)")
     p.set_defaults(func=_cmd_potential)
 
-    p = sub.add_parser("action", parents=[common],
+    p = sub.add_parser("action", parents=record,
                        help="effective action density of a doubled geometry")
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
@@ -393,12 +408,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True, help="moment coefficient (nonzero)")
     p.set_defaults(func=_cmd_action)
 
-    p = sub.add_parser("hypothesis", parents=[common],
+    p = sub.add_parser("hypothesis", parents=[output, level],
                        help="randomized invariance suite for the bimetric factorization")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="RNG seed (default %(default)s)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="tolerance on each relative violation (default %(default)s)")
     p.add_argument("--trials", type=int, default=200)
     p.set_defaults(func=_cmd_hypothesis)
 
-    p = sub.add_parser("series", parents=[common],
+    p = sub.add_parser("series", parents=record,
                        help="per-order series comparison against quadrature")
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--eps", required=True,
@@ -407,12 +426,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=4)
     p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("moments", parents=[common],
+    p = sub.add_parser("moments", parents=[output],
                        help="moment coefficient, forbidden-free count, and cycle-type census")
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=_cmd_moments)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[output, level],
                        help="CSV sweep of the potential over a 1- or 2-parameter grid of g1")
     p.add_argument("--g2", required=True, help="fixed second metric")
     p.add_argument("--base", required=True,
@@ -426,15 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.level < MIN_LEVEL:
-            raise CliError(f"--level must be >= {MIN_LEVEL}, got {args.level}")
-        if not math.isfinite(args.tol):
-            raise CliError(f"--tol must be finite, got {args.tol}")
-        if args.tol <= 0.0 and args.subcommand != "hypothesis":
-            raise CliError(f"--tol must be > 0, got {args.tol}")
+        args = _build_parser().parse_args(argv)
         args.func(args)
         return 0
     except (CliError, ValueError, OSError) as exc:

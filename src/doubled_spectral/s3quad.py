@@ -277,7 +277,8 @@ def rational_integral(pf, rule: SphereRule) -> float:
     the eigenbasis of A, where the form is sum_j lambda_j xi_j^2 and the
     fold applies.  Accepts any object with `omega` and `eps` attributes
     (see matchings.PerturbedForm); raises unless every eigenvalue is finite
-    and positive.
+    and positive, and when the sum is not finite (1/(xi^T A xi) overflows
+    at a node).
     """
     eps = np.asarray(pf.eps, dtype=float)
     lam = pf.omega * (1.0 + np.linalg.eigvalsh(0.5 * (eps + eps.T)))
@@ -286,7 +287,14 @@ def rational_integral(pf, rule: SphereRule) -> float:
             f"quadratic form has eigenvalues {lam.tolist()}; the form must "
             "be positive definite"
         )
-    return _rule_sum(rule, _reciprocal_form(lam))
+    total = _rule_sum(rule, _reciprocal_form(lam))
+    if not math.isfinite(total):
+        raise ValueError(
+            f"the rational integral of the form with eigenvalues {lam.tolist()} "
+            "is not finite on the S^3 rule: 1/(xi^T A xi) overflows double "
+            "precision at a node"
+        )
+    return total
 
 
 def action_density(dg, rule: SphereRule) -> float:

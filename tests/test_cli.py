@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -161,6 +162,14 @@ class TestHypothesis:
         assert code_a == code_b == 0
         assert out_a == out_b
 
+    def test_failure_label_is_plain_floats(self, capsys):
+        # level 8 is too coarse for tol 1e-7; the label must not depend on
+        # how the installed numpy prints its scalars
+        rec = run_json(capsys, "hypothesis", "--trials", "1", "--level", "8")
+        labels = [f["transformation"] for f in rec["failures"]]
+        assert "scaling[0.765004669954624, 0.9564840162335098, " \
+               "0.9051475237623232, 1.330705955635411]" in labels
+
 
 class TestSeries:
     def test_zero_perturbation(self, capsys):
@@ -203,7 +212,11 @@ class TestSeries:
         )
         assert code == 2
         assert out == ""
-        assert json.loads(err)["error"] == "terms_exact[0] is not finite: Infinity"
+        assert json.loads(err)["error"] == (
+            "the rational integral of the form with eigenvalues [1e-320, 1e-320, "
+            "1e-320, 1e-320] is not finite on the S^3 rule: 1/(xi^T A xi) "
+            "overflows double precision at a node"
+        )
 
 
 class TestMoments:
@@ -248,6 +261,26 @@ class TestSweep:
             assert float(cells[4]) == pytest.approx(expect, rel=1e-8, abs=1e-10)
             assert float(cells[5]) == pytest.approx(expect, rel=1e-8, abs=1e-10)
 
+    def test_one_potential_evaluation_per_point(self, capsys, monkeypatch):
+        # v_prime is derived from v_numeric, not summed on the rule again
+        from doubled_spectral import s3quad
+
+        calls = []
+        rule_sum = s3quad._rule_sum
+
+        def counting(rule, f):
+            calls.append(1)
+            return rule_sum(rule, f)
+
+        monkeypatch.setattr(s3quad, "_rule_sum", counting)
+        code, out, err = run_cli(
+            capsys, "sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1",
+            "--sweep", "b:0.5:2.0:3", "--level", "8",
+        )
+        assert code == 0, err
+        assert len(out.strip().split("\n")) == 4
+        assert len(calls) == 3
+
     def test_single_point_grid(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--g2", "1,1,1,1", "--base", "1.5,1,1,1",
@@ -281,6 +314,17 @@ class TestSweep:
             "--sweep", "0:1:2:3", "--sweep", "1:1:2:3", "--sweep", "2:1:2:3",
         )
         assert code == 2
+
+    def test_infinite_bound_rejected(self, capsys):
+        # an inf bound used to reach np.linspace and warn ahead of the record
+        code, out, err = run_cli(
+            capsys, "sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1",
+            "--sweep", "b:1:inf:3",
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "sweep spec 'b:1:inf:3': need finite 0 < min <= max and steps >= 1"
+        }
 
     def test_overlapping_axes_rejected(self, capsys):
         code, _, err = run_cli(
@@ -365,8 +409,6 @@ class TestConfigAndDeterminism:
         assert rec == {
             "subcommand": "potential",
             "level": 8,
-            "seed": 42,
-            "tol": 1e-7,
             "output_path": None,
             "format": "json",
         }
@@ -381,37 +423,45 @@ class TestConfigAndDeterminism:
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     @pytest.mark.parametrize(
-        "argv",
+        "argv, error",
         [
-            ("potential", "--g1", "1,1,1,1", "--g2", "2,2,1,1", "--emit-config"),
-            ("hypothesis", "--trials", "2", "--level", "8"),
+            # potential reads no tolerance, so it has no --tol
+            (("potential", "--g1", "1,1,1,1", "--g2", "2,2,1,1", "--emit-config"),
+             "unrecognized arguments: --tol {tol}"),
+            (("hypothesis", "--trials", "2", "--level", "8"),
+             "tol must be finite and >= 0, got {tol}"),
         ],
         ids=["potential-emit-config", "hypothesis"],
     )
-    def test_non_finite_tol_rejected(self, capsys, argv, tol):
+    def test_non_finite_tol_rejected(self, capsys, argv, error, tol):
         code, out, err = run_cli(capsys, *argv, "--tol", tol)
         assert code == 2
         assert out == ""
-        assert "--tol must be finite" in json.loads(err)["error"]
+        assert json.loads(err)["error"] == error.format(tol=tol)
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, error",
         [
-            ("hypothesis", "--tol", "-1"),
-            ("hypothesis", "--trials", "0"),
-            ("moments", "--m", "99"),
-            ("moments", "--m", "0"),
-            ("potential", "--g1", "1,0,1,1", "--g2", "1,1,1,1"),
-            ("potential", "--g1", "1,2,3,4", "--g2", "1,1,1,1", "--method", "closed"),
-            ("action", "--g1", "1,1,1,1", "--g2", "2,2,1,1", "--phi", "1",
-             "--kappa", "1", "--lambda", "-1", "--c", "1"),
-            ("sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1", "--sweep", "x:1:2:3"),
-            ("sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1",
-             "--sweep", "b:1:2:3", "--sweep", "0:1:2:3"),
-            ("series", "--omega", "1", "--eps", "0,0,0"),
-            ("series", "--omega", "1", "--eps", "0.5,0,0,0,0,0,0,0,0,0"),
-            ("series", "--omega", "1", "--eps", "0,0,0,0,0,0,0,0,0,0", "--order", "99"),
-            ("series", "--omega", "1", "--eps", "0,0,0,0,0,0,0,0,0,0", "--order", "1"),
+            (("hypothesis", "--tol", "-1"), "tol must be finite and >= 0"),
+            (("hypothesis", "--trials", "0"), "trials must be >= 1"),
+            (("moments", "--m", "99"), "--m must be in 1.."),
+            (("moments", "--m", "0"), "--m must be in 1.."),
+            (("potential", "--g1", "1,0,1,1", "--g2", "1,1,1,1"),
+             "--g1 entries must be positive"),
+            (("potential", "--g1", "1,2,3,4", "--g2", "1,1,1,1", "--method", "closed"),
+             "--g1 is not Hopf-shaped"),
+            (("action", "--g1", "1,1,1,1", "--g2", "2,2,1,1", "--phi", "1",
+              "--kappa", "1", "--lambda", "-1", "--c", "1"), "cutoff must be positive"),
+            (("sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1", "--sweep", "x:1:2:3"),
+             "sweep axis must be one of"),
+            (("sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1",
+              "--sweep", "b:1:2:3", "--sweep", "0:1:2:3"), "swept axes overlap"),
+            (("series", "--omega", "1", "--eps", "0,0,0"), "--eps needs the 10"),
+            (("series", "--omega", "1", "--eps", "0.5,0,0,0,0,0,0,0,0,0"), "traceless"),
+            (("series", "--omega", "1", "--eps", "0,0,0,0,0,0,0,0,0,0", "--order", "99"),
+             "exceeds the guard"),
+            (("series", "--omega", "1", "--eps", "0,0,0,0,0,0,0,0,0,0", "--order", "1"),
+             "order must be >= 2"),
         ],
         ids=[
             "hypothesis-tol", "hypothesis-trials", "moments-m-high", "moments-m-low",
@@ -420,15 +470,16 @@ class TestConfigAndDeterminism:
             "series-order-high", "series-order-low",
         ],
     )
-    def test_emit_config_validates_first(self, capsys, argv):
+    def test_emit_config_validates_first(self, capsys, argv, error):
         # the configuration is printed only for a run that would be accepted
-        argv = (*argv, "--level", "8")
+        if argv[0] != "moments":  # moments has no --level
+            argv = (*argv, "--level", "8")
         plain = run_cli(capsys, *argv)
         flagged = run_cli(capsys, *argv, "--emit-config")
         assert plain[0] == flagged[0] == 2
         assert plain[1] == flagged[1] == ""
         assert plain[2] == flagged[2]
-        assert "error" in json.loads(flagged[2])
+        assert error in json.loads(flagged[2])["error"]
 
     def test_repeat_runs_byte_identical(self, capsys):
         args = ("series", "--omega", "1.5",
@@ -437,6 +488,20 @@ class TestConfigAndDeterminism:
         _, out_a, _ = run_cli(capsys, *args)
         _, out_b, _ = run_cli(capsys, *args)
         assert out_a == out_b
+
+    def test_csv_list_cells(self, capsys):
+        # a list is one cell of 17-digit floats; None is an empty element
+        def cells(*argv):
+            code, out, err = run_cli(capsys, *argv, "--level", "8", "--format", "csv")
+            assert code == 0, err
+            header, row = out.strip().split("\n")
+            return dict(zip(header.split(","), row.split(",")))
+
+        rec = cells("potential", "--g1", "0.1,1,1,1", "--g2", "1,1,1,1")
+        assert rec["g1"] == "0.10000000000000001;1;1;1"
+        rec = cells("series", "--omega", "1", "--eps", "0,0,0,0,0,0,0,0,0,0",
+                    "--order", "2")
+        assert rec["ratios_single_trace_vs_exact"] == "1;;"
 
     def test_csv_format_for_single_record(self, capsys):
         code, out, _ = run_cli(
@@ -447,6 +512,52 @@ class TestConfigAndDeterminism:
         lines = out.strip().split("\n")
         assert len(lines) == 2
         assert "value" in lines[0].split(",")
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("potential", "--g1", "1,1,1,1"), "the following arguments are required: --g2"),
+            (("potential", "--g1", "1,1,1,1", "--g2", "1,1,1,1", "--level", "x"),
+             "argument --level: must be an integer >= 4, got 'x'"),
+            (("moments", "--m", "2", "--bogus"), "unrecognized arguments: --bogus"),
+            # a subcommand declares only the options it reads
+            (("moments", "--m", "2", "--level", "8"), "unrecognized arguments: --level 8"),
+            (("potential", "--g1", "1,1,1,1", "--g2", "2,2,1,1", "--seed", "1"),
+             "unrecognized arguments: --seed 1"),
+            (("sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1", "--sweep", "b:1:2:3",
+              "--format", "json"), "unrecognized arguments: --format json"),
+            (("hypothesis", "--trials", "1", "--format", "csv"),
+             "unrecognized arguments: --format csv"),
+        ],
+        ids=["missing-option", "bad-level", "unknown-option", "moments-level",
+             "potential-seed", "sweep-format", "hypothesis-format"],
+    )
+    def test_usage_error_is_one_json_record(self, capsys, argv, error):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": error}
+
+    @pytest.mark.parametrize(
+        "subcommand, options",
+        [
+            ("potential", {"--level", "--format", "--g1", "--g2", "--method"}),
+            ("action", {"--level", "--format", "--g1", "--g2", "--phi", "--kappa",
+                        "--lambda", "--c"}),
+            ("series", {"--level", "--format", "--omega", "--eps", "--order"}),
+            ("hypothesis", {"--level", "--seed", "--tol", "--trials"}),
+            ("sweep", {"--level", "--g2", "--base", "--sweep"}),
+            ("moments", {"--m"}),
+        ],
+    )
+    def test_help_lists_only_read_options(self, capsys, subcommand, options):
+        with pytest.raises(SystemExit) as exit_:
+            main([subcommand, "--help"])
+        assert exit_.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        listed = set(re.findall(r"^  (?:-h, )?(--[\w-]+)", captured.out, re.MULTILINE))
+        assert listed == options | {"--help", "--output", "--emit-config"}
 
     def test_module_entry_point(self):
         out = subprocess.run(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,12 @@ class TestSuite:
     def test_trials_guard(self, rule16):
         with pytest.raises(ValueError):
             run_hypothesis_suite(trials=0, seed=1, rule=rule16, tol=1e-7)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-7])
+    def test_tol_guard(self, rule16, tol):
+        # an infinite tol would report no failure at any violation
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            run_hypothesis_suite(trials=1, seed=1, rule=rule16, tol=tol)
 
     def test_exchange_check_exposed(self, rule32):
         rng = np.random.default_rng(167)

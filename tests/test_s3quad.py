@@ -293,6 +293,12 @@ class TestRationalIntegral:
                 with pytest.raises(ValueError, match="positive definite"):
                     rational_integral(bad, rule)
 
+    def test_overflowing_sum_rejected(self, rule8):
+        # the form is positive at every node, but 1/(xi^T A xi) overflows
+        tiny = PerturbedForm(omega=1e-320, eps=np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="rational integral .* is not finite"):
+            rational_integral(tiny, rule8)
+
 
 class TestActionDensity:
     @staticmethod
