@@ -18,9 +18,9 @@ numpy is imported by s3quad, conjecture and reports, and inside the
 functions of geometry and matchings that handle arrays; feynman, hopf, the
 combinatorial half of matchings (c_coefficient, pattern_census, count_n,
 count_n_formula) and _emit are pure Python.  The names below are resolved
-on first access (PEP 562), and cli imports the numpy layers inside the
-subcommands that use them, so ``potential --method closed|conjecture`` and
-``moments`` never load numpy.
+on first access (PEP 562), and cli imports the numpy layers and matchings
+inside the subcommands that use them, so ``action``, ``sweep``,
+``potential --method closed|conjecture`` and ``moments`` never load numpy.
 """
 
 from importlib import import_module

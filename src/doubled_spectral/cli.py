@@ -11,31 +11,32 @@ Invalid input, usage errors included, and a result that is not a finite
 double are one JSON error record on stderr and exit status 2, never a
 printed NaN or Infinity.
 
-numpy, the S^3 rule and the invariance suite are imported inside the
-subcommands that use them: `potential --method closed|conjecture` and
-`moments` run without numpy.
+The S^3 rule is the oracle: `potential --method numeric|both`,
+`hypothesis` and `series` sum on it, and `potential`, `hypothesis` and
+`series` are the subcommands with --level.  `action` and `sweep` take the
+potential from the 1-D Feynman-parameter integral (`feynman.potential_1d`).
+numpy, the S^3 rule, the invariance suite and the Wick-pairing module are
+imported inside the subcommands that use them, so `action`, `sweep`,
+`potential --method closed|conjecture` and `moments` run without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 
 from ._emit import fmt_float, to_csv, to_json
-from .feynman import kinetic_term
-from .geometry import MIN_LEVEL, DiagonalMetric, DoubledGeometry, effective_params
-from .hopf import HopfMetric, potential_closed, potential_via_conjecture
-from .matchings import (
-    MAX_MOMENT_ORDER,
-    PerturbedForm,
-    c_coefficient,
-    check_series_order,
-    compare_series,
-    count_n,
-    count_n_formula,
-    pattern_census,
+from .feynman import kinetic_term, potential_1d
+from .geometry import (
+    MIN_LEVEL,
+    TWO_PI_SQ,
+    DiagonalMetric,
+    DoubledGeometry,
+    effective_params,
 )
+from .hopf import HopfMetric, potential_closed, potential_via_conjecture
 
 DEFAULT_LEVEL = 64
 DEFAULT_SEED = 42
@@ -174,10 +175,8 @@ def _cmd_action(args) -> None:
     ep = effective_params(dg)
     if _config_only(args):
         return
-    from .s3quad import build_rule, potential_numeric
-
     kin = kinetic_term(g1, g2)
-    pot = potential_numeric(g1, g2, build_rule(args.level))
+    pot = potential_1d(g1, g2)
     _emit(
         args,
         {
@@ -187,7 +186,6 @@ def _cmd_action(args) -> None:
             "kappa": args.kappa,
             "lambda": args.lam,
             "c": args.c,
-            "level": args.level,
             "lambda_e_sq": ep.lambda_e_sq,
             "alpha": ep.alpha,
             "kinetic": kin,
@@ -201,7 +199,7 @@ def _cmd_hypothesis(args) -> None:
     from .conjecture import check_suite_args, run_hypothesis_suite
     from .s3quad import build_rule
 
-    check_suite_args(args.trials, args.tol)
+    check_suite_args(args.trials, args.seed, args.tol)
     if _config_only(args):
         return
     report = run_hypothesis_suite(
@@ -222,6 +220,8 @@ def _cmd_series(args) -> None:
     except ValueError as exc:
         raise CliError(f"--eps: {exc}") from exc
     import numpy as np
+
+    from .matchings import PerturbedForm, check_series_order, compare_series
 
     eps = np.zeros((4, 4))
     k = 0
@@ -244,6 +244,14 @@ def _cmd_series(args) -> None:
 
 
 def _cmd_moments(args) -> None:
+    from .matchings import (
+        MAX_MOMENT_ORDER,
+        c_coefficient,
+        count_n,
+        count_n_formula,
+        pattern_census,
+    )
+
     m = args.m
     if not 1 <= m <= MAX_MOMENT_ORDER:
         raise CliError(f"--m must be in 1..{MAX_MOMENT_ORDER}, got {m}")
@@ -294,6 +302,15 @@ def _parse_sweep(spec: str):
     return _SWEEP_AXES[axis], lo_f, hi_f, steps_i
 
 
+def _grid(lo: float, hi: float, steps: int) -> list[float]:
+    """np.linspace(lo, hi, steps) in pure Python, to the bit: lo + i * step
+    before the last point, then hi exactly."""
+    if steps == 1:
+        return [lo]
+    step = (hi - lo) / (steps - 1)
+    return [lo + i * step for i in range(steps - 1)] + [hi]
+
+
 def _cmd_sweep(args) -> None:
     g2 = _parse_metric(args.g2, "--g2")
     base = list(_parse_metric(args.base, "--base").scales)
@@ -303,34 +320,25 @@ def _cmd_sweep(args) -> None:
     claimed = [ax for axes, *_ in specs for ax in axes]
     if len(set(claimed)) != len(claimed):
         raise CliError("swept axes overlap")
+    norm = TWO_PI_SQ * math.prod(g2.scales)  # V' = V / norm, as conjecture.v_prime
+    if not 0.0 < norm < math.inf:
+        raise CliError(
+            f"--g2: 2 pi^2 sqrt(det g2) = {fmt_float(norm)} under- or overflows "
+            "double precision, and v_prime divides by it"
+        )
     if _config_only(args):
         return
-    import numpy as np
-
-    from .conjecture import sqrt_det
-    from .s3quad import TWO_PI_SQ, build_rule, potential_numeric
-
-    grids = [
-        np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
-        for _, lo, hi, steps in specs
-    ]
-    rule = build_rule(args.level)
-    norm = TWO_PI_SQ * sqrt_det(g2)  # V' = V / norm, as conjecture.v_prime
+    grids = [_grid(lo, hi, steps) for _, lo, hi, steps in specs]
     header = ["g1_0", "g1_1", "g1_2", "g1_3", "v_numeric", "v_closed", "v_prime"]
     rows = []
-    mesh = np.meshgrid(*grids, indexing="ij") if grids else []
-    points = (
-        np.stack([m.ravel() for m in mesh], axis=-1)
-        if grids
-        else np.zeros((1, 0))
-    )
-    for point in points:
+    # product walks the grid in meshgrid(indexing="ij") order
+    for point in itertools.product(*grids):
         scales = list(base)
         for (axes, *_), value in zip(specs, point):
             for ax in axes:
-                scales[ax] = float(value)
+                scales[ax] = value
         g1 = DiagonalMetric(tuple(scales))
-        vn = potential_numeric(g1, g2, rule)
+        vn = potential_1d(g1, g2)
         vc = None
         if _is_hopf(g1) and _is_hopf(g2):
             vc = potential_closed(_as_hopf(g1, "--base"), _as_hopf(g2, "--g2"))
@@ -397,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(a0 == a1 and a2 == a3)")
     p.set_defaults(func=_cmd_potential)
 
-    p = sub.add_parser("action", parents=record,
+    p = sub.add_parser("action", parents=[output, fmt],
                        help="effective action density of a doubled geometry")
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
@@ -431,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=_cmd_moments)
 
-    p = sub.add_parser("sweep", parents=[output, level],
+    p = sub.add_parser("sweep", parents=[output],
                        help="CSV sweep of the potential over a 1- or 2-parameter grid of g1")
     p.add_argument("--g2", required=True, help="fixed second metric")
     p.add_argument("--base", required=True,

@@ -143,11 +143,14 @@ def _draw_log_uniform(rng, lo, hi, size):
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
 
 
-def check_suite_args(trials: int, tol: float) -> None:
-    """Raise ValueError unless trials >= 1 and tol is finite and >= 0 (an
-    infinite tol would pass every violation)."""
+def check_suite_args(trials: int, seed: int, tol: float) -> None:
+    """Raise ValueError unless trials >= 1, seed >= 0 (the generator takes
+    no negative seed) and tol is finite and >= 0 (an infinite tol would pass
+    every violation)."""
     if int(trials) < 1:
         raise ValueError(f"trials must be >= 1, got {int(trials)}")
+    if int(seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {int(seed)}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
@@ -161,7 +164,7 @@ def run_hypothesis_suite(
     so the report is a pure function of (trials, seed, rule, tol).
     """
     trials = int(trials)
-    check_suite_args(trials, tol)
+    check_suite_args(trials, seed, tol)
     rng = np.random.default_rng(seed)
     failures = []
     max_violation = 0.0

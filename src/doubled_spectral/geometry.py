@@ -91,11 +91,15 @@ class DoubledGeometry:
         if self.kappa not in (1, -1):
             raise ValueError(f"kappa must be +1 or -1, got {self.kappa}")
         if not (math.isfinite(self.coupling) and self.coupling >= 0.0):
-            raise ValueError(f"coupling |Phi| must be >= 0, got {self.coupling}")
+            raise ValueError(
+                f"coupling |Phi| must be finite and >= 0, got {self.coupling}"
+            )
         if not (math.isfinite(self.cutoff) and self.cutoff > 0.0):
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
+            raise ValueError(f"cutoff must be finite and positive, got {self.cutoff}")
         if not math.isfinite(self.moment_coeff) or self.moment_coeff == 0.0:
-            raise ValueError(f"moment_coeff must be nonzero, got {self.moment_coeff}")
+            raise ValueError(
+                f"moment_coeff must be finite and nonzero, got {self.moment_coeff}"
+            )
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from doubled_spectral import cli
 from doubled_spectral.cli import CliError, _check_finite, main
+from doubled_spectral.hopf import HopfMetric, potential_closed
 from doubled_spectral.s3quad import MIN_LEVEL
 
 TWO_PI_SQ = 2.0 * math.pi**2
@@ -101,7 +103,6 @@ class TestAction:
         rec = run_json(
             capsys, "action", "--g1", "1.2,0.8,1.1,0.9", "--g2", "0.7,1.5,0.9,1.3",
             "--phi", "0", "--kappa", "1", "--lambda", "1", "--c", "1",
-            "--level", "16",
         )
         assert rec["alpha"] == 0.0
         assert rec["density"] == pytest.approx(rec["lambda_e_sq"] * rec["kinetic"])
@@ -110,8 +111,8 @@ class TestAction:
         rec = run_json(
             capsys, "action", "--g1", "1,1,1,1", "--g2", "1,1,1,1",
             "--phi", "1", "--kappa", "1", "--lambda", "1", "--c", "1",
-            "--level", "16",
         )
+        assert "level" not in rec
         assert rec["kinetic"] == pytest.approx(2 * TWO_PI_SQ, rel=1e-12)
         assert rec["potential"] == 0.0
         assert rec["lambda_e_sq"] == 0.0
@@ -119,7 +120,7 @@ class TestAction:
 
     def test_kappa_flips_alpha(self, capsys):
         args = ["--g1", "1,1,1,1", "--g2", "2,2,2,2", "--phi", "0.5",
-                "--lambda", "1", "--c", "1", "--level", "8"]
+                "--lambda", "1", "--c", "1"]
         plus = run_json(capsys, "action", *args, "--kappa", "1")
         minus = run_json(capsys, "action", *args, "--kappa", "-1")
         assert plus["alpha"] == -minus["alpha"]
@@ -132,6 +133,14 @@ class TestAction:
         assert code == 2
         assert "nonzero" in json.loads(err)["error"]
 
+    def test_potential_is_the_1d_integral_at_wide_ratio(self, capsys):
+        # at 30:1 the level-64 rule was 4.6e-3 off the closed form
+        rec = run_json(
+            capsys, "action", "--g1", "30,30,1,1", "--g2", "1,1,1,1",
+            "--phi", "0.5", "--kappa", "1", "--lambda", "1", "--c", "1",
+        )
+        closed = potential_closed(HopfMetric(a=1.0, b=30.0), HopfMetric(a=1.0, b=1.0))
+        assert rec["potential"] == pytest.approx(closed, rel=1e-12)
 
     def test_rejects_out_of_range_scale(self, capsys):
         # 1/a^2 = 1e-400 underflows to 0; the kinetic term used to come out
@@ -139,7 +148,6 @@ class TestAction:
         code, out, err = run_cli(
             capsys, "action", "--g1", "1e200,1,1,1", "--g2", "1,1,1,1",
             "--phi", "1", "--kappa", "1", "--lambda", "1", "--c", "1",
-            "--level", "8",
         )
         assert code == 2
         assert out == ""
@@ -247,7 +255,7 @@ class TestSweep:
         out_file = tmp_path / "sweep.csv"
         code, _, err = run_cli(
             capsys, "sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1",
-            "--sweep", "b:0.5:2.0:7", "--level", "16",
+            "--sweep", "b:0.5:2.0:7",
             "--output", str(out_file),
         )
         assert code == 0, err
@@ -262,20 +270,18 @@ class TestSweep:
             assert float(cells[5]) == pytest.approx(expect, rel=1e-8, abs=1e-10)
 
     def test_one_potential_evaluation_per_point(self, capsys, monkeypatch):
-        # v_prime is derived from v_numeric, not summed on the rule again
-        from doubled_spectral import s3quad
-
+        # v_prime is derived from v_numeric, not integrated again
         calls = []
-        rule_sum = s3quad._rule_sum
+        potential = cli.potential_1d
 
-        def counting(rule, f):
+        def counting(g1, g2):
             calls.append(1)
-            return rule_sum(rule, f)
+            return potential(g1, g2)
 
-        monkeypatch.setattr(s3quad, "_rule_sum", counting)
+        monkeypatch.setattr(cli, "potential_1d", counting)
         code, out, err = run_cli(
             capsys, "sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1",
-            "--sweep", "b:0.5:2.0:3", "--level", "8",
+            "--sweep", "b:0.5:2.0:3",
         )
         assert code == 0, err
         assert len(out.strip().split("\n")) == 4
@@ -284,7 +290,7 @@ class TestSweep:
     def test_single_point_grid(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--g2", "1,1,1,1", "--base", "1.5,1,1,1",
-            "--sweep", "0:0.8:0.8:1", "--level", "8",
+            "--sweep", "0:0.8:0.8:1",
         )
         assert code == 0
         lines = out.strip().split("\n")
@@ -297,7 +303,7 @@ class TestSweep:
         # sweep of b1 through b2 * a1 / a2 = 0.75 with a1 = 1.5, a2 = 2
         code, out, _ = run_cli(
             capsys, "sweep", "--g2", "1.5,1.5,2,2", "--base", "1,1,1.5,1.5",
-            "--sweep", "b:0.70:0.80:11", "--level", "16",
+            "--sweep", "b:0.70:0.80:11",
         )
         assert code == 0
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
@@ -307,6 +313,41 @@ class TestSweep:
             assert abs(nxt - prev) <= 0.05 * max(abs(prev), abs(nxt))
         for vn, vc in zip(values, closed):
             assert vc == pytest.approx(vn, rel=1e-6)
+
+    def test_wide_ratio_point_is_the_1d_integral(self, capsys):
+        # at 100:1 the level-64 rule was 47% off the closed form
+        code, out, err = run_cli(
+            capsys, "sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1",
+            "--sweep", "b:100:100:1",
+        )
+        assert code == 0, err
+        row = [float(cell) for cell in out.strip().split("\n")[1].split(",")]
+        assert row[4] == pytest.approx(row[5], rel=1e-12)
+        assert row[6] == row[4] / TWO_PI_SQ
+
+    @pytest.mark.parametrize(
+        "lo, hi, steps",
+        [(0.5, 2.0, 7), (0.70, 0.80, 11), (0.1, 0.3, 3), (1e-3, 7.3, 61),
+         (0.8, 0.8, 4), (1.25, 1.5, 2), (0.9, 1.7, 1)],
+    )
+    def test_grid_is_linspace_to_the_bit(self, lo, hi, steps):
+        import numpy as np
+
+        expect = np.linspace(lo, hi, steps) if steps > 1 else np.array([lo])
+        assert cli._grid(lo, hi, steps) == expect.tolist()
+
+    def test_underflowing_norm_rejected(self, capsys):
+        # sqrt(det g2) = 1e-360 is 0 in double precision; v_prime divides by it
+        code, out, err = run_cli(
+            capsys, "sweep", "--g2", "1e-90,1e-90,1e-90,1e-90",
+            "--base", "2e-90,2e-90,1e-90,1e-90", "--sweep", "b:2e-90:2e-90:1",
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == (
+            "--g2: 2 pi^2 sqrt(det g2) = 0 under- or overflows double precision, "
+            "and v_prime divides by it"
+        )
 
     def test_too_many_axes_rejected(self, capsys):
         code, _, err = run_cli(
@@ -342,23 +383,24 @@ class TestFiniteOutput:
         _check_finite({"a": [1.0, {"b": -2.5}], "c": "text"})
 
     def test_sweep_rows_checked(self, capsys):
-        # at a = 1e-100 the oracle's Q^2 overflows and its sum comes out NaN
+        # at a = 1e-100 the S^3 rule's Q^2 overflowed and its sum came out
+        # NaN; the 1-D integral rejects the 1e100 scale ratio up front
         code, out, err = run_cli(
             capsys, "sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1",
-            "--sweep", "b:1e-100:1e-100:1", "--level", "8",
+            "--sweep", "b:1e-100:1e-100:1",
         )
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == (
-            "the potential of g1 = (1e-100, 1e-100, 1.0, 1.0) and g2 = "
-            "(1.0, 1.0, 1.0, 1.0) is not finite on the S^3 rule: Q^2 overflows "
-            "double precision at a node"
+            "the scale factors of g1 = (1e-100, 1e-100, 1.0, 1.0) and g2 = "
+            "(1.0, 1.0, 1.0, 1.0) span a ratio above 1e+75"
         )
 
 
 OVERFLOWING_REQUESTS = {
-    "sweep": ["sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1",
-              "--sweep", "b:1e-100:1e-100:1", "--level", "8"],
+    # V ~ 1e280 * 1e60 overflows the 1-D integral's final scaling
+    "sweep": ["sweep", "--g2", "1e70,1e70,1e70,1e70", "--base", "1e70,1e70,1e70,1e70",
+              "--sweep", "b:1e100:1e100:1"],
     "series": ["series", "--omega", "1e-320", "--eps=0,0,0,0,0,0,0,0,0,0",
                "--order", "2", "--level", "8"],
 }
@@ -383,6 +425,11 @@ NUMPY_FREE_REQUESTS = {
     "conjecture": ["potential", "--g1", "2,2,1,1", "--g2", "1,1,1,1",
                    "--method", "conjecture"],
     "moments": ["moments", "--m", "7"],
+    # the potential of action and sweep is the 1-D integral, not the S^3 rule
+    "action": ["action", "--g1", "30,30,1,1", "--g2", "1.2,0.8,1.1,0.9", "--phi", "0.5",
+               "--kappa", "-1", "--lambda", "2", "--c", "0.7"],
+    "sweep": ["sweep", "--g2", "1,1,1.5,1.5", "--base", "1,1,2,2",
+              "--sweep", "b:0.5:2:3", "--sweep", "a:1:100:2"],
 }
 
 
@@ -394,10 +441,15 @@ def test_closed_form_and_census_requests_do_not_import_numpy(argv):
         f"code = main({argv!r})\n"
         "assert code == 0, code\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "assert 'doubled_spectral.s3quad' not in sys.modules, 's3quad was imported'\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout)["value" if argv[0] == "potential" else "m"]
+    if argv[0] == "sweep":
+        assert len(out.stdout.strip().split("\n")) == 1 + 3 * 2
+    else:
+        key = {"potential": "value", "action": "potential", "moments": "m"}[argv[0]]
+        assert json.loads(out.stdout)[key]
 
 
 class TestConfigAndDeterminism:
@@ -412,6 +464,13 @@ class TestConfigAndDeterminism:
             "output_path": None,
             "format": "json",
         }
+
+    def test_emit_config_without_level(self, capsys):
+        rec = run_json(
+            capsys, "action", "--g1", "1,1,1,1", "--g2", "2,2,1,1", "--phi", "1",
+            "--kappa", "1", "--lambda", "1", "--c", "1", "--emit-config",
+        )
+        assert rec == {"subcommand": "action", "output_path": None, "format": "json"}
 
     def test_bad_level_rejected(self, capsys):
         for level in (2, MIN_LEVEL - 1):
@@ -451,7 +510,8 @@ class TestConfigAndDeterminism:
             (("potential", "--g1", "1,2,3,4", "--g2", "1,1,1,1", "--method", "closed"),
              "--g1 is not Hopf-shaped"),
             (("action", "--g1", "1,1,1,1", "--g2", "2,2,1,1", "--phi", "1",
-              "--kappa", "1", "--lambda", "-1", "--c", "1"), "cutoff must be positive"),
+              "--kappa", "1", "--lambda", "-1", "--c", "1"),
+             "cutoff must be finite and positive"),
             (("sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1", "--sweep", "x:1:2:3"),
              "sweep axis must be one of"),
             (("sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1",
@@ -472,7 +532,7 @@ class TestConfigAndDeterminism:
     )
     def test_emit_config_validates_first(self, capsys, argv, error):
         # the configuration is printed only for a run that would be accepted
-        if argv[0] != "moments":  # moments has no --level
+        if argv[0] in ("potential", "hypothesis", "series"):  # those with --level
             argv = (*argv, "--level", "8")
         plain = run_cli(capsys, *argv)
         flagged = run_cli(capsys, *argv, "--emit-config")
@@ -528,9 +588,19 @@ class TestConfigAndDeterminism:
               "--format", "json"), "unrecognized arguments: --format json"),
             (("hypothesis", "--trials", "1", "--format", "csv"),
              "unrecognized arguments: --format csv"),
+            # action and sweep do not use the S^3 rule
+            (("action", "--g1", "1,1,1,1", "--g2", "2,2,1,1", "--phi", "1", "--kappa", "1",
+              "--lambda", "1", "--c", "1", "--level", "8"),
+             "unrecognized arguments: --level 8"),
+            (("sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1", "--sweep", "b:1:2:3",
+              "--level", "8"), "unrecognized arguments: --level 8"),
+            (("hypothesis", "--trials", "1", "--seed", "-1"), "seed must be >= 0, got -1"),
+            (("action", "--g1", "1,1,1,1", "--g2", "2,2,1,1", "--phi", "inf", "--kappa", "1",
+              "--lambda", "1", "--c", "1"), "coupling |Phi| must be finite and >= 0, got inf"),
         ],
         ids=["missing-option", "bad-level", "unknown-option", "moments-level",
-             "potential-seed", "sweep-format", "hypothesis-format"],
+             "potential-seed", "sweep-format", "hypothesis-format", "action-level",
+             "sweep-level", "hypothesis-negative-seed", "action-infinite-phi"],
     )
     def test_usage_error_is_one_json_record(self, capsys, argv, error):
         code, out, err = run_cli(capsys, *argv)
@@ -542,11 +612,11 @@ class TestConfigAndDeterminism:
         "subcommand, options",
         [
             ("potential", {"--level", "--format", "--g1", "--g2", "--method"}),
-            ("action", {"--level", "--format", "--g1", "--g2", "--phi", "--kappa",
-                        "--lambda", "--c"}),
+            ("action", {"--format", "--g1", "--g2", "--phi", "--kappa", "--lambda",
+                        "--c"}),
             ("series", {"--level", "--format", "--omega", "--eps", "--order"}),
             ("hypothesis", {"--level", "--seed", "--tol", "--trials"}),
-            ("sweep", {"--level", "--g2", "--base", "--sweep"}),
+            ("sweep", {"--g2", "--base", "--sweep"}),
             ("moments", {"--m"}),
         ],
     )
