@@ -30,6 +30,17 @@ potential integrand of diagonal metrics, and the rational integrand in the
 eigenbasis of A.  `integrate` averages a general integrand over the 16 sign
 images of each folded node, which regroups the product rule for any
 integrand.
+
+Layout.  Besides the (n, 4) nodes `folded_xi`, a rule stores their squared
+coordinates once as `folded_z`, a C-contiguous (4, n) array whose row j
+holds xi_j^2 of every node.  The potential and rational integrands read
+only these rows, so no call squares the nodes again and every term of a
+quadratic form is a contiguous row times a scalar.  `_rule_sum` evaluates
+an integrand in blocks of BLOCK nodes, so its temporaries stay cache-sized,
+and sums the values of each CHUNK of nodes in one pass.  The chunks fix
+the summation order and are part of the determinism contract; the blocks
+only bound the working set and are not, since each value depends on its
+own node alone.
 """
 
 from __future__ import annotations
@@ -47,6 +58,9 @@ from .geometry import MIN_LEVEL, TWO_PI_SQ, DiagonalMetric, check_inverse_square
 # Fixed chunk size; part of the determinism contract, do not make it
 # configurable.
 CHUNK = 1 << 16
+# Nodes per integrand evaluation inside a chunk: 64 KB per float64
+# temporary.  Not part of the determinism contract.
+BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -56,13 +70,21 @@ class SphereRule:
     `folded_xi` (n, 4) and `folded_weights` (n,) are the orbit
     representatives and their summed weights (see the module docstring):
     unit nodes and positive weights summing to 2 pi^2, the area of the
-    3-sphere.  Both arrays are read-only; rules are safe to share between
-    threads.
+    3-sphere.  `folded_z` (4, n), C-contiguous, holds the squared
+    coordinates folded_xi.T ** 2; it is derived from `folded_xi` on
+    construction, so `dataclasses.replace` with new nodes derives it again.
+    All three arrays are read-only; rules are safe to share between threads.
     """
 
     level: int
     folded_xi: np.ndarray = field(repr=False)
     folded_weights: np.ndarray = field(repr=False)
+    folded_z: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        z = np.ascontiguousarray((self.folded_xi * self.folded_xi).T)
+        z.flags.writeable = False
+        object.__setattr__(self, "folded_z", z)
 
     @property
     def node_count(self) -> int:
@@ -129,22 +151,31 @@ def build_rule(level: int) -> SphereRule:
     return _build_rule_cached(level)
 
 
-def _rule_sum(rule: SphereRule, f) -> float:
-    """Sum of w * f(xi) over the nodes of the fold.
+def _rule_sum(rule: SphereRule, f, *, squares: bool = False) -> float:
+    """Sum of w * f over the nodes of the fold.
 
-    f maps an (n, 4) slice of `folded_xi` to an (n,) array.  It is called
-    on consecutive slices of CHUNK nodes; each slice is summed pairwise by
-    np.sum and the partials are combined in chunk order with Neumaier
-    summation, so the result is bit-identical between runs.  numpy
-    floating-point warnings are off while f runs: an overflow shows as a
-    non-finite value, which the caller checks.
+    f maps a block of nodes to an (m,) array of values: an (m, 4) slice of
+    `folded_xi`, or with `squares` a (4, m) slice of `folded_z`.  It is
+    called on consecutive blocks of at most BLOCK nodes, and must give each
+    node a value that depends on that node alone.  The weighted values of
+    each CHUNK of nodes fill one array, which np.sum adds pairwise; the
+    chunk partials are combined in chunk order with Neumaier summation, so
+    the result is bit-identical between runs and does not depend on BLOCK.
+    numpy floating-point warnings are off while f runs: an overflow shows
+    as a non-finite value, which the caller checks.
     """
-    xi, w = rule.folded_xi, rule.folded_weights
+    xi, z, w = rule.folded_xi, rule.folded_z, rule.folded_weights
+    values = np.empty(min(len(w), CHUNK))
     total = 0.0
     comp = 0.0
     with np.errstate(all="ignore"):
         for lo in range(0, len(w), CHUNK):
-            part = float(np.sum(w[lo : lo + CHUNK] * f(xi[lo : lo + CHUNK])))
+            hi = min(lo + CHUNK, len(w))
+            for b in range(lo, hi, BLOCK):
+                e = min(b + BLOCK, hi)
+                block = z[:, b:e] if squares else xi[b:e]
+                np.multiply(w[b:e], f(block), out=values[b - lo : e - lo])
+            part = float(np.sum(values[: hi - lo]))
             t = total + part
             if abs(total) >= abs(part):
                 comp += (total - t) + part
@@ -196,8 +227,9 @@ def integrate(rule: SphereRule, f) -> float:
 
 
 def _form(z, c):
-    # sum_j c[j] z_j as its 4 explicit terms in a fixed order
-    return z[:, 0] * c[0] + z[:, 1] * c[1] + z[:, 2] * c[2] + z[:, 3] * c[3]
+    # sum_j c[j] z_j over the rows of a folded_z block, as its 4 explicit
+    # terms in a fixed order
+    return z[0] * c[0] + z[1] * c[1] + z[2] * c[2] + z[3] * c[3]
 
 
 def _canonical_axis_order(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
@@ -239,13 +271,12 @@ def potential_numeric(
     d = (inv2 - inv1) ** 2
     s = c1 + c2
 
-    def integrand(x):
-        z = x * x
+    def integrand(z):
         q1 = _form(z, c1)
         q2 = _form(z, c2)
         return _form(z, d) * _form(z, s) / ((q1 * q1) * (q2 * q2))
 
-    total = _rule_sum(rule, integrand)
+    total = _rule_sum(rule, integrand, squares=True)
     if not math.isfinite(total):
         raise ValueError(
             f"the potential of g1 = {g1.scales} and g2 = {g2.scales} is not "
@@ -255,11 +286,11 @@ def potential_numeric(
 
 
 def _reciprocal_form(lam: np.ndarray):
-    """The integrand 1 / sum_j lam_j x_j^2; raises unless the form is
-    positive and finite at every node it sees."""
+    """The integrand 1 / sum_j lam_j z_j on folded_z blocks; raises unless
+    the form is positive and finite at every node it sees."""
 
-    def integrand(x):
-        q = _form(x * x, lam)
+    def integrand(z):
+        q = _form(z, lam)
         if not np.all(np.isfinite(q) & (q > 0.0)):
             raise ValueError(
                 "quadratic form nonpositive or non-finite at a quadrature "
@@ -287,7 +318,7 @@ def rational_integral(pf, rule: SphereRule) -> float:
             f"quadratic form has eigenvalues {lam.tolist()}; the form must "
             "be positive definite"
         )
-    total = _rule_sum(rule, _reciprocal_form(lam))
+    total = _rule_sum(rule, _reciprocal_form(lam), squares=True)
     if not math.isfinite(total):
         raise ValueError(
             f"the rational integral of the form with eigenvalues {lam.tolist()} "

@@ -16,6 +16,7 @@ from doubled_spectral import (
     v_prime,
 )
 from doubled_spectral._emit import to_json
+from doubled_spectral.cli import DEFAULT_TOL
 from conftest import draw_scales
 
 
@@ -103,6 +104,15 @@ class TestSuite:
         assert report.failures == ()
         assert report.max_violation <= 1e-7
         assert report.rng == "numpy.random.Generator(PCG64)"
+
+    def test_worst_known_trial_passes_default_tol(self, rule64):
+        # the largest level-64 self-error in 35,000 trials; see the
+        # SCALE_RANGE comment
+        report = run_hypothesis_suite(
+            trials=1, seed=502922616, rule=rule64, tol=DEFAULT_TOL
+        )
+        assert report.failures == ()
+        assert 2e-8 < report.max_violation < DEFAULT_TOL
 
     def test_equal_pair_draws_are_fine(self, rule16):
         report = run_hypothesis_suite(trials=1, seed=0, rule=rule16, tol=1e-3)
