@@ -11,8 +11,10 @@ Layers:
 * conjecture-- randomized invariance suite for the bimetric factorization
 * cli       -- reproducible command-line front end
 
-Every S^3 rule sum runs through one numpy reduction (``s3quad._rule_sum``)
-with a fixed chunk order, so every result is bit-identical between runs.
+A rule stores its nodes once, as their squared coordinates
+(``SphereRule.folded_z``).  Every S^3 rule sum runs through one numpy
+reduction over them (``s3quad._rule_sum``) with a fixed chunk order, so
+every result is bit-identical between runs.
 
 numpy is imported by s3quad, conjecture and reports, and inside the
 functions of geometry and matchings that handle arrays; feynman, hopf, the
@@ -57,23 +59,17 @@ _EXPORTS = {
     "potential_via_conjecture": "hopf",
     "script_v": "hopf",
     "to_diagonal": "hopf",
-    "Matching": "matchings",
     "PerturbedForm": "matchings",
     "SeriesComparison": "matchings",
-    "TracePattern": "matchings",
     "c_coefficient": "matchings",
     "compare_series": "matchings",
     "count_n": "matchings",
     "count_n_formula": "matchings",
     "double_factorial": "matchings",
-    "enumerate_matchings": "matchings",
     "moment_integral": "matchings",
     "pattern_census": "matchings",
     "series_exact": "matchings",
-    "series_single_trace": "matchings",
-    "trace_pattern": "matchings",
     "SphereRule": "s3quad",
-    "action_density": "s3quad",
     "build_rule": "s3quad",
     "integrate": "s3quad",
     "potential_numeric": "s3quad",

@@ -30,6 +30,7 @@ import sys
 from ._emit import fmt_float, to_csv, to_json
 from .feynman import kinetic_term, potential_1d
 from .geometry import (
+    MAX_LEVEL,
     MIN_LEVEL,
     TWO_PI_SQ,
     DiagonalMetric,
@@ -359,13 +360,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _level(text: str) -> int:
-    """argparse type of --level: an integer >= MIN_LEVEL."""
+    """argparse type of --level: an integer in MIN_LEVEL..MAX_LEVEL."""
     try:
-        if int(text) >= MIN_LEVEL:
-            return int(text)
+        level = int(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer >= {MIN_LEVEL}, got {text!r}")
+        level = None
+    if level is None or level < MIN_LEVEL:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= {MIN_LEVEL}, got {text!r}"
+        )
+    if level > MAX_LEVEL:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_LEVEL}, got {text!r}")
+    return level
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -386,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="print the resolved run configuration and exit")
     level = argparse.ArgumentParser(add_help=False)
     level.add_argument("--level", type=_level, default=DEFAULT_LEVEL,
-                       help=f"quadrature resolution (>= {MIN_LEVEL}, "
+                       help=f"quadrature resolution ({MIN_LEVEL}..{MAX_LEVEL}, "
                             "default %(default)s)")
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "csv"), default="json",

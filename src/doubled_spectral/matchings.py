@@ -12,11 +12,11 @@ Contracting m copies of eps along a matching produces a product of traces,
 one tr(eps^k) per cycle of the block graph (blocks are the slot pairs
 (2l-1, 2l) of each eps factor).  The census of cycle types over all
 matchings therefore determines the exact expansion.  pattern_census counts
-each cycle type in closed form; enumerate_matchings and trace_pattern build
-the census matching by matching and are kept as its test oracle.  The
-single-trace variant of the series, which keeps only a tr(eps^m) term with
-coefficient (-2)^m N_{2m} c_m, is implemented alongside for comparison.
-N_{2m} counts the matchings with no block pair (2l-1, 2l), i.e. no 1-cycle.
+each cycle type in closed form; the tests check it against a census built
+matching by matching.  compare_series evaluates the exact series next to
+its single-trace variant, which keeps only a tr(eps^m) term with
+coefficient (-2)^m N_{2m} c_m per order.  N_{2m} counts the matchings with
+no block pair (2l-1, 2l), i.e. no 1-cycle.
 
 Rational bookkeeping (fractions.Fraction, in units of pi^2) is kept exact;
 floats appear only when a series is evaluated.  The combinatorial half
@@ -43,9 +43,13 @@ if TYPE_CHECKING:
 
 PI_SQ = math.pi * math.pi
 
-# (2m-1)!! growth guards
+# Largest accepted orders, each range covered by the tests.  The census is
+# closed-form, so none of them bounds (2m-1)!! work.
+# largest m of pattern_census and count_n (cycle types: the partitions of m)
 MAX_MATCHING_ORDER = 10
+# largest m of moment_integral (2m indices) and of `moments --m`
 MAX_MOMENT_ORDER = 8
+# largest order of series_exact and compare_series
 MAX_SERIES_ORDER = 8
 
 EPS_SYMMETRY_TOL = 1e-15
@@ -106,102 +110,6 @@ class PerturbedForm:
         import numpy as np
 
         return float(np.abs(np.linalg.eigvalsh(self.eps)).max())
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Perfect matching of {1, ..., 2m} in canonical form: each pair (a, b)
-    has a < b and the first entries increase."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        pairs = tuple((int(a), int(b)) for a, b in self.pairs)
-        m = len(pairs)
-        seen = sorted(x for p in pairs for x in p)
-        if seen != list(range(1, 2 * m + 1)):
-            raise ValueError(f"pairs do not partition 1..{2*m}: {pairs}")
-        for a, b in pairs:
-            if a >= b:
-                raise ValueError(f"pair {(a, b)} not in (low, high) order")
-        firsts = [a for a, _ in pairs]
-        if firsts != sorted(firsts):
-            raise ValueError("pairs not sorted by first entry")
-        object.__setattr__(self, "pairs", pairs)
-
-    @property
-    def order(self) -> int:
-        return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class TracePattern:
-    """Multiset of cycle lengths {k_i}; contraction value is prod tr(eps^k_i)."""
-
-    cycle_lengths: tuple[int, ...]
-
-    def __post_init__(self):
-        lens = tuple(sorted((int(k) for k in self.cycle_lengths), reverse=True))
-        if any(k < 1 for k in lens):
-            raise ValueError(f"cycle lengths must be positive, got {lens}")
-        object.__setattr__(self, "cycle_lengths", lens)
-
-
-def enumerate_matchings(m: int):
-    """Yield all (2m-1)!! canonical perfect matchings of {1, ..., 2m},
-    generated by pairing the smallest free index with every larger one."""
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m > MAX_MATCHING_ORDER:
-        raise ValueError(
-            f"m = {m} exceeds the enumeration guard {MAX_MATCHING_ORDER}"
-        )
-
-    def rec(free):
-        if not free:
-            yield ()
-            return
-        first = free[0]
-        for i in range(1, len(free)):
-            rest = free[1:i] + free[i + 1 :]
-            for tail in rec(rest):
-                yield ((first, free[i]),) + tail
-
-    for pairs in rec(tuple(range(1, 2 * m + 1))):
-        yield Matching(pairs)
-
-
-def trace_pattern(mt: Matching) -> TracePattern:
-    """Cycle decomposition of a matching over the blocks (2l-1, 2l).
-
-    Each block contributes two slots; following matching edges and in-block
-    edges alternately decomposes the blocks into cycles, and a cycle through
-    k blocks contracts to tr(eps^k).
-    """
-    m = mt.order
-    partner = {}
-    for a, b in mt.pairs:
-        partner[a] = b
-        partner[b] = a
-    visited = [False] * (m + 1)
-    lens = []
-    for blk in range(1, m + 1):
-        if visited[blk]:
-            continue
-        length = 0
-        cur = blk
-        slot = 2 * blk - 1
-        while True:
-            visited[cur] = True
-            length += 1
-            nxt = partner[slot]
-            cur = (nxt + 1) // 2
-            slot = nxt + 1 if nxt % 2 == 1 else nxt - 1
-            if cur == blk:
-                break
-        lens.append(length)
-    return TracePattern(tuple(lens))
 
 
 def _partitions(m: int) -> list[tuple[int, ...]]:
@@ -346,20 +254,6 @@ def series_exact(pf: PerturbedForm, order: int) -> float:
     order = check_series_order(order, 0)
     traces = _trace_powers(pf.eps, max(order, 1))
     return math.fsum(_exact_term(m, traces) for m in range(order + 1)) / pf.omega
-
-
-def series_single_trace(pf: PerturbedForm, order: int) -> float:
-    """Single-trace series variant, evaluated exactly as stated:
-
-        (1/Omega) [ 2 pi^2 + (2 pi^2/3) tr(eps^2)
-                    + sum_{m=3}^{order} (-2)^m c_m N_{2m} tr(eps^m) ].
-    """
-    order = check_series_order(order)
-    traces = _trace_powers(pf.eps, order)
-    return (
-        math.fsum(_single_trace_term(m, traces) for m in range(order + 1))
-        / pf.omega
-    )
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._emit import fmt_float
 from .matchings import PerturbedForm, compare_series, pattern_census
-from .s3quad import TWO_PI_SQ, active_backend, build_rule, potential_numeric
+from .s3quad import TWO_PI_SQ, build_rule, potential_numeric
 from .geometry import DiagonalMetric
 
 SINGULAR_SEED = 20240901
@@ -114,8 +114,8 @@ def render_markdown() -> str:
         "",
         "Generated by `python -m doubled_spectral.reports`. All inputs are",
         "seeded; regenerating the file reproduces it byte for byte.",
-        f"Node-kernel backend: {active_backend()} (numpy {np.__version__}); "
-        "the quadrature values depend on both.",
+        f"Computed with numpy {np.__version__}; the quadrature values depend "
+        "on it.",
         "",
         "## 1. Limit of the Hopf potential on the singular surface",
         "",

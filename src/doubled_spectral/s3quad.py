@@ -31,16 +31,17 @@ eigenbasis of A.  `integrate` averages a general integrand over the 16 sign
 images of each folded node, which regroups the product rule for any
 integrand.
 
-Layout.  Besides the (n, 4) nodes `folded_xi`, a rule stores their squared
-coordinates once as `folded_z`, a C-contiguous (4, n) array whose row j
-holds xi_j^2 of every node.  The potential and rational integrands read
-only these rows, so no call squares the nodes again and every term of a
-quadratic form is a contiguous row times a scalar.  `_rule_sum` evaluates
-an integrand in blocks of BLOCK nodes, so its temporaries stay cache-sized,
-and sums the values of each CHUNK of nodes in one pass.  The chunks fix
-the summation order and are part of the determinism contract; the blocks
-only bound the working set and are not, since each value depends on its
-own node alone.
+Layout.  A rule stores its nodes once, as their squared coordinates
+`folded_z`: a C-contiguous (4, n) array whose row j holds xi_j^2 of every
+node.  The potential and rational integrands read only these rows, so no
+call squares the nodes again and every term of a quadratic form is a
+contiguous row times a scalar.  `integrate` recovers the first-quadrant
+representatives as sqrt(z), which in binary64 is |xi| exactly, and takes
+their 16 sign images.  `_rule_sum` evaluates an integrand in blocks of
+BLOCK nodes, so its temporaries stay cache-sized, and sums the values of
+each CHUNK of nodes in one pass.  The chunks fix the summation order and
+are part of the determinism contract; the blocks only bound the working set
+and are not, since each value depends on its own node alone.
 """
 
 from __future__ import annotations
@@ -52,8 +53,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .feynman import kinetic_term
-from .geometry import MIN_LEVEL, TWO_PI_SQ, DiagonalMetric, check_inverse_squares
+# Unused here, but the benchmark's layer tracer wraps `s3quad.kinetic_term`
+# and looks the name up in this module; keep the binding.
+from .feynman import kinetic_term  # noqa: F401
+from .geometry import (
+    MAX_LEVEL,
+    MIN_LEVEL,
+    TWO_PI_SQ,
+    DiagonalMetric,
+    check_inverse_squares,
+)
 
 # Fixed chunk size; part of the determinism contract, do not make it
 # configurable.
@@ -67,24 +76,17 @@ BLOCK = 1 << 13
 class SphereRule:
     """Immutable quadrature rule of a given level, stored as its fold.
 
-    `folded_xi` (n, 4) and `folded_weights` (n,) are the orbit
-    representatives and their summed weights (see the module docstring):
-    unit nodes and positive weights summing to 2 pi^2, the area of the
-    3-sphere.  `folded_z` (4, n), C-contiguous, holds the squared
-    coordinates folded_xi.T ** 2; it is derived from `folded_xi` on
-    construction, so `dataclasses.replace` with new nodes derives it again.
-    All three arrays are read-only; rules are safe to share between threads.
+    `folded_z` (4, n), C-contiguous, holds the squared coordinates of the
+    orbit representatives (see the module docstring), one row per axis:
+    every column sums to 1, the node is on the unit sphere.
+    `folded_weights` (n,) are their summed weights, positive and summing to
+    2 pi^2, the area of the 3-sphere.  Both arrays are read-only; rules are
+    safe to share between threads.
     """
 
     level: int
-    folded_xi: np.ndarray = field(repr=False)
+    folded_z: np.ndarray = field(repr=False)
     folded_weights: np.ndarray = field(repr=False)
-    folded_z: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        z = np.ascontiguousarray((self.folded_xi * self.folded_xi).T)
-        z.flags.writeable = False
-        object.__setattr__(self, "folded_z", z)
 
     @property
     def node_count(self) -> int:
@@ -93,7 +95,8 @@ class SphereRule:
 
 
 def _nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the cos^2 fold of the product rule."""
+    """Squared coordinates (4, n) and weights (n,) of the cos^2 fold of the
+    product rule."""
     t_nodes, t_weights = np.polynomial.legendre.leggauss(level)
     t_nodes = 0.5 * (t_nodes + 1.0)
     t_weights = 0.5 * t_weights
@@ -126,45 +129,48 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     total = math.fsum(w.tolist())
     if abs(total - TWO_PI_SQ) > 1e-12 * TWO_PI_SQ:
         raise AssertionError(f"weight sum {total!r} deviates from 2 pi^2")
-    norms = np.abs(np.einsum("ij,ij->i", xi, xi) - 1.0)
+    z = np.ascontiguousarray((xi * xi).T)
+    norms = np.abs(z[0] + z[1] + z[2] + z[3] - 1.0)
     if float(norms.max()) > 1e-14:
         raise AssertionError("rule produced a node off the unit sphere")
 
-    xi.flags.writeable = False
+    z.flags.writeable = False
     w.flags.writeable = False
-    return xi, w
+    return z, w
 
 
 @lru_cache(maxsize=8)
 def _build_rule_cached(level: int) -> SphereRule:
-    xi, w = _nodes(level)
-    return SphereRule(level=level, folded_xi=xi, folded_weights=w)
+    z, w = _nodes(level)
+    return SphereRule(level=level, folded_z=z, folded_weights=w)
 
 
 def build_rule(level: int) -> SphereRule:
     """Product rule with `level` Gauss-Legendre nodes in t and 2*level
     equispaced nodes in each angle (4*level^3 nodes), stored as its fold.
-    Cached."""
+    Cached.  Raises ValueError unless MIN_LEVEL <= level <= MAX_LEVEL,
+    before anything is allocated."""
     level = int(level)
     if level < MIN_LEVEL:
         raise ValueError(f"level must be >= {MIN_LEVEL}, got {level}")
+    if level > MAX_LEVEL:
+        raise ValueError(f"level must be <= {MAX_LEVEL}, got {level}")
     return _build_rule_cached(level)
 
 
-def _rule_sum(rule: SphereRule, f, *, squares: bool = False) -> float:
+def _rule_sum(rule: SphereRule, f) -> float:
     """Sum of w * f over the nodes of the fold.
 
-    f maps a block of nodes to an (m,) array of values: an (m, 4) slice of
-    `folded_xi`, or with `squares` a (4, m) slice of `folded_z`.  It is
-    called on consecutive blocks of at most BLOCK nodes, and must give each
-    node a value that depends on that node alone.  The weighted values of
+    f maps a (4, m) column block of `folded_z` to an (m,) array of values.
+    It is called on consecutive blocks of at most BLOCK nodes, and must give
+    each node a value that depends on that node alone.  The weighted values of
     each CHUNK of nodes fill one array, which np.sum adds pairwise; the
     chunk partials are combined in chunk order with Neumaier summation, so
     the result is bit-identical between runs and does not depend on BLOCK.
     numpy floating-point warnings are off while f runs: an overflow shows
     as a non-finite value, which the caller checks.
     """
-    xi, z, w = rule.folded_xi, rule.folded_z, rule.folded_weights
+    z, w = rule.folded_z, rule.folded_weights
     values = np.empty(min(len(w), CHUNK))
     total = 0.0
     comp = 0.0
@@ -173,8 +179,7 @@ def _rule_sum(rule: SphereRule, f, *, squares: bool = False) -> float:
             hi = min(lo + CHUNK, len(w))
             for b in range(lo, hi, BLOCK):
                 e = min(b + BLOCK, hi)
-                block = z[:, b:e] if squares else xi[b:e]
-                np.multiply(w[b:e], f(block), out=values[b - lo : e - lo])
+                np.multiply(w[b:e], f(z[:, b:e]), out=values[b - lo : e - lo])
             part = float(np.sum(values[: hi - lo]))
             t = total + part
             if abs(total) >= abs(part):
@@ -207,13 +212,14 @@ def integrate(rule: SphereRule, f) -> float:
 
     f must map an (n, 4) node array to an (n,) array of values.  It is
     called on each of the 16 sign images s * xi, s in {+1, -1}^4, of the
-    folded nodes, and each folded node weighs the mean of its 16 values:
-    the product rule regrouped, for any integrand.  Non-finite values
-    signal a singular integrand and raise.
+    folded nodes xi = sqrt(z) >= 0, and each folded node weighs the mean of
+    its 16 values: the product rule regrouped, for any integrand.
+    Non-finite values signal a singular integrand and raise.
     """
     signs = list(itertools.product((1.0, -1.0), repeat=4))
 
-    def image_mean(x):
+    def image_mean(z):
+        x = np.sqrt(z).T
         total = sum(np.asarray(f(x * s), dtype=float) for s in signs)
         if total.shape != (len(x),):
             raise ValueError(
@@ -276,7 +282,7 @@ def potential_numeric(
         q2 = _form(z, c2)
         return _form(z, d) * _form(z, s) / ((q1 * q1) * (q2 * q2))
 
-    total = _rule_sum(rule, integrand, squares=True)
+    total = _rule_sum(rule, integrand)
     if not math.isfinite(total):
         raise ValueError(
             f"the potential of g1 = {g1.scales} and g2 = {g2.scales} is not "
@@ -318,7 +324,7 @@ def rational_integral(pf, rule: SphereRule) -> float:
             f"quadratic form has eigenvalues {lam.tolist()}; the form must "
             "be positive definite"
         )
-    total = _rule_sum(rule, _reciprocal_form(lam), squares=True)
+    total = _rule_sum(rule, _reciprocal_form(lam))
     if not math.isfinite(total):
         raise ValueError(
             f"the rational integral of the form with eigenvalues {lam.tolist()} "
@@ -327,14 +333,3 @@ def rational_integral(pf, rule: SphereRule) -> float:
         )
     return total
 
-
-def action_density(dg, rule: SphereRule) -> float:
-    """lambda_e_sq * kinetic_term + alpha * potential_numeric for a doubled
-    geometry (the integrand density; the overall volume factor of the base
-    manifold is the caller's concern since the metrics are constant)."""
-    from .geometry import effective_params
-
-    ep = effective_params(dg)
-    kin = kinetic_term(dg.g1, dg.g2)
-    pot = potential_numeric(dg.g1, dg.g2, rule)
-    return ep.lambda_e_sq * kin + ep.alpha * pot

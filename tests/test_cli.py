@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
-from doubled_spectral import cli
+from doubled_spectral import cli, s3quad
 from doubled_spectral.cli import CliError, _check_finite, main
 from doubled_spectral.hopf import HopfMetric, potential_closed
-from doubled_spectral.s3quad import MIN_LEVEL
+from doubled_spectral.s3quad import MAX_LEVEL, MIN_LEVEL
 
 TWO_PI_SQ = 2.0 * math.pi**2
 
@@ -479,6 +479,32 @@ class TestConfigAndDeterminism:
                 "--level", str(level),
             )
             assert code == 2
+
+    @pytest.mark.parametrize("flags", [(), ("--emit-config",)], ids=["run", "emit-config"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("potential", "--g1", "1,1,1,1", "--g2", "2,2,1,1"),
+            ("hypothesis", "--trials", "1"),
+            ("series", "--omega", "1", "--eps", "0,0,0,0,0,0,0,0,0,0"),
+        ],
+        ids=["potential", "hypothesis", "series"],
+    )
+    def test_level_above_max_rejected(self, capsys, monkeypatch, argv, flags):
+        # level 2000000 used to reach the Gauss-Legendre solver, which asked
+        # numpy for 29 TiB and exited 1 with a traceback; now the parser
+        # rejects it before any rule is built
+        def no_nodes(level):
+            raise AssertionError(f"nodes of level {level} computed")
+
+        monkeypatch.setattr(s3quad, "_nodes", no_nodes)
+        code, out, err = run_cli(capsys, *argv, "--level", "2000000", *flags)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": f"argument --level: must be <= {MAX_LEVEL}, got '2000000'"
+        }
+        assert cli._level(str(MAX_LEVEL)) == MAX_LEVEL
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     @pytest.mark.parametrize(

@@ -58,18 +58,23 @@ class TestDeterminism:
         def f(x):
             return np.exp(x[:, 0] - 0.5 * x[:, 3]) * (1.0 + x[:, 1] ** 2)
 
+        def g(z):
+            # an integrand of the squares, on (4, m) blocks
+            return np.exp(z[0] - 0.5 * z[3]) * (1.0 + z[1] * z[2])
+
         xi_full, w_full = full_product_set(64)
         f_full = w_full * f(xi_full)
         integral = math.fsum(f_full.tolist())
         integral_scale = math.fsum(np.abs(f_full).tolist())
-        for (xi, w), chunks in (
-            ((rule64.folded_xi, rule64.folded_weights), 2),
-            ((xi_full, w_full), 16),
+        z_full = np.ascontiguousarray((xi_full * xi_full).T)
+        for (zrows, w), chunks in (
+            ((rule64.folded_z, rule64.folded_weights), 2),
+            ((z_full, w_full), 16),
         ):
             assert len(w) > CHUNK
             assert -(-len(w) // CHUNK) == chunks
-            rule = dataclasses.replace(rule64, folded_xi=xi, folded_weights=w)
-            z = xi * xi
+            rule = dataclasses.replace(rule64, folded_z=zrows, folded_weights=w)
+            z = zrows.T
             q1 = z @ c1
             q2 = z @ c2
             big = w / ((q1 * q1) * (q2 * q2))
@@ -92,9 +97,9 @@ class TestDeterminism:
                     None,
                 ),
                 (
-                    lambda: _rule_sum(rule, f),
-                    math.fsum((w * f(xi)).tolist()),
-                    math.fsum((w * np.abs(f(xi))).tolist()),
+                    lambda: _rule_sum(rule, g),
+                    math.fsum((w * g(zrows)).tolist()),
+                    None,
                 ),
                 (lambda: integrate(rule, f), integral, integral_scale),
             )
@@ -107,33 +112,33 @@ class TestDeterminism:
         # chunk partials 1e16, 1 and -1e16: a plain running sum of the
         # partials loses the 1, and a sum without the last chunk keeps 1e16
         n = 2 * CHUNK + 1
-        xi = np.zeros((n, 4))
-        xi[[0, CHUNK, 2 * CHUNK], 0] = (1e16, 1.0, -1e16)
-        cancel = dataclasses.replace(rule64, folded_xi=xi, folded_weights=np.ones(n))
-        assert _rule_sum(cancel, lambda x: x[:, 0]) == 1.0
+        z = np.zeros((4, n))
+        z[0, [0, CHUNK, 2 * CHUNK]] = (1e16, 1.0, -1e16)
+        cancel = dataclasses.replace(rule64, folded_z=z, folded_weights=np.ones(n))
+        assert _rule_sum(cancel, lambda z: z[0]) == 1.0
 
     def test_rational_node_guard(self, rule8):
         # the node-level guard behind rational_integral's eigenvalue check,
         # on the folded_z rows it reads; the identity form integrates to the
         # area, so the integrand does see whole rows of squares
-        area = _rule_sum(rule8, _reciprocal_form(np.ones(4)), squares=True)
+        area = _rule_sum(rule8, _reciprocal_form(np.ones(4)))
         assert abs(area - TWO_PI_SQ) <= 1e-13 * TWO_PI_SQ
         for lam in ([-1.0, 1.0, 1.0, 1.0], [np.nan, 1.0, 1.0, 1.0]):
             with pytest.raises(ValueError, match="positive definite"):
-                _rule_sum(rule8, _reciprocal_form(np.array(lam)), squares=True)
+                _rule_sum(rule8, _reciprocal_form(np.array(lam)))
 
     def test_squared_path_equals_per_node_reference(self, rule64):
         # potential_numeric and rational_integral read the stored folded_z
         # rows in blocks; they must equal, bit for bit, the per-node formula
-        # on (n, 4) columns of xi * xi with the same chunks and combine
+        # on (n, 4) columns of the squares with the same chunks and combine
         def reference(rule, integrand):
-            xi, w = rule.folded_xi, rule.folded_weights
+            z, w = rule.folded_z, rule.folded_weights
             total = 0.0
             comp = 0.0
             with np.errstate(all="ignore"):
                 for lo in range(0, len(w), CHUNK):
-                    x = xi[lo : lo + CHUNK]
-                    part = float(np.sum(w[lo : lo + CHUNK] * integrand(x * x)))
+                    x = z[:, lo : lo + CHUNK].T
+                    part = float(np.sum(w[lo : lo + CHUNK] * integrand(x)))
                     t = total + part
                     if abs(total) >= abs(part):
                         comp += (total - t) + part
@@ -180,19 +185,17 @@ class TestDeterminism:
                 got = rational_integral(pf, rule)
                 assert got == reference(rule, lambda z: 1.0 / columns(z, lam))
 
-        # folded_z is the read-only C-contiguous (4, n) transpose of xi * xi
+        # folded_z is the read-only C-contiguous (4, n) array of the squared
+        # first-quadrant representatives: at t index i and angle indices
+        # k1, k2 <= level/2, the squares of product node (i, k1, k2)
         z = rule64.folded_z
         assert z.flags.c_contiguous and not z.flags.writeable
-        assert np.array_equal(z, (rule64.folded_xi * rule64.folded_xi).T)
         with pytest.raises(ValueError):
             z[0, 0] = 0.0
-        # replacing the nodes derives folded_z again, so the fold-vs-full
-        # and multi-chunk tests do run the evaluators on the new nodes
-        xi_full, w_full = full_product_set(64)
-        full = dataclasses.replace(rule64, folded_xi=xi_full, folded_weights=w_full)
-        assert full.folded_z.shape == (4, len(w_full))
-        assert np.array_equal(full.folded_z, (xi_full * xi_full).T)
-        assert not full.folded_z.flags.writeable
+        xi_full, _ = full_product_set(64)
+        half = 64 // 2 + 1
+        xi = xi_full.reshape(64, 128, 128, 4)[:, :half, :half].reshape(-1, 4)
+        assert np.array_equal(z, (xi * xi).T)
 
 
 class TestBackendSelection:

@@ -8,22 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from doubled_spectral import (
-    Matching,
     PerturbedForm,
     c_coefficient,
     compare_series,
     count_n,
     count_n_formula,
     double_factorial,
-    enumerate_matchings,
     integrate,
     moment_integral,
     pattern_census,
     rational_integral,
     series_exact,
-    series_single_trace,
-    trace_pattern,
 )
+from conftest import Matching, enumerate_matchings, trace_pattern
 
 PI_SQ = math.pi**2
 TWO_PI_SQ = 2.0 * PI_SQ
@@ -241,10 +238,10 @@ class TestPerturbedForm:
 
 
 class TestSeries:
-    def test_zero_perturbation(self):
+    def test_zero_perturbation(self, rule8):
         pf = PerturbedForm(omega=2.0, eps=np.zeros((4, 4)))
         assert series_exact(pf, 4) == TWO_PI_SQ / 2.0
-        assert series_single_trace(pf, 4) == TWO_PI_SQ / 2.0
+        assert compare_series(pf, 4, rule8).value_single_trace == TWO_PI_SQ / 2.0
 
     def test_exact_quadratic_coefficient(self):
         rng = np.random.default_rng(103)
@@ -254,19 +251,21 @@ class TestSeries:
         expect = (TWO_PI_SQ + PI_SQ / 6.0 * tr2) / 1.3
         assert abs(series_exact(pf, 2) - expect) <= 1e-13 * abs(expect)
 
-    def test_single_trace_quadratic_coefficient(self):
+    def test_single_trace_quadratic_coefficient(self, rule8):
         rng = np.random.default_rng(107)
         eps = random_traceless(rng, 0.2)
         pf = PerturbedForm(omega=1.0, eps=eps)
         tr2 = float(np.trace(eps @ eps))
         expect = TWO_PI_SQ + TWO_PI_SQ / 3.0 * tr2
-        assert abs(series_single_trace(pf, 2) - expect) <= 1e-13 * abs(expect)
+        got = compare_series(pf, 2, rule8).value_single_trace
+        assert abs(got - expect) <= 1e-13 * abs(expect)
 
-    def test_odd_traces_drop_for_balanced_diagonal(self):
+    def test_odd_traces_drop_for_balanced_diagonal(self, rule8):
         eta = 0.05
         pf = PerturbedForm(omega=1.0, eps=np.diag([eta, eta, -eta, -eta]))
         expect = TWO_PI_SQ + TWO_PI_SQ / 3.0 * 4 * eta**2
-        assert abs(series_single_trace(pf, 3) - expect) <= 1e-13 * expect
+        got = compare_series(pf, 3, rule8).value_single_trace
+        assert abs(got - expect) <= 1e-13 * expect
 
     def test_permutation_conjugation_invariance(self):
         rng = np.random.default_rng(109)
@@ -293,12 +292,12 @@ class TestSeries:
                 bound = 10.0 * rho ** (order + 1) * TWO_PI_SQ / pf.omega
                 assert abs(trunc - quad) <= bound
 
-    def test_order_guards(self):
+    def test_order_guards(self, rule8):
         pf = PerturbedForm(omega=1.0, eps=np.zeros((4, 4)))
         with pytest.raises(ValueError):
             series_exact(pf, 9)
         with pytest.raises(ValueError):
-            series_single_trace(pf, 1)
+            compare_series(pf, 1, rule8)
 
 
 class TestCompareSeries:

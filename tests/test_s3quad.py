@@ -8,46 +8,59 @@ import pytest
 
 from doubled_spectral import (
     DiagonalMetric,
-    DoubledGeometry,
-    action_density,
     build_rule,
-    effective_params,
     integrate,
     kinetic_term,
     potential_numeric,
     rational_integral,
+    s3quad,
 )
+from doubled_spectral.geometry import MAX_LEVEL
 from doubled_spectral.matchings import PerturbedForm
 from conftest import draw_scales, full_product_set
 
 TWO_PI_SQ = 2.0 * math.pi**2
-FOLD_LEVELS = [4, 5, 7, 8, 16, 64]
+# level 26: the k = level/2 angle rounds past pi/2, so a folded node has a
+# coordinate of -7.3e-18 and sqrt(z) = |xi| differs from xi there
+FOLD_LEVELS = [4, 5, 7, 8, 16, 26, 64]
 
 
 class TestRule:
-    def test_level_guard(self):
+    def test_level_guard(self, monkeypatch):
         with pytest.raises(ValueError):
             build_rule(3)
+
+        # above MAX_LEVEL the guard fires before any node is computed; level
+        # 2000000 used to ask numpy for a 29 TiB companion matrix
+        def no_nodes(level):
+            raise AssertionError(f"nodes of level {level} computed")
+
+        monkeypatch.setattr(s3quad, "_nodes", no_nodes)
+        for level in (MAX_LEVEL + 1, 2_000_000):
+            with pytest.raises(ValueError, match=f"level must be <= {MAX_LEVEL}"):
+                build_rule(level)
 
     def test_node_count_and_invariants(self):
         # odd levels and even ones, whose k = level/2 orbit has 2 members
         for level in FOLD_LEVELS:
             rule = build_rule(level)
-            xi, w = rule.folded_xi, rule.folded_weights
+            z, w = rule.folded_z, rule.folded_weights
             assert rule.node_count == 4 * level**3
             assert w.shape == ((level // 2 + 1) ** 2 * level,)
-            assert xi.shape == (w.shape[0], 4)
+            assert z.shape == (4, w.shape[0])
+            assert z.flags.c_contiguous
             assert abs(math.fsum(w.tolist()) - TWO_PI_SQ) <= 1e-12 * TWO_PI_SQ
-            norms = np.einsum("ij,ij->i", xi, xi)
+            norms = z[0] + z[1] + z[2] + z[3]
             assert float(np.abs(norms - 1.0).max()) <= 1e-14
+            assert np.all(z >= 0)
             assert np.all(w > 0)
-            # the fold is the only node set
-            assert not hasattr(rule, "xi")
-            assert not hasattr(rule, "weights")
+            # the fold is the only node set, stored once as its squares
+            fields = [f.name for f in dataclasses.fields(rule)]
+            assert fields == ["level", "folded_z", "folded_weights"]
 
     def test_rule_arrays_read_only(self, rule8):
         with pytest.raises(ValueError):
-            rule8.folded_xi[0, 0] = 0.0
+            rule8.folded_z[0, 0] = 0.0
         with pytest.raises(ValueError):
             rule8.folded_weights[0] = 0.0
 
@@ -205,7 +218,8 @@ class TestPotential:
         rule = build_rule(level)
         xi, w = full_product_set(level)
         # the same evaluators, run over the unfolded product set
-        unfolded = dataclasses.replace(rule, folded_xi=xi, folded_weights=w)
+        z = np.ascontiguousarray((xi * xi).T)
+        unfolded = dataclasses.replace(rule, folded_z=z, folded_weights=w)
         rng = np.random.default_rng(53)
         pairs = [
             (DiagonalMetric(draw_scales(rng)), DiagonalMetric(draw_scales(rng)))
@@ -299,32 +313,3 @@ class TestRationalIntegral:
         with pytest.raises(ValueError, match="rational integral .* is not finite"):
             rational_integral(tiny, rule8)
 
-
-class TestActionDensity:
-    @staticmethod
-    def dg(g1, g2, coupling, kappa=1, cutoff=1.0, c=1.0):
-        return DoubledGeometry(
-            g1=DiagonalMetric(g1), g2=DiagonalMetric(g2),
-            coupling=coupling, kappa=kappa, cutoff=cutoff, moment_coeff=c,
-        )
-
-    def test_decoupled_reduces_to_kinetic(self, rule16):
-        rng = np.random.default_rng(43)
-        dg = self.dg(draw_scales(rng), draw_scales(rng), coupling=0.0)
-        ep = effective_params(dg)
-        assert ep.alpha == 0.0
-        expect = ep.lambda_e_sq * kinetic_term(dg.g1, dg.g2)
-        assert action_density(dg, rule16) == expect
-
-    def test_equal_sheets_kinetic_only(self, rule16):
-        g = (1.2, 0.9, 1.1, 0.8)
-        dg = self.dg(g, g, coupling=0.7)
-        ep = effective_params(dg)
-        expect = ep.lambda_e_sq * kinetic_term(dg.g1, dg.g2)
-        assert action_density(dg, rule16) == expect
-
-    def test_finite_generic(self, rule16):
-        rng = np.random.default_rng(47)
-        dg = self.dg(draw_scales(rng), draw_scales(rng), coupling=1.1, kappa=-1,
-                     cutoff=1.5, c=0.8)
-        assert math.isfinite(action_density(dg, rule16))
