@@ -11,10 +11,11 @@ Layers:
 * conjecture-- randomized invariance suite for the bimetric factorization
 * cli       -- reproducible command-line front end
 
-A rule stores its nodes once, as their squared coordinates
-(``SphereRule.folded_z``).  Every S^3 rule sum runs through one numpy
-reduction over them (``s3quad._rule_sum``) with a fixed chunk order, so
-every result is bit-identical between runs.
+A rule stores no nodes, only their t and angle factors
+(``SphereRule.t_factor``, ``SphereRule.angle_factor`` and their weights).
+Every S^3 rule sum runs through one numpy reduction over them
+(``s3quad._rule_sum``) in a fixed order of phi blocks, so every result is
+bit-identical between runs.
 
 numpy is imported by s3quad, conjecture and reports, and inside the
 functions of geometry and matchings that handle arrays; feynman, hopf, the

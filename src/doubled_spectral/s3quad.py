@@ -12,36 +12,38 @@ periodic trapezoid in each angle.  Smooth integrands converge spectrally.
 
 Evaluators built on the rule: the interaction potential of a pair of
 diagonal metrics, the generic rational integral int dS / (xi^T A xi) for a
-positive quadratic form A, and `integrate` for any scalar field.  Each is one
-scalar integrand passed to `_rule_sum`, the only code that accumulates a rule
-sum.  The kinetic term is the identity of `feynman.kinetic_term`; the rule
+positive quadratic form A, and `integrate` for any scalar field.  Each passes
+`_rule_sum`, the only code that accumulates a rule sum, its quadratic forms
+and one integrand of them.  The kinetic term is the identity of `feynman.kinetic_term`; the rule
 checks it through `integrate`.
 
 Fold.  On the angle grid phi_k = pi k / level (k = 0 .. 2 level - 1), the
 maps phi -> -phi and phi -> pi - phi send a node to a sign flip of its
 coordinates.  Each angle grid therefore collapses onto level//2 + 1 orbits,
 represented by k = 0 .. level//2 in the first quadrant, with 2 members at
-k = 0 and at k = level/2 (even level) and 4 elsewhere.  The rule is stored
-only as this fold: the t nodes times the representatives in both angles,
-weighted by orbit size, level (level//2 + 1)^2 nodes (69,696 at level 64
-against 4 level^3 = 1,048,576).  An integrand of z = xi^2 alone takes one
-value per orbit, so its folded sum is the product rule's sum regrouped: the
-potential integrand of diagonal metrics, and the rational integrand in the
-eigenbasis of A.  `integrate` averages a general integrand over the 16 sign
-images of each folded node, which regroups the product rule for any
-integrand.
+k = 0 and at k = level/2 (even level) and 4 elsewhere.  The rule sums over
+the t nodes times the representatives in both angles, weighted by orbit
+size: level (level//2 + 1)^2 nodes (69,696 at level 64 against
+4 level^3 = 1,048,576).  An integrand of z = xi^2 alone takes one value per
+orbit, so its folded sum is the product rule's sum regrouped: the potential
+integrand of diagonal metrics, and the rational integrand in the eigenbasis
+of A.  `integrate` averages a general integrand over the 16 sign images of
+each folded node, which regroups the product rule for any integrand.
 
-Layout.  A rule stores its nodes once, as their squared coordinates
-`folded_z`: a C-contiguous (4, n) array whose row j holds xi_j^2 of every
-node.  The potential and rational integrands read only these rows, so no
-call squares the nodes again and every term of a quadratic form is a
-contiguous row times a scalar.  `integrate` recovers the first-quadrant
-representatives as sqrt(z), which in binary64 is |xi| exactly, and takes
-their 16 sign images.  `_rule_sum` evaluates an integrand in blocks of
-BLOCK nodes, so its temporaries stay cache-sized, and sums the values of
-each CHUNK of nodes in one pass.  The chunks fix the summation order and
-are part of the determinism contract; the blocks only bound the working set
-and are not, since each value depends on its own node alone.
+Layout.  On the node grid t x phi x psi the squared coordinates factor,
+z = ((1-t) cos^2 phi, (1-t) sin^2 phi, t cos^2 psi, t sin^2 psi), and so
+does the weight.  A rule stores only these factors: the t factor (1-t, t)
+with the t weights, and the angle factor (cos^2, sin^2) of the orbit
+representatives with their weights, which include the orbit size.  A
+quadratic form sum_j c_j z_j is then
+(1-t)(c_0 cos^2 phi + c_1 sin^2 phi) + t(c_2 cos^2 psi + c_3 sin^2 psi): a
+(phi, t) table plus a (psi, t) table, built once per call, and one add per
+node.  `_rule_sum` makes those adds for PHI_BLOCK phi representatives at a
+time, so its temporaries stay cache-sized, hands the forms to the integrand
+and sums the weighted values of each block in one pass.  The blocks fix the
+summation order and are part of the determinism contract.  `integrate`
+takes the forms of the identity, which are z, and recovers the
+first-quadrant nodes as sqrt(z) = |xi|.
 """
 
 from __future__ import annotations
@@ -64,29 +66,34 @@ from .geometry import (
     check_inverse_squares,
 )
 
-# Fixed chunk size; part of the determinism contract, do not make it
-# configurable.
-CHUNK = 1 << 16
-# Nodes per integrand evaluation inside a chunk: 64 KB per float64
-# temporary.  Not part of the determinism contract.
-BLOCK = 1 << 13
+# phi representatives per block of `_rule_sum`, chosen by measurement: the
+# 4 forms of a level-64 block take 540 KB, and a suite trial takes no page
+# faults in steady state (at 4 it takes about 380).  Part of the determinism
+# contract, do not make it configurable.
+PHI_BLOCK = 8
 
 
 @dataclass(frozen=True)
 class SphereRule:
-    """Immutable quadrature rule of a given level, stored as its fold.
+    """Immutable quadrature rule of a given level, stored as the factors of
+    its fold (see the module docstring).
 
-    `folded_z` (4, n), C-contiguous, holds the squared coordinates of the
-    orbit representatives (see the module docstring), one row per axis:
-    every column sums to 1, the node is on the unit sphere.
-    `folded_weights` (n,) are their summed weights, positive and summing to
-    2 pi^2, the area of the 3-sphere.  Both arrays are read-only; rules are
-    safe to share between threads.
+    `t_factor` (2, level) holds the rows 1-t and t of the Gauss-Legendre
+    nodes in t, `t_weights` (level,) their weights.  `angle_factor` (2, K)
+    holds the rows cos^2 and sin^2 of the K = level//2 + 1 orbit
+    representatives of one angle, `angle_weights` (K,) their weights times
+    the orbit size.  With (u, t) = t_factor and (c, s) = angle_factor, node
+    (i, k1, k2) has the squares (u_i c_k1, u_i s_k1, t_i c_k2, t_i s_k2)
+    and the weight t_weights[i] angle_weights[k1] angle_weights[k2]; the
+    weights sum to 2 pi^2, the area of the 3-sphere.  All arrays are
+    read-only; rules are safe to share between threads.
     """
 
     level: int
-    folded_z: np.ndarray = field(repr=False)
-    folded_weights: np.ndarray = field(repr=False)
+    t_factor: np.ndarray = field(repr=False)
+    t_weights: np.ndarray = field(repr=False)
+    angle_factor: np.ndarray = field(repr=False)
+    angle_weights: np.ndarray = field(repr=False)
 
     @property
     def node_count(self) -> int:
@@ -94,99 +101,94 @@ class SphereRule:
         return 4 * self.level**3
 
 
-def _nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared coordinates (4, n) and weights (n,) of the cos^2 fold of the
-    product rule."""
-    t_nodes, t_weights = np.polynomial.legendre.leggauss(level)
-    t_nodes = 0.5 * (t_nodes + 1.0)
-    t_weights = 0.5 * t_weights
+@lru_cache(maxsize=8)
+def _factors(level: int) -> SphereRule:
+    """The rule of `level`, built from its t and angle factors.  Cached."""
+    x, wx = np.polynomial.legendre.leggauss(level)
+    # t = (1 + x) / 2; both rows come from x, so 1 - t keeps its relative
+    # accuracy near t = 1
+    t_factor = 0.5 * np.stack([1.0 - x, 1.0 + x])
+    # dS = (1/2) dt dphi dpsi: one half from dt = dx / 2, one from dS
+    t_weights = 0.25 * wx
 
     # k represents the orbit {k, level-k, level+k, 2 level-k} of the angle
     # index, which has 2 members at k = 0 and k = level/2
-    n_ang = 2 * level
     k = np.arange(level // 2 + 1)
     mult = np.full(k.shape, 4.0)
     mult[0] = 2.0
     if level % 2 == 0:
         mult[-1] = 2.0
-    ang = 2.0 * math.pi * k / n_ang
-    w_ang = 2.0 * math.pi / n_ang
+    ang = math.pi * k / level
+    angle_factor = np.stack([np.cos(ang) ** 2, np.sin(ang) ** 2])
+    # multiplicities are powers of two, so an orbit weight is exactly the
+    # sum of the product-rule weights of its members
+    angle_weights = mult * (math.pi / level)
 
-    # node order: t-major, then phi, then psi (fixed; part of the
-    # determinism contract)
-    tt, phi, psi = np.meshgrid(t_nodes, ang, ang, indexing="ij")
-    rt = np.sqrt(tt)
-    rc = np.sqrt(1.0 - tt)
-    xi = np.stack(
-        [rc * np.cos(phi), rc * np.sin(phi), rt * np.cos(psi), rt * np.sin(psi)],
-        axis=-1,
-    ).reshape(-1, 4)
-    # multiplicities are powers of two, so a folded weight is exactly the
-    # sum of the product-rule weights of its orbit
-    w = (t_weights[:, None, None] * (mult[:, None] * mult[None, :])).reshape(-1)
-    w = w * (w_ang * w_ang * 0.5)
-
-    total = math.fsum(w.tolist())
+    total = math.fsum(t_weights.tolist()) * math.fsum(angle_weights.tolist()) ** 2
     if abs(total - TWO_PI_SQ) > 1e-12 * TWO_PI_SQ:
         raise AssertionError(f"weight sum {total!r} deviates from 2 pi^2")
-    z = np.ascontiguousarray((xi * xi).T)
-    norms = np.abs(z[0] + z[1] + z[2] + z[3] - 1.0)
-    if float(norms.max()) > 1e-14:
-        raise AssertionError("rule produced a node off the unit sphere")
+    for rows in (t_factor, angle_factor):
+        if float(np.abs(rows[0] + rows[1] - 1.0).max()) > 1e-14:
+            raise AssertionError("rule produced a node off the unit sphere")
 
-    z.flags.writeable = False
-    w.flags.writeable = False
-    return z, w
-
-
-@lru_cache(maxsize=8)
-def _build_rule_cached(level: int) -> SphereRule:
-    z, w = _nodes(level)
-    return SphereRule(level=level, folded_z=z, folded_weights=w)
+    arrays = (t_factor, t_weights, angle_factor, angle_weights)
+    for a in arrays:
+        a.flags.writeable = False
+    return SphereRule(level, *arrays)
 
 
 def build_rule(level: int) -> SphereRule:
     """Product rule with `level` Gauss-Legendre nodes in t and 2*level
-    equispaced nodes in each angle (4*level^3 nodes), stored as its fold.
-    Cached.  Raises ValueError unless MIN_LEVEL <= level <= MAX_LEVEL,
-    before anything is allocated."""
+    equispaced nodes in each angle (4*level^3 nodes), stored as the factors
+    of its fold.  Cached.  Raises ValueError unless
+    MIN_LEVEL <= level <= MAX_LEVEL, before anything is allocated."""
     level = int(level)
     if level < MIN_LEVEL:
         raise ValueError(f"level must be >= {MIN_LEVEL}, got {level}")
     if level > MAX_LEVEL:
         raise ValueError(f"level must be <= {MAX_LEVEL}, got {level}")
-    return _build_rule_cached(level)
+    return _factors(level)
 
 
-def _rule_sum(rule: SphereRule, f) -> float:
+def _rule_sum(rule: SphereRule, coeffs, f) -> float:
     """Sum of w * f over the nodes of the fold.
 
-    f maps a (4, m) column block of `folded_z` to an (m,) array of values.
-    It is called on consecutive blocks of at most BLOCK nodes, and must give
-    each node a value that depends on that node alone.  The weighted values of
-    each CHUNK of nodes fill one array, which np.sum adds pairwise; the
-    chunk partials are combined in chunk order with Neumaier summation, so
-    the result is bit-identical between runs and does not depend on BLOCK.
-    numpy floating-point warnings are off while f runs: an overflow shows
-    as a non-finite value, which the caller checks.
+    coeffs is an (r, 4) array of quadratic forms sum_j c_j z_j.  For each
+    block of at most PHI_BLOCK phi representatives, f receives the (r, b, K,
+    level) array of the r forms at the nodes of the block, in phi, psi, t
+    order, and returns the (b, K, level) float array of values, which
+    `_rule_sum` may overwrite; f may overwrite the forms.  The weighted
+    values of a block are added by np.sum, and the block partials in block
+    order with Neumaier summation, so the result is bit-identical between
+    runs.  numpy floating-point warnings are off while f runs: an overflow
+    shows as a non-finite value, which the caller checks.
     """
-    z, w = rule.folded_z, rule.folded_weights
-    values = np.empty(min(len(w), CHUNK))
+    c = np.asarray(coeffs, dtype=float)
+    u, t = rule.t_factor
+    cos2, sin2 = rule.angle_factor
+    # the (phi, t) and (psi, t) halves of every form, (r, K, level) each
+    p = (c[:, 0, None] * cos2 + c[:, 1, None] * sin2)[:, :, None] * u
+    q = (c[:, 2, None] * cos2 + c[:, 3, None] * sin2)[:, :, None] * t
+    w_psi_t = np.multiply.outer(rule.angle_weights, rule.t_weights)
+    n_phi = len(cos2)
+    forms = np.empty((len(c), min(n_phi, PHI_BLOCK)) + w_psi_t.shape)
     total = 0.0
     comp = 0.0
     with np.errstate(all="ignore"):
-        for lo in range(0, len(w), CHUNK):
-            hi = min(lo + CHUNK, len(w))
-            for b in range(lo, hi, BLOCK):
-                e = min(b + BLOCK, hi)
-                np.multiply(w[b:e], f(z[:, b:e]), out=values[b - lo : e - lo])
-            part = float(np.sum(values[: hi - lo]))
-            t = total + part
+        for lo in range(0, n_phi, PHI_BLOCK):
+            hi = min(lo + PHI_BLOCK, n_phi)
+            block = forms[:, : hi - lo]
+            np.add(p[:, lo:hi, None], q[:, None], out=block)
+            values = f(block)
+            values *= w_psi_t
+            values *= rule.angle_weights[lo:hi, None, None]
+            part = float(np.sum(values))
+            s = total + part
             if abs(total) >= abs(part):
-                comp += (total - t) + part
+                comp += (total - s) + part
             else:
-                comp += (part - t) + total
-            total = t
+                comp += (part - s) + total
+            total = s
     return total + comp
 
 
@@ -219,7 +221,8 @@ def integrate(rule: SphereRule, f) -> float:
     signs = list(itertools.product((1.0, -1.0), repeat=4))
 
     def image_mean(z):
-        x = np.sqrt(z).T
+        # the forms of the identity are z itself
+        x = np.sqrt(z).reshape(4, -1).T
         total = sum(np.asarray(f(x * s), dtype=float) for s in signs)
         if total.shape != (len(x),):
             raise ValueError(
@@ -227,15 +230,9 @@ def integrate(rule: SphereRule, f) -> float:
             )
         if not np.all(np.isfinite(total)):
             raise ValueError("integrand is non-finite at a quadrature node")
-        return total / 16.0
+        return (total / 16.0).reshape(z.shape[1:])
 
-    return _rule_sum(rule, image_mean)
-
-
-def _form(z, c):
-    # sum_j c[j] z_j over the rows of a folded_z block, as its 4 explicit
-    # terms in a fixed order
-    return z[0] * c[0] + z[1] * c[1] + z[2] * c[2] + z[3] * c[3]
+    return _rule_sum(rule, np.eye(4), image_mean)
 
 
 def _canonical_axis_order(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
@@ -277,12 +274,16 @@ def potential_numeric(
     d = (inv2 - inv1) ** 2
     s = c1 + c2
 
-    def integrand(z):
-        q1 = _form(z, c1)
-        q2 = _form(z, c2)
-        return _form(z, d) * _form(z, s) / ((q1 * q1) * (q2 * q2))
+    def integrand(forms):
+        # (d . z)(s . z) / ((q1 q1)(q2 q2)), in place
+        q1, q2, num, s_form = forms
+        np.multiply(q1, q1, out=q1)
+        np.multiply(q2, q2, out=q2)
+        np.multiply(q1, q2, out=q1)
+        np.multiply(num, s_form, out=num)
+        return np.divide(num, q1, out=num)
 
-    total = _rule_sum(rule, integrand)
+    total = _rule_sum(rule, np.stack([c1, c2, d, s]), integrand)
     if not math.isfinite(total):
         raise ValueError(
             f"the potential of g1 = {g1.scales} and g2 = {g2.scales} is not "
@@ -291,20 +292,17 @@ def potential_numeric(
     return total
 
 
-def _reciprocal_form(lam: np.ndarray):
-    """The integrand 1 / sum_j lam_j z_j on folded_z blocks; raises unless
-    the form is positive and finite at every node it sees."""
-
-    def integrand(z):
-        q = _form(z, lam)
-        if not np.all(np.isfinite(q) & (q > 0.0)):
-            raise ValueError(
-                "quadratic form nonpositive or non-finite at a quadrature "
-                "node; the form must be positive definite"
-            )
-        return 1.0 / q
-
-    return integrand
+def _reciprocal(forms):
+    """The integrand 1 / q of `rational_integral`, in place on the one form
+    q; raises unless q is positive and finite at every node it sees."""
+    q = forms[0]
+    # a NaN fails both comparisons
+    if not (q.min() > 0.0 and q.max() < math.inf):
+        raise ValueError(
+            "quadratic form nonpositive or non-finite at a quadrature "
+            "node; the form must be positive definite"
+        )
+    return np.reciprocal(q, out=q)
 
 
 def rational_integral(pf, rule: SphereRule) -> float:
@@ -324,7 +322,7 @@ def rational_integral(pf, rule: SphereRule) -> float:
             f"quadratic form has eigenvalues {lam.tolist()}; the form must "
             "be positive definite"
         )
-    total = _rule_sum(rule, _reciprocal_form(lam))
+    total = _rule_sum(rule, lam[None], _reciprocal)
     if not math.isfinite(total):
         raise ValueError(
             f"the rational integral of the form with eigenvalues {lam.tolist()} "

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -56,6 +56,15 @@ def full_product_set(level):
     xi.flags.writeable = False
     w.flags.writeable = False
     return xi, w
+
+
+def unfolded(rule):
+    """The same rule with the angle factor replaced by the unfolded grid of
+    2 level angles, each of multiplicity 1: the product rule itself."""
+    ang = np.pi * np.arange(2 * rule.level) / rule.level
+    factor = np.stack([np.cos(ang) ** 2, np.sin(ang) ** 2])
+    weights = np.full(ang.shape, np.pi / rule.level)
+    return replace(rule, angle_factor=factor, angle_weights=weights)
 
 
 # The census built matching by matching: the test oracle of

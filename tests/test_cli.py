@@ -494,10 +494,10 @@ class TestConfigAndDeterminism:
         # level 2000000 used to reach the Gauss-Legendre solver, which asked
         # numpy for 29 TiB and exited 1 with a traceback; now the parser
         # rejects it before any rule is built
-        def no_nodes(level):
-            raise AssertionError(f"nodes of level {level} computed")
+        def no_factors(level):
+            raise AssertionError(f"factors of level {level} computed")
 
-        monkeypatch.setattr(s3quad, "_nodes", no_nodes)
+        monkeypatch.setattr(s3quad, "_factors", no_factors)
         code, out, err = run_cli(capsys, *argv, "--level", "2000000", *flags)
         assert code == 2
         assert out == ""

@@ -106,13 +106,15 @@ class TestSuite:
         assert report.rng == "numpy.random.Generator(PCG64)"
 
     def test_worst_known_trial_passes_default_tol(self, rule64):
-        # the largest level-64 self-error in 35,000 trials; see the
-        # SCALE_RANGE comment
-        report = run_hypothesis_suite(
-            trials=1, seed=502922616, rule=rule64, tol=DEFAULT_TOL
-        )
-        assert report.failures == ()
-        assert 2e-8 < report.max_violation < DEFAULT_TOL
+        # the largest level-64 self-errors in the first 3,500 trials of
+        # perfbench suite seeds 1-10 and in the first 6,000 of seeds
+        # 301-310; see the SCALE_RANGE comment
+        for seed, floor in ((502922616, 2e-8), (3864472320, 3e-8)):
+            report = run_hypothesis_suite(
+                trials=1, seed=seed, rule=rule64, tol=DEFAULT_TOL
+            )
+            assert report.failures == ()
+            assert floor < report.max_violation < DEFAULT_TOL
 
     def test_equal_pair_draws_are_fine(self, rule16):
         report = run_hypothesis_suite(trials=1, seed=0, rule=rule16, tol=1e-3)

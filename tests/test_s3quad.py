@@ -17,7 +17,7 @@ from doubled_spectral import (
 )
 from doubled_spectral.geometry import MAX_LEVEL
 from doubled_spectral.matchings import PerturbedForm
-from conftest import draw_scales, full_product_set
+from conftest import draw_scales, full_product_set, unfolded
 
 TWO_PI_SQ = 2.0 * math.pi**2
 # level 26: the k = level/2 angle rounds past pi/2, so a folded node has a
@@ -30,12 +30,12 @@ class TestRule:
         with pytest.raises(ValueError):
             build_rule(3)
 
-        # above MAX_LEVEL the guard fires before any node is computed; level
-        # 2000000 used to ask numpy for a 29 TiB companion matrix
-        def no_nodes(level):
-            raise AssertionError(f"nodes of level {level} computed")
+        # above MAX_LEVEL the guard fires before any factor is computed;
+        # level 2000000 used to ask numpy for a 29 TiB companion matrix
+        def no_factors(level):
+            raise AssertionError(f"factors of level {level} computed")
 
-        monkeypatch.setattr(s3quad, "_nodes", no_nodes)
+        monkeypatch.setattr(s3quad, "_factors", no_factors)
         for level in (MAX_LEVEL + 1, 2_000_000):
             with pytest.raises(ValueError, match=f"level must be <= {MAX_LEVEL}"):
                 build_rule(level)
@@ -44,25 +44,57 @@ class TestRule:
         # odd levels and even ones, whose k = level/2 orbit has 2 members
         for level in FOLD_LEVELS:
             rule = build_rule(level)
-            z, w = rule.folded_z, rule.folded_weights
+            k = level // 2 + 1
             assert rule.node_count == 4 * level**3
-            assert w.shape == ((level // 2 + 1) ** 2 * level,)
-            assert z.shape == (4, w.shape[0])
-            assert z.flags.c_contiguous
-            assert abs(math.fsum(w.tolist()) - TWO_PI_SQ) <= 1e-12 * TWO_PI_SQ
-            norms = z[0] + z[1] + z[2] + z[3]
-            assert float(np.abs(norms - 1.0).max()) <= 1e-14
-            assert np.all(z >= 0)
-            assert np.all(w > 0)
-            # the fold is the only node set, stored once as its squares
+            assert rule.t_factor.shape == (2, level)
+            assert rule.t_weights.shape == (level,)
+            assert rule.angle_factor.shape == (2, k)
+            assert rule.angle_weights.shape == (k,)
+            area = (
+                math.fsum(rule.t_weights.tolist())
+                * math.fsum(rule.angle_weights.tolist()) ** 2
+            )
+            assert abs(area - TWO_PI_SQ) <= 1e-12 * TWO_PI_SQ
+            for rows in (rule.t_factor, rule.angle_factor):
+                assert float(np.abs(rows[0] + rows[1] - 1.0).max()) <= 1e-14
+                assert np.all(rows >= 0)
+            assert np.all(rule.t_weights > 0)
+            assert np.all(rule.angle_weights > 0)
+            # the fold is the only node set, stored as its factors
             fields = [f.name for f in dataclasses.fields(rule)]
-            assert fields == ["level", "folded_z", "folded_weights"]
+            assert fields == [
+                "level", "t_factor", "t_weights", "angle_factor", "angle_weights"
+            ]
 
     def test_rule_arrays_read_only(self, rule8):
         with pytest.raises(ValueError):
-            rule8.folded_z[0, 0] = 0.0
+            rule8.t_factor[0, 0] = 0.0
         with pytest.raises(ValueError):
-            rule8.folded_weights[0] = 0.0
+            rule8.t_weights[0] = 0.0
+        with pytest.raises(ValueError):
+            rule8.angle_factor[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rule8.angle_weights[0] = 0.0
+
+    def test_evaluator_and_build_memory(self):
+        # the rule stores no node array and sums in cache-sized blocks
+        g1 = DiagonalMetric((0.7, 1.3, 1.1, 0.9))
+        g2 = DiagonalMetric((1.2, 0.8, 0.6, 1.5))
+        pf = PerturbedForm(omega=1.0, eps=np.diag([0.3, -0.1, -0.4, 0.2]))
+        build = s3quad._factors.__wrapped__  # uncached
+        rule = build(64)
+        tracemalloc.start()
+        try:
+            potential_numeric(g1, g2, rule)
+            rational_integral(pf, rule)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            build(MAX_LEVEL)
+            _, build_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert build_peak < 8e6
 
     def test_no_evaluator_allocates_the_product_set(self):
         level = 36  # no other test builds this level, so the rule is fresh
@@ -217,9 +249,8 @@ class TestPotential:
     def test_fold_matches_full_rule(self, level):
         rule = build_rule(level)
         xi, w = full_product_set(level)
-        # the same evaluators, run over the unfolded product set
-        z = np.ascontiguousarray((xi * xi).T)
-        unfolded = dataclasses.replace(rule, folded_z=z, folded_weights=w)
+        # the same evaluators, run over the unfolded product rule
+        full_rule = unfolded(rule)
         rng = np.random.default_rng(53)
         pairs = [
             (DiagonalMetric(draw_scales(rng)), DiagonalMetric(draw_scales(rng)))
@@ -228,7 +259,7 @@ class TestPotential:
         pairs.append((DiagonalMetric((1, 1, 1, 1)), DiagonalMetric((100, 1, 0.5, 1))))
         for g1, g2 in pairs:
             folded = potential_numeric(g1, g2, rule)
-            full = potential_numeric(g1, g2, unfolded)
+            full = potential_numeric(g1, g2, full_rule)
             assert abs(folded - full) <= 1e-14 * abs(full)
         # integrate over the sign images of the fold, against the plain
         # product-rule sum: an even integrand and an odd one
