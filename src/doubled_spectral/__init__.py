@@ -13,9 +13,10 @@ Layers:
 
 A rule stores no nodes, only their t and angle factors
 (``SphereRule.t_factor``, ``SphereRule.angle_factor`` and their weights).
-Every S^3 rule sum runs through one numpy reduction over them
-(``s3quad._rule_sum``) in a fixed order of phi blocks, so every result is
-bit-identical between runs.
+The potential and the rational integral integrate one angle in closed form
+and sum the (phi, t) plane in one pairwise numpy sum; ``integrate`` sums the
+full 3-D rule through one reduction (``s3quad._rule_sum``) in a fixed order
+of phi blocks.  Every result is bit-identical between runs.
 
 numpy is imported by s3quad, conjecture and reports, and inside the
 functions of geometry and matchings that handle arrays; feynman, hopf, the

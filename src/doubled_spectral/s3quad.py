@@ -12,38 +12,63 @@ periodic trapezoid in each angle.  Smooth integrands converge spectrally.
 
 Evaluators built on the rule: the interaction potential of a pair of
 diagonal metrics, the generic rational integral int dS / (xi^T A xi) for a
-positive quadratic form A, and `integrate` for any scalar field.  Each passes
-`_rule_sum`, the only code that accumulates a rule sum, its quadratic forms
-and one integrand of them.  The kinetic term is the identity of `feynman.kinetic_term`; the rule
-checks it through `integrate`.
+positive quadratic form A, and `integrate` for any scalar field.  The
+kinetic term is the identity of `feynman.kinetic_term`; the rule checks it
+through `integrate`.
 
 Fold.  On the angle grid phi_k = pi k / level (k = 0 .. 2 level - 1), the
 maps phi -> -phi and phi -> pi - phi send a node to a sign flip of its
 coordinates.  Each angle grid therefore collapses onto level//2 + 1 orbits,
 represented by k = 0 .. level//2 in the first quadrant, with 2 members at
-k = 0 and at k = level/2 (even level) and 4 elsewhere.  The rule sums over
-the t nodes times the representatives in both angles, weighted by orbit
-size: level (level//2 + 1)^2 nodes (69,696 at level 64 against
-4 level^3 = 1,048,576).  An integrand of z = xi^2 alone takes one value per
-orbit, so its folded sum is the product rule's sum regrouped: the potential
-integrand of diagonal metrics, and the rational integrand in the eigenbasis
-of A.  `integrate` averages a general integrand over the 16 sign images of
-each folded node, which regroups the product rule for any integrand.
+k = 0 and at k = level/2 (even level) and 4 elsewhere, weighted by orbit
+size.  An integrand of z = xi^2 alone takes one value per orbit, so its
+folded sum is the product rule's sum regrouped.
 
 Layout.  On the node grid t x phi x psi the squared coordinates factor,
 z = ((1-t) cos^2 phi, (1-t) sin^2 phi, t cos^2 psi, t sin^2 psi), and so
 does the weight.  A rule stores only these factors: the t factor (1-t, t)
 with the t weights, and the angle factor (cos^2, sin^2) of the orbit
-representatives with their weights, which include the orbit size.  A
-quadratic form sum_j c_j z_j is then
-(1-t)(c_0 cos^2 phi + c_1 sin^2 phi) + t(c_2 cos^2 psi + c_3 sin^2 psi): a
-(phi, t) table plus a (psi, t) table, built once per call, and one add per
-node.  `_rule_sum` makes those adds for PHI_BLOCK phi representatives at a
-time, so its temporaries stay cache-sized, hands the forms to the integrand
-and sums the weighted values of each block in one pass.  The blocks fix the
+representatives with their weights, which include the orbit size.
+
+Closed-form angle.  A quadratic form sum_j c_j z_j is X cos^2 psi +
+Y sin^2 psi, with X = P + c_2 t, Y = P + c_3 t and
+P = (1-t)(c_0 cos^2 phi + c_1 sin^2 phi): X and Y are tables over the
+(phi, t) plane.  The psi integrals of both evaluators' integrands are exact
+in X and Y:
+
+    int_0^{2pi} dpsi / (X cos^2 psi + Y sin^2 psi) = 2 pi / sqrt(X Y),
+
+and, with alpha = sqrt(X_1), beta = sqrt(Y_1), gamma = sqrt(X_2),
+delta = sqrt(Y_2), p = alpha gamma, r = beta delta and
+sigma = alpha delta + beta gamma for the forms Q_1 and Q_2,
+
+    int_0^{2pi} (D.z)(S.z) / (Q_1^2 Q_2^2) dpsi
+        = pi / sigma^3 [ D_X S_X (sigma^2 + p (p + r)) / p^3
+                         + (D_X S_Y + D_Y S_X) (p + r) / (p r)
+                         + D_Y S_Y (sigma^2 + r (p + r)) / r^3 ],
+
+the mixed second derivatives of int dpsi / (Q_1 Q_2) =
+2 pi (p + r) / (p r sigma).  Every term is positive, so nothing cancels,
+not even where X_1 / Y_1 = X_2 / Y_2.  `potential_numeric` and
+`rational_integral` therefore sum the level x (level//2 + 1) plane of t
+nodes and phi representatives (2,112 points at level 64) in one np.sum;
+the product rule's 2 level psi nodes are replaced by their limit.  The pair
+of axes on psi (z_2, z_3) is integrated exactly, so which pair goes there
+matters: the potential puts there the first two axes of its canonical
+order, those with the smallest scales, and the rational integral the two
+smallest eigenvalues; the other choices measure no better than the full
+3-D rule.
+
+`integrate` keeps the full 3-D fold, level (level//2 + 1)^2 nodes (69,696
+at level 64 against the product rule's 4 level^3 = 1,048,576), and is the
+independent check of the closed forms.  It averages a general integrand
+over the 16 sign images of each folded node, which regroups the product
+rule for any integrand, and sums through `_rule_sum`, which builds z from
+the (phi, t) and (psi, t) halves for PHI_BLOCK phi representatives at a
+time, so its temporaries stay cache-sized, hands it to the integrand and
+sums the weighted values of each block in one pass.  The blocks fix the
 summation order and are part of the determinism contract.  `integrate`
-takes the forms of the identity, which are z, and recovers the
-first-quadrant nodes as sqrt(z) = |xi|.
+recovers the first-quadrant nodes as sqrt(z) = |xi|.
 """
 
 from __future__ import annotations
@@ -66,10 +91,9 @@ from .geometry import (
     check_inverse_squares,
 )
 
-# phi representatives per block of `_rule_sum`, chosen by measurement: the
-# 4 forms of a level-64 block take 540 KB, and a suite trial takes no page
-# faults in steady state (at 4 it takes about 380).  Part of the determinism
-# contract, do not make it configurable.
+# phi representatives per block of `_rule_sum`, which only `integrate` uses:
+# z of a level-64 block takes 540 KB.  Part of the determinism contract, do
+# not make it configurable.
 PHI_BLOCK = 8
 
 
@@ -150,35 +174,34 @@ def build_rule(level: int) -> SphereRule:
     return _factors(level)
 
 
-def _rule_sum(rule: SphereRule, coeffs, f) -> float:
-    """Sum of w * f over the nodes of the fold.
+def _rule_sum(rule: SphereRule, f) -> float:
+    """Sum of w * f over the nodes of the 3-D fold.
 
-    coeffs is an (r, 4) array of quadratic forms sum_j c_j z_j.  For each
-    block of at most PHI_BLOCK phi representatives, f receives the (r, b, K,
-    level) array of the r forms at the nodes of the block, in phi, psi, t
-    order, and returns the (b, K, level) float array of values, which
-    `_rule_sum` may overwrite; f may overwrite the forms.  The weighted
-    values of a block are added by np.sum, and the block partials in block
-    order with Neumaier summation, so the result is bit-identical between
-    runs.  numpy floating-point warnings are off while f runs: an overflow
-    shows as a non-finite value, which the caller checks.
+    For each block of at most PHI_BLOCK phi representatives, f receives the
+    (4, b, K, level) array of the squares z at the nodes of the block, in
+    phi, psi, t order, and returns the (b, K, level) float array of values,
+    which `_rule_sum` may overwrite; f may overwrite z.  The weighted values
+    of a block are added by np.sum, and the block partials in block order
+    with Neumaier summation, so the result is bit-identical between runs.
+    numpy floating-point warnings are off while f runs: an overflow shows
+    as a non-finite value, which the caller checks.
     """
-    c = np.asarray(coeffs, dtype=float)
     u, t = rule.t_factor
-    cos2, sin2 = rule.angle_factor
-    # the (phi, t) and (psi, t) halves of every form, (r, K, level) each
-    p = (c[:, 0, None] * cos2 + c[:, 1, None] * sin2)[:, :, None] * u
-    q = (c[:, 2, None] * cos2 + c[:, 3, None] * sin2)[:, :, None] * t
+    angle = rule.angle_factor[:, :, None]
+    # the (phi, t) and (psi, t) halves of z, (2, K, level) each
+    phi_t = angle * u
+    psi_t = angle * t
     w_psi_t = np.multiply.outer(rule.angle_weights, rule.t_weights)
-    n_phi = len(cos2)
-    forms = np.empty((len(c), min(n_phi, PHI_BLOCK)) + w_psi_t.shape)
+    n_phi = angle.shape[1]
+    z = np.empty((4, min(n_phi, PHI_BLOCK)) + w_psi_t.shape)
     total = 0.0
     comp = 0.0
     with np.errstate(all="ignore"):
         for lo in range(0, n_phi, PHI_BLOCK):
             hi = min(lo + PHI_BLOCK, n_phi)
-            block = forms[:, : hi - lo]
-            np.add(p[:, lo:hi, None], q[:, None], out=block)
+            block = z[:, : hi - lo]
+            block[:2] = phi_t[:, lo:hi, None]
+            block[2:] = psi_t[:, None]
             values = f(block)
             values *= w_psi_t
             values *= rule.angle_weights[lo:hi, None, None]
@@ -221,7 +244,6 @@ def integrate(rule: SphereRule, f) -> float:
     signs = list(itertools.product((1.0, -1.0), repeat=4))
 
     def image_mean(z):
-        # the forms of the identity are z itself
         x = np.sqrt(z).reshape(4, -1).T
         total = sum(np.asarray(f(x * s), dtype=float) for s in signs)
         if total.shape != (len(x),):
@@ -232,19 +254,76 @@ def integrate(rule: SphereRule, f) -> float:
             raise ValueError("integrand is non-finite at a quadrature node")
         return (total / 16.0).reshape(z.shape[1:])
 
-    return _rule_sum(rule, np.eye(4), image_mean)
+    return _rule_sum(rule, image_mean)
 
 
 def _canonical_axis_order(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     # Canonical relabeling of the four axes.  The exact integral does not
-    # depend on a joint relabeling, but the node set of the product rule is
-    # not symmetric under every axis permutation; sorting by the unordered
-    # scale pair (tie-broken by the first sheet) makes the computed value
-    # exactly invariant under joint permutations and under swapping the
-    # two metrics.
+    # depend on a joint relabeling, but the rule is not symmetric under
+    # every axis permutation; sorting by the unordered scale pair
+    # (tie-broken by the first sheet) makes the computed value exactly
+    # invariant under joint permutations and under swapping the two
+    # metrics.
     lo = np.minimum(a1, a2)
     hi = np.maximum(a1, a2)
     return np.lexsort((a1, hi, lo))
+
+
+def _plane(rule: SphereRule, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """The (r, K, level) tables X and Y of the forms sum_j c_j z_j, rows of
+    the (r, 4) coeffs, over the phi representatives and t nodes: each form
+    is X cos^2 psi + Y sin^2 psi (see the module docstring)."""
+    c = np.asarray(coeffs, dtype=float)
+    u, t = rule.t_factor
+    cos2, sin2 = rule.angle_factor
+    p = (c[:, 0, None] * cos2 + c[:, 1, None] * sin2)[:, :, None] * u
+    return p + c[:, 2, None, None] * t, p + c[:, 3, None, None] * t
+
+
+def _plane_sum(rule: SphereRule, values: np.ndarray) -> float:
+    """Sum of the (K, level) values over the plane, weighted by the phi and
+    t weights, in place; one pairwise np.sum, so the result is
+    bit-identical between runs."""
+    values *= rule.t_weights
+    values *= rule.angle_weights[:, None]
+    return float(np.sum(values))
+
+
+def _psi_potential(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """int_0^{2pi} (D.z)(S.z) / (Q_1^2 Q_2^2) dpsi, elementwise: x and y
+    stack the X and Y tables of Q_1, Q_2, D and S (see the module
+    docstring for the identity).  It is evaluated in a = p / sigma,
+    b = r / sigma and D / sigma^2, S / sigma^2, so no intermediate is a
+    higher power of the forms than sigma^2."""
+    alpha, gamma = np.sqrt(x[:2])
+    beta, delta = np.sqrt(y[:2])
+    sigma = alpha * delta + beta * gamma
+    a = alpha * gamma / sigma
+    b = beta * delta / sigma
+    ab = a + b
+    w = 1.0 / (sigma * sigma)
+    d_x, s_x = x[2:] * w
+    d_y, s_y = y[2:] * w
+    out = d_x * s_x * (1.0 + a * ab) / (a * a * a)
+    out += (d_x * s_y + d_y * s_x) * ab / (a * b)
+    out += d_y * s_y * (1.0 + b * ab) / (b * b * b)
+    out *= math.pi
+    return out
+
+
+def _psi_reciprocal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """int_0^{2pi} dpsi / (X cos^2 psi + Y sin^2 psi) = 2 pi / sqrt(X Y),
+    elementwise; raises unless every X and Y is positive and finite, that
+    is unless the form is positive on every circle of the rule."""
+    # a NaN fails both comparisons
+    if not (
+        x.min() > 0.0 and y.min() > 0.0 and x.max() < math.inf and y.max() < math.inf
+    ):
+        raise ValueError(
+            "quadratic form nonpositive or non-finite on the quadrature "
+            "plane; the form must be positive definite"
+        )
+    return (2.0 * math.pi) / (np.sqrt(x) * np.sqrt(y))
 
 
 def potential_numeric(
@@ -255,13 +334,15 @@ def potential_numeric(
         V(g1, g2) = int dS (sum_j d_j xi_j^2) (sum_l s_l xi_l^2) / (Q1^2 Q2^2),
         d_j = (A_{2,j} - A_{1,j})^2,   s_l = A_{1,l}^2 + A_{2,l}^2,
 
-    with A_{i,j} = 1 / a_{i,j} and Q_i = sum_j A_{i,j}^2 xi_j^2.  Raises
-    ValueError when a 1/a^2 is 0 or inf in double precision, or when the
-    sum is not finite (Q^2 overflows at a node).
+    with A_{i,j} = 1 / a_{i,j} and Q_i = sum_j A_{i,j}^2 xi_j^2, summed on
+    the (phi, t) plane with psi in closed form.  Raises ValueError when a
+    1/a^2 is 0 or inf in double precision, or when the sum is not finite.
     """
     a1 = g1.as_array()
     a2 = g2.as_array()
-    order = _canonical_axis_order(a1, a2)
+    # the first two axes of the canonical order go on psi, whose integral
+    # is exact
+    order = _canonical_axis_order(a1, a2)[[2, 3, 0, 1]]
     a1 = a1[order]
     a2 = a2[order]
     inv1 = 1.0 / a1
@@ -273,47 +354,34 @@ def potential_numeric(
     check_inverse_squares(g2, c2, "g2")
     d = (inv2 - inv1) ** 2
     s = c1 + c2
-
-    def integrand(forms):
-        # (d . z)(s . z) / ((q1 q1)(q2 q2)), in place
-        q1, q2, num, s_form = forms
-        np.multiply(q1, q1, out=q1)
-        np.multiply(q2, q2, out=q2)
-        np.multiply(q1, q2, out=q1)
-        np.multiply(num, s_form, out=num)
-        return np.divide(num, q1, out=num)
-
-    total = _rule_sum(rule, np.stack([c1, c2, d, s]), integrand)
+    # V is homogeneous of degree -2 in the coefficients.  Scaled by an even
+    # power of two, so that every product, quotient and square root rounds
+    # as before, the largest 1/a^2 falls below 1, and the plane stays finite
+    # at any overall scale that check_inverse_squares admits; only 1/a^2
+    # that span more than about 1e150 can overflow it.
+    _, e = math.frexp(max(c1.max(), c2.max()))
+    e += e & 1
+    with np.errstate(all="ignore"):
+        x, y = _plane(rule, np.ldexp(np.stack([c1, c2, d, s]), -e))
+        total = float(np.ldexp(_plane_sum(rule, _psi_potential(x, y)), -2 * e))
     if not math.isfinite(total):
         raise ValueError(
             f"the potential of g1 = {g1.scales} and g2 = {g2.scales} is not "
-            "finite on the S^3 rule: Q^2 overflows double precision at a node"
+            "finite on the S^3 rule: it overflows double precision, or the "
+            "scales span too wide a range"
         )
     return total
-
-
-def _reciprocal(forms):
-    """The integrand 1 / q of `rational_integral`, in place on the one form
-    q; raises unless q is positive and finite at every node it sees."""
-    q = forms[0]
-    # a NaN fails both comparisons
-    if not (q.min() > 0.0 and q.max() < math.inf):
-        raise ValueError(
-            "quadratic form nonpositive or non-finite at a quadrature "
-            "node; the form must be positive definite"
-        )
-    return np.reciprocal(q, out=q)
 
 
 def rational_integral(pf, rule: SphereRule) -> float:
     """int dS / (xi^T A xi) for A = omega (I + eps) positive definite.
 
     The integral does not change when xi is rotated, so it is evaluated in
-    the eigenbasis of A, where the form is sum_j lambda_j xi_j^2 and the
-    fold applies.  Accepts any object with `omega` and `eps` attributes
-    (see matchings.PerturbedForm); raises unless every eigenvalue is finite
-    and positive, and when the sum is not finite (1/(xi^T A xi) overflows
-    at a node).
+    the eigenbasis of A, where the form is sum_j lambda_j xi_j^2, on the
+    (phi, t) plane with psi in closed form.  Accepts any object with
+    `omega` and `eps` attributes (see matchings.PerturbedForm); raises
+    unless every eigenvalue is finite and positive, and when the sum is not
+    finite (1/(xi^T A xi) overflows at a node).
     """
     eps = np.asarray(pf.eps, dtype=float)
     lam = pf.omega * (1.0 + np.linalg.eigvalsh(0.5 * (eps + eps.T)))
@@ -322,7 +390,11 @@ def rational_integral(pf, rule: SphereRule) -> float:
             f"quadratic form has eigenvalues {lam.tolist()}; the form must "
             "be positive definite"
         )
-    total = _rule_sum(rule, lam[None], _reciprocal)
+    # eigvalsh sorts ascending: the two smallest eigenvalues go on psi,
+    # whose integral is exact
+    with np.errstate(all="ignore"):
+        x, y = _plane(rule, lam[None, [2, 3, 0, 1]])
+        total = _plane_sum(rule, _psi_reciprocal(x[0], y[0]))
     if not math.isfinite(total):
         raise ValueError(
             f"the rational integral of the form with eigenvalues {lam.tolist()} "
@@ -330,4 +402,3 @@ def rational_integral(pf, rule: SphereRule) -> float:
             "precision at a node"
         )
     return total
-

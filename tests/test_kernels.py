@@ -1,4 +1,6 @@
-"""The one rule reduction, s3quad._rule_sum, and the evaluators built on it."""
+"""The rule's two sums and the evaluators built on them: the 3-D fold of
+s3quad._rule_sum behind `integrate`, and the (phi, t) plane, with psi in
+closed form, behind potential_numeric and rational_integral."""
 
 import dataclasses
 import math
@@ -19,7 +21,9 @@ from doubled_spectral.geometry import TWO_PI_SQ
 from doubled_spectral.s3quad import (
     PHI_BLOCK,
     _canonical_axis_order,
-    _reciprocal,
+    _plane,
+    _plane_sum,
+    _psi_reciprocal,
     _rule_sum,
     active_backend,
     get_threads,
@@ -52,15 +56,15 @@ class TestDeterminism:
 
     def test_multi_chunk_repeatable_and_matches_fsum(self, rule64):
         # level 64 spans 5 phi blocks folded and 16 unfolded, so the
-        # Neumaier block combine runs; each evaluator is checked against a
-        # one-pass fsum of another grouping of the same rule, the product
-        # set of conftest
+        # Neumaier block combine of `_rule_sum` runs; `integrate` and a raw
+        # `_rule_sum` are checked against a one-pass fsum of another
+        # grouping of the same rule, the product set of conftest.  The
+        # in-box potential and rational integral, summed on the plane with
+        # psi in closed form, are checked against the same fsums, which
+        # have converged in psi there.
         rng = np.random.default_rng(223)
         a1 = np.array(draw_scales(rng))
         a2 = np.array(draw_scales(rng))
-        # ascending min(a1, a2) is potential_numeric's canonical axis order
-        axes = np.argsort(np.minimum(a1, a2))
-        a1, a2 = a1[axes], a2[axes]
         g1, g2 = DiagonalMetric(tuple(a1)), DiagonalMetric(tuple(a2))
         c1, c2 = 1.0 / a1**2, 1.0 / a2**2
         d = (1.0 / a2 - 1.0 / a1) ** 2
@@ -75,7 +79,7 @@ class TestDeterminism:
             return np.exp(x[:, 0] - 0.5 * x[:, 3]) * (1.0 + x[:, 1] ** 2)
 
         def g(z):
-            # an integrand of the squares, on the forms of the identity
+            # an integrand of the squares
             return np.exp(z[0] - 0.5 * z[3]) * (1.0 + z[1] * z[2])
 
         xi_full, w_full = full_product_set(64)
@@ -110,7 +114,7 @@ class TestDeterminism:
                     None,
                 ),
                 (
-                    lambda: _rule_sum(rule, np.eye(4), g),
+                    lambda: _rule_sum(rule, g),
                     math.fsum((w * g(z.T)).tolist()),
                     None,
                 ),
@@ -136,101 +140,123 @@ class TestDeterminism:
             angle_factor=np.stack([cos2, np.zeros(n_phi)]),
             angle_weights=np.ones(n_phi),
         )
-        got = _rule_sum(cancel, [[1.0, 0.0, 0.0, 0.0]], lambda forms: forms[0])
+        got = _rule_sum(cancel, lambda z: z[0])
         assert got == n_phi
 
     def test_rational_node_guard(self, rule8):
-        # the node-level guard behind rational_integral's eigenvalue check,
-        # on the one form it reads; the identity form integrates to the
-        # area, so the integrand does see every node
-        area = _rule_sum(rule8, np.ones((1, 4)), _reciprocal)
+        # the guard behind rational_integral's eigenvalue check, on the
+        # plane tables of the one form it reads; the identity form
+        # integrates to the area, so the guard does see every table entry
+        x, y = _plane(rule8, np.ones((1, 4)))
+        area = _plane_sum(rule8, _psi_reciprocal(x[0], y[0]))
         assert abs(area - TWO_PI_SQ) <= 1e-13 * TWO_PI_SQ
-        for lam in ([-1.0, 1.0, 1.0, 1.0], [np.nan, 1.0, 1.0, 1.0]):
+        # a bad coefficient on phi reaches both tables, one on psi only X
+        # or only Y
+        for lam in (
+            [-1.0, 1.0, 1.0, 1.0],
+            [np.nan, 1.0, 1.0, 1.0],
+            [1.0, 1.0, -1.0, 1.0],
+            [1.0, 1.0, 1.0, -1.0],
+            [1.0, 1.0, np.inf, 1.0],
+            [1.0, 1.0, 1.0, np.nan],
+        ):
+            x, y = _plane(rule8, np.array([lam]))
             with pytest.raises(ValueError, match="positive definite"):
-                _rule_sum(rule8, np.array([lam]), _reciprocal)
+                _psi_reciprocal(x[0], y[0])
 
     def test_squared_path_equals_per_node_reference(self, rule64):
-        # potential_numeric and rational_integral sum their forms from the
-        # rule's factors in phi blocks; they must equal, bit for bit, the
-        # per-node formula on flat node arrays with the same blocks, node
-        # order and combine
+        # potential_numeric and rational_integral sum the psi closed forms
+        # over the (phi, t) plane; they must equal, bit for bit, the same
+        # formulas on flat per-(phi, t) arrays in the same order.  The
+        # reference leaves out the power-of-two scaling of
+        # potential_numeric, which changes no rounding in range.
         def reference(rule, coeffs, integrand):
             u, t = rule.t_factor
             cos2, sin2 = rule.angle_factor
-            aw, tw = rule.angle_weights, rule.t_weights
-            n_phi, n_t = len(aw), len(tw)
-            total = 0.0
-            comp = 0.0
-            with np.errstate(all="ignore"):
-                for lo in range(0, n_phi, PHI_BLOCK):
-                    k1, k2, i = (
-                        a.reshape(-1)
-                        for a in np.meshgrid(
-                            np.arange(lo, min(lo + PHI_BLOCK, n_phi)),
-                            np.arange(n_phi),
-                            np.arange(n_t),
-                            indexing="ij",
-                        )
-                    )
-                    forms = [
-                        (c[0] * cos2[k1] + c[1] * sin2[k1]) * u[i]
-                        + (c[2] * cos2[k2] + c[3] * sin2[k2]) * t[i]
-                        for c in coeffs
-                    ]
-                    part = float(np.sum(integrand(*forms) * (aw[k2] * tw[i]) * aw[k1]))
-                    s = total + part
-                    if abs(total) >= abs(part):
-                        comp += (total - s) + part
-                    else:
-                        comp += (part - s) + total
-                    total = s
-            return total + comp
+            k, i = (
+                a.reshape(-1)
+                for a in np.meshgrid(
+                    np.arange(len(cos2)), np.arange(len(t)), indexing="ij"
+                )
+            )
+            xs, ys = [], []
+            for c in coeffs:
+                p = (c[0] * cos2[k] + c[1] * sin2[k]) * u[i]
+                xs.append(p + c[2] * t[i])
+                ys.append(p + c[3] * t[i])
+            values = integrand(xs, ys) * rule.t_weights[i] * rule.angle_weights[k]
+            return float(np.sum(values))
+
+        def potential(xs, ys):
+            alpha, gamma, beta, delta = map(np.sqrt, (xs[0], xs[1], ys[0], ys[1]))
+            sigma = alpha * delta + beta * gamma
+            a = alpha * gamma / sigma
+            b = beta * delta / sigma
+            w = 1.0 / (sigma * sigma)
+            d_x, s_x, d_y, s_y = xs[2] * w, xs[3] * w, ys[2] * w, ys[3] * w
+            v = (
+                d_x * s_x * (1.0 + a * (a + b)) / (a * a * a)
+                + (d_x * s_y + d_y * s_x) * (a + b) / (a * b)
+                + d_y * s_y * (1.0 + b * (a + b)) / (b * b * b)
+            )
+            return v * math.pi
+
+        def reciprocal(xs, ys):
+            return 2.0 * math.pi / (np.sqrt(xs[0]) * np.sqrt(ys[0]))
+
+        def coefficients(s1, s2):
+            # canonical order, its first two axes on psi
+            a1, a2 = np.array(s1), np.array(s2)
+            order = _canonical_axis_order(a1, a2)[[2, 3, 0, 1]]
+            inv1, inv2 = 1.0 / a1[order], 1.0 / a2[order]
+            c1, c2 = inv1 * inv1, inv2 * inv2
+            return c1, c2, (inv2 - inv1) ** 2, c1 + c2
 
         rng = np.random.default_rng(229)
-        pairs = (
-            (draw_scales(rng), draw_scales(rng)),
+        in_box = [(draw_scales(rng), draw_scales(rng)) for _ in range(3)]
+        pairs = in_box + [
             ((10.0, 1.3, 0.7, 2.2), (1.0, 0.9, 7.0, 1.1)),
             ((100.0, 1.0, 0.5, 1.0), (1.0, 1.0, 1.0, 1.0)),
-        )
+        ]
         forms = []
         for omega, scale in ((1.3, 0.05), (0.7, 0.15)):
             raw = rng.standard_normal((4, 4))
             eps = scale * (raw + raw.T)
             eps -= np.eye(4) * (np.trace(eps) / 4)
             forms.append(PerturbedForm(omega=omega, eps=eps))
-        # level 48 has 25 phi representatives, so its last block is short
+
+        def eigenvalues(pf):
+            # ascending, the two smallest on psi
+            lam = pf.omega * (1.0 + np.linalg.eigvalsh(0.5 * (pf.eps + pf.eps.T)))
+            return lam[[2, 3, 0, 1]]
+
+        # level 48 has 25 phi representatives, an odd count
         for rule in (rule64, build_rule(48)):
             for s1, s2 in pairs:
-                a1, a2 = np.array(s1), np.array(s2)
-                order = _canonical_axis_order(a1, a2)
-                inv1, inv2 = 1.0 / a1[order], 1.0 / a2[order]
-                c1, c2 = inv1 * inv1, inv2 * inv2
-                d = (inv2 - inv1) ** 2
-                s = c1 + c2
-
-                def potential(q1, q2, num, s_form):
-                    return num * s_form / ((q1 * q1) * (q2 * q2))
-
                 got = potential_numeric(DiagonalMetric(s1), DiagonalMetric(s2), rule)
-                assert got == reference(rule, (c1, c2, d, s), potential)
+                assert got == reference(rule, coefficients(s1, s2), potential)
             for pf in forms:
-                lam = pf.omega * (1.0 + np.linalg.eigvalsh(0.5 * (pf.eps + pf.eps.T)))
                 got = rational_integral(pf, rule)
-                assert got == reference(rule, (lam,), lambda q: 1.0 / q)
+                assert got == reference(rule, (eigenvalues(pf),), reciprocal)
 
-        # the factors reproduce the squares of the first-quadrant nodes of
-        # the independent product set, to rounding
-        z, _ = folded_product_set(64)
-        u, t = rule64.t_factor
-        cos2, sin2 = rule64.angle_factor
-        u, t = u[:, None, None], t[:, None, None]
-        grid = np.stack(
-            np.broadcast_arrays(
-                u * cos2[:, None], u * sin2[:, None], t * cos2, t * sin2
-            ),
-            axis=-1,
-        ).reshape(-1, 4)
-        assert float(np.abs(grid - z).max()) <= 1e-15
+        # in-box, the 3-D product rule has converged in psi, so the two
+        # agree to rounding: against the independent product set
+        xi, w = full_product_set(64)
+        z = xi * xi
+        for s1, s2 in in_box:
+            a1, a2 = np.array(s1), np.array(s2)
+            c1, c2 = 1.0 / a1**2, 1.0 / a2**2
+            d, s = (1.0 / a2 - 1.0 / a1) ** 2, c1 + c2
+            q1, q2 = z @ c1, z @ c2
+            expect = math.fsum((w * (z @ d) * (z @ s) / ((q1 * q1) * (q2 * q2))).tolist())
+            got = potential_numeric(DiagonalMetric(s1), DiagonalMetric(s2), rule64)
+            assert abs(got - expect) <= 1e-14 * expect
+        # the second form, eigenvalues 0.029 .. 1.09, is beyond it: there the
+        # 3-D rule is 7.7e-14 off the Carlson R_F value, the plane 1.6e-15
+        for pf in forms[:1]:
+            lam = pf.omega * (1.0 + np.linalg.eigvalsh(0.5 * (pf.eps + pf.eps.T)))
+            expect = math.fsum((w / (z @ lam)).tolist())
+            assert abs(rational_integral(pf, rule64) - expect) <= 1e-14 * expect
 
 
 class TestBackendSelection:

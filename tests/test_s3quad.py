@@ -15,6 +15,7 @@ from doubled_spectral import (
     rational_integral,
     s3quad,
 )
+from doubled_spectral.feynman import potential_1d
 from doubled_spectral.geometry import MAX_LEVEL
 from doubled_spectral.matchings import PerturbedForm
 from conftest import draw_scales, full_product_set, unfolded
@@ -223,6 +224,63 @@ class TestPotential:
         g = DiagonalMetric(draw_scales(rng))
         assert potential_numeric(g, g, rule16) == 0.0
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-80, 1.0, 1e80, 1e150])
+    def test_equal_metrics_exactly_zero_at_any_scale(self, rule64, scale):
+        rng = np.random.default_rng(19)
+        g = DiagonalMetric(tuple(scale * a for a in draw_scales(rng)))
+        assert potential_numeric(g, g, rule64) == 0.0
+
+    def test_power_of_two_scaling_is_exact(self, rule64):
+        # V(2^k g1, 2^k g2) = 2^(4k) V(g1, g2), bit for bit, also at scales
+        # where the integrand's Q1^2 Q2^2 overflows (k = -150) or underflows
+        # (k = 150)
+        rng = np.random.default_rng(17)
+        a1 = np.array(draw_scales(rng))
+        a2 = np.array(draw_scales(rng))
+        base = potential_numeric(DiagonalMetric(tuple(a1)), DiagonalMetric(tuple(a2)), rule64)
+        for k in (-150, -41, -1, 1, 30, 150):
+            g1 = DiagonalMetric(tuple(np.ldexp(a1, k)))
+            g2 = DiagonalMetric(tuple(np.ldexp(a2, k)))
+            assert potential_numeric(g1, g2, rule64) == math.ldexp(base, 4 * k)
+
+    def test_scaled_box_against_1d_integral(self, rule64):
+        # the box [0.35, 2.8] that the invariance suite's rescaling reaches
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            g1 = DiagonalMetric(draw_scales(rng, 0.35, 2.8))
+            g2 = DiagonalMetric(draw_scales(rng, 0.35, 2.8))
+            expect = potential_1d(g1, g2)
+            assert abs(potential_numeric(g1, g2, rule64) - expect) <= 1e-8 * expect
+
+    @pytest.mark.parametrize(
+        "scales", [(1e-10, 1, 1, 1), (1e-30, 1e-30, 1, 1), (1e-70, 1, 1, 1)]
+    )
+    def test_wide_axes_on_psi_against_1d_integral(self, rule64, scales):
+        # the smallest scales go on psi, whose integral is exact, and the
+        # sum stays finite up to a 1e140 spread of the 1/a^2
+        g1, g2 = DiagonalMetric(scales), DiagonalMetric((1, 1, 1, 1))
+        expect = potential_1d(g1, g2)
+        assert abs(potential_numeric(g1, g2, rule64) - expect) <= 1e-11 * expect
+
+    def test_agrees_with_integrate_in_box(self, rule64):
+        # the plane with psi in closed form against the full 3-D fold; the
+        # rational integral is held to the product rule in
+        # test_eigenbasis_matches_general_form
+        rng = np.random.default_rng(47)
+        for _ in range(4):
+            a1 = np.array(draw_scales(rng))
+            a2 = np.array(draw_scales(rng))
+            c1, c2 = 1.0 / a1**2, 1.0 / a2**2
+            d, s = (1.0 / a2 - 1.0 / a1) ** 2, c1 + c2
+
+            def f(x):
+                z = x * x
+                return (z @ d) * (z @ s) / ((z @ c1) ** 2 * (z @ c2) ** 2)
+
+            expect = integrate(rule64, f)
+            got = potential_numeric(DiagonalMetric(tuple(a1)), DiagonalMetric(tuple(a2)), rule64)
+            assert abs(got - expect) <= 1e-14 * expect
+
     def test_hopf_reduction_value(self, rule32):
         g1 = DiagonalMetric((2, 2, 1, 1))
         g2 = DiagonalMetric((1, 1, 1, 1))
@@ -279,9 +337,8 @@ class TestPotential:
             p = [int(i) for i in rng.permutation(4)]
             g1p = DiagonalMetric(tuple(g1.scales[i] for i in p))
             g2p = DiagonalMetric(tuple(g2.scales[i] for i in p))
-            base = potential_numeric(g1, g2, rule32)
-            perm = potential_numeric(g1p, g2p, rule32)
-            assert abs(base - perm) <= 1e-12 * base
+            # the canonical axis order makes it exact
+            assert potential_numeric(g1p, g2p, rule32) == potential_numeric(g1, g2, rule32)
 
 
 class TestRationalIntegral:
@@ -307,7 +364,9 @@ class TestRationalIntegral:
     @pytest.mark.parametrize("rho", [0.05, 0.5])
     @pytest.mark.parametrize("level", [32, 64])
     def test_eigenbasis_matches_general_form(self, level, rho):
-        # the product rule applied to xi^T A xi, with no rotation
+        # the level-64 product rule applied to xi^T A xi, with no rotation;
+        # with psi in closed form a level-32 value is no longer the level-32
+        # product rule regrouped, and the level-64 one is the closer reference
         rng = np.random.default_rng(59)
         raw = rng.standard_normal((4, 4))
         eps = raw + raw.T
@@ -315,7 +374,7 @@ class TestRationalIntegral:
         eps *= rho / np.abs(np.linalg.eigvalsh(eps)).max()
         pf = PerturbedForm(omega=1.7, eps=eps)
         amat = pf.omega * (np.eye(4) + eps)
-        xi, w = full_product_set(level)
+        xi, w = full_product_set(64)
         q = np.einsum("ni,ij,nj->n", xi, amat, xi)
         reference = math.fsum((w / q).tolist())
         val = rational_integral(pf, build_rule(level))
@@ -344,3 +403,49 @@ class TestRationalIntegral:
         with pytest.raises(ValueError, match="rational integral .* is not finite"):
             rational_integral(tiny, rule8)
 
+
+class TestPsiClosedForms:
+    """The psi integrals of the plane against a 4,096-point periodic
+    trapezoid, which is exact to rounding for forms whose X / Y stays
+    within 1e3 of 1."""
+
+    N = 4096
+
+    def trapezoid(self, f):
+        psi = 2.0 * math.pi * np.arange(self.N) / self.N
+        return math.fsum(f(np.cos(psi) ** 2, np.sin(psi) ** 2).tolist()) * (
+            2.0 * math.pi / self.N
+        )
+
+    @staticmethod
+    def draw(rng):
+        # X and Y in 1e-6 .. 1e6, within 10^1.5 of a common magnitude
+        return 10.0 ** rng.uniform(-4.5, 4.5) * 10.0 ** rng.uniform(-1.5, 1.5, 2)
+
+    def test_potential(self):
+        rng = np.random.default_rng(73)
+        for i in range(60):
+            (x1, y1), (x2, y2), (d_x, d_y), (s_x, s_y) = (self.draw(rng) for _ in range(4))
+            if i % 2:
+                # proportional forms, X1 / Y1 = X2 / Y2
+                k = 10.0 ** rng.uniform(-3, 3)
+                x2, y2 = k * x1, k * y1
+
+            def f(c, s):
+                q1 = x1 * c + y1 * s
+                q2 = x2 * c + y2 * s
+                return (d_x * c + d_y * s) * (s_x * c + s_y * s) / ((q1 * q1) * (q2 * q2))
+
+            expect = self.trapezoid(f)
+            got = float(s3quad._psi_potential(
+                np.array([x1, x2, d_x, s_x]), np.array([y1, y2, d_y, s_y])
+            ))
+            assert abs(got - expect) <= 1e-14 * expect
+
+    def test_reciprocal(self):
+        rng = np.random.default_rng(79)
+        for _ in range(30):
+            x, y = self.draw(rng)
+            expect = self.trapezoid(lambda c, s: 1.0 / (x * c + y * s))
+            got = float(s3quad._psi_reciprocal(np.array(x), np.array(y)))
+            assert abs(got - expect) <= 1e-14 * expect
