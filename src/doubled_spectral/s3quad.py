@@ -65,9 +65,10 @@ independent check of the closed forms.  It averages a general integrand
 over the 16 sign images of each folded node, which regroups the product
 rule for any integrand, and sums through `_rule_sum`, which builds z from
 the (phi, t) and (psi, t) halves for PHI_BLOCK phi representatives at a
-time, so its temporaries stay cache-sized, hands it to the integrand and
-sums the weighted values of each block in one pass.  The blocks fix the
-summation order and are part of the determinism contract.  `integrate`
+time, hands it to the integrand and sums the weighted values of each block
+in one pass.  The blocks bound the memory at MAX_LEVEL, where z of the
+whole fold would take 136 MB before the integrand's sign images; they also
+fix the summation order and are part of the determinism contract.  `integrate`
 recovers the first-quadrant nodes as sqrt(z) = |xi|.
 """
 
@@ -91,8 +92,10 @@ from .geometry import (
     check_inverse_squares,
 )
 
-# phi representatives per block of `_rule_sum`, which only `integrate` uses:
-# z of a level-64 block takes 540 KB.  Part of the determinism contract, do
+# phi representatives per block of `_rule_sum`, which only `integrate` uses.
+# It bounds memory at MAX_LEVEL: z of a level-256 block takes 8.5 MB, z of
+# the whole fold 136 MB, and `integrate` holds a few arrays of that size
+# while it averages the sign images.  Part of the determinism contract, do
 # not make it configurable.
 PHI_BLOCK = 8
 

@@ -240,23 +240,47 @@ class TestDeterminism:
                 assert got == reference(rule, (eigenvalues(pf),), reciprocal)
 
         # in-box, the 3-D product rule has converged in psi, so the two
-        # agree to rounding: against the independent product set
+        # agree to rounding: against the independent product set, and
+        # against `integrate` on the 3-D fold
         xi, w = full_product_set(64)
         z = xi * xi
         for s1, s2 in in_box:
             a1, a2 = np.array(s1), np.array(s2)
             c1, c2 = 1.0 / a1**2, 1.0 / a2**2
             d, s = (1.0 / a2 - 1.0 / a1) ** 2, c1 + c2
-            q1, q2 = z @ c1, z @ c2
-            expect = math.fsum((w * (z @ d) * (z @ s) / ((q1 * q1) * (q2 * q2))).tolist())
+
+            def field(z):
+                q1, q2 = z @ c1, z @ c2
+                return (z @ d) * (z @ s) / ((q1 * q1) * (q2 * q2))
+
             got = potential_numeric(DiagonalMetric(s1), DiagonalMetric(s2), rule64)
+            expect = math.fsum((w * field(z)).tolist())
+            assert abs(got - expect) <= 1e-14 * expect
+            expect = integrate(rule64, lambda x: field(x * x))
             assert abs(got - expect) <= 1e-14 * expect
         # the second form, eigenvalues 0.029 .. 1.09, is beyond it: there the
         # 3-D rule is 7.7e-14 off the Carlson R_F value, the plane 1.6e-15
         for pf in forms[:1]:
             lam = pf.omega * (1.0 + np.linalg.eigvalsh(0.5 * (pf.eps + pf.eps.T)))
+            got = rational_integral(pf, rule64)
             expect = math.fsum((w / (z @ lam)).tolist())
-            assert abs(rational_integral(pf, rule64) - expect) <= 1e-14 * expect
+            assert abs(got - expect) <= 1e-14 * expect
+            expect = integrate(rule64, lambda x: 1.0 / ((x * x) @ lam))
+            assert abs(got - expect) <= 1e-14 * expect
+
+        # the factors reproduce the squares of the first-quadrant nodes of
+        # the independent product set, to rounding
+        z, _ = folded_product_set(64)
+        u, t = rule64.t_factor
+        cos2, sin2 = rule64.angle_factor
+        u, t = u[:, None, None], t[:, None, None]
+        grid = np.stack(
+            np.broadcast_arrays(
+                u * cos2[:, None], u * sin2[:, None], t * cos2, t * sin2
+            ),
+            axis=-1,
+        ).reshape(-1, 4)
+        assert float(np.abs(grid - z).max()) <= 1e-15
 
 
 class TestBackendSelection:

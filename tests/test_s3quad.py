@@ -262,25 +262,6 @@ class TestPotential:
         expect = potential_1d(g1, g2)
         assert abs(potential_numeric(g1, g2, rule64) - expect) <= 1e-11 * expect
 
-    def test_agrees_with_integrate_in_box(self, rule64):
-        # the plane with psi in closed form against the full 3-D fold; the
-        # rational integral is held to the product rule in
-        # test_eigenbasis_matches_general_form
-        rng = np.random.default_rng(47)
-        for _ in range(4):
-            a1 = np.array(draw_scales(rng))
-            a2 = np.array(draw_scales(rng))
-            c1, c2 = 1.0 / a1**2, 1.0 / a2**2
-            d, s = (1.0 / a2 - 1.0 / a1) ** 2, c1 + c2
-
-            def f(x):
-                z = x * x
-                return (z @ d) * (z @ s) / ((z @ c1) ** 2 * (z @ c2) ** 2)
-
-            expect = integrate(rule64, f)
-            got = potential_numeric(DiagonalMetric(tuple(a1)), DiagonalMetric(tuple(a2)), rule64)
-            assert abs(got - expect) <= 1e-14 * expect
-
     def test_hopf_reduction_value(self, rule32):
         g1 = DiagonalMetric((2, 2, 1, 1))
         g2 = DiagonalMetric((1, 1, 1, 1))
