@@ -15,8 +15,8 @@ A rule stores no nodes, only their t and angle factors
 (``SphereRule.t_factor``, ``SphereRule.angle_factor`` and their weights).
 The potential and the rational integral integrate one angle in closed form
 and sum the (phi, t) plane in one pairwise numpy sum; ``integrate`` sums the
-full 3-D rule through one reduction (``s3quad._rule_sum``) in a fixed order
-of phi blocks.  Every result is bit-identical between runs.
+full 3-D rule in a fixed order of phi blocks.  Every result is
+bit-identical between runs.
 
 numpy is imported by s3quad, conjecture and reports, and inside the
 functions of geometry and matchings that handle arrays; feynman, hopf, the

@@ -38,21 +38,29 @@ in X and Y:
 
     int_0^{2pi} dpsi / (X cos^2 psi + Y sin^2 psi) = 2 pi / sqrt(X Y),
 
-and, with alpha = sqrt(X_1), beta = sqrt(Y_1), gamma = sqrt(X_2),
-delta = sqrt(Y_2), p = alpha gamma, r = beta delta and
-sigma = alpha delta + beta gamma for the forms Q_1 and Q_2,
+and the potential's is a first derivative of the same integral for the
+pair of forms.  Its numerator form is the sum of its denominators:
+s_l = A_{1,l}^2 + A_{2,l}^2 = c1_l + c2_l, so S.z = Q_1 + Q_2 and
+
+    (D.z)(S.z) / (Q_1^2 Q_2^2) = (D.z) [1 / (Q_1 Q_2^2) + 1 / (Q_1^2 Q_2)].
+
+A derivative of Q_i in X_i brings down cos^2 psi and one in Y_i sin^2 psi,
+so the psi integral of the right side is
+-D_X (d/dX_1 + d/dX_2) J - D_Y (d/dY_1 + d/dY_2) J of
+J = int dpsi / (Q_1 Q_2).  With alpha = sqrt(X_1), beta = sqrt(Y_1),
+gamma = sqrt(X_2), delta = sqrt(Y_2), p = alpha gamma, r = beta delta and
+sigma = alpha delta + beta gamma, J = 2 pi (p + r) / (p r sigma), and with
+C = (alpha beta + gamma delta)(1/p + 1/r)
 
     int_0^{2pi} (D.z)(S.z) / (Q_1^2 Q_2^2) dpsi
-        = pi / sigma^3 [ D_X S_X (sigma^2 + p (p + r)) / p^3
-                         + (D_X S_Y + D_Y S_X) (p + r) / (p r)
-                         + D_Y S_Y (sigma^2 + r (p + r)) / r^3 ],
+        = pi / sigma^2 [ D_X (C + (X_1 + X_2) sigma / p^2) / p
+                         + D_Y (C + (Y_1 + Y_2) sigma / r^2) / r ].
 
-the mixed second derivatives of int dpsi / (Q_1 Q_2) =
-2 pi (p + r) / (p r sigma).  Every term is positive, so nothing cancels,
-not even where X_1 / Y_1 = X_2 / Y_2.  `potential_numeric` and
-`rational_integral` therefore sum the level x (level//2 + 1) plane of t
-nodes and phi representatives (2,112 points at level 64) in one np.sum;
-the product rule's 2 level psi nodes are replaced by their limit.  The pair
+Every term is positive, so nothing cancels, not even where
+X_1 / Y_1 = X_2 / Y_2.  `potential_numeric` and `rational_integral`
+therefore sum the level x (level//2 + 1) plane of t nodes and phi
+representatives (2,112 points at level 64) in one np.sum; the product
+rule's 2 level psi nodes are replaced by their limit.  The pair
 of axes on psi (z_2, z_3) is integrated exactly, so which pair goes there
 matters: the potential puts there the first two axes of its canonical
 order, those with the smallest scales, and the rational integral the two
@@ -63,13 +71,13 @@ smallest eigenvalues; the other choices measure no better than the full
 at level 64 against the product rule's 4 level^3 = 1,048,576), and is the
 independent check of the closed forms.  It averages a general integrand
 over the 16 sign images of each folded node, which regroups the product
-rule for any integrand, and sums through `_rule_sum`, which builds z from
-the (phi, t) and (psi, t) halves for PHI_BLOCK phi representatives at a
-time, hands it to the integrand and sums the weighted values of each block
-in one pass.  The blocks bound the memory at MAX_LEVEL, where z of the
-whole fold would take 136 MB before the integrand's sign images; they also
-fix the summation order and are part of the determinism contract.  `integrate`
-recovers the first-quadrant nodes as sqrt(z) = |xi|.
+rule for any integrand.  It builds z from the (phi, t) and (psi, t)
+halves for PHI_BLOCK phi representatives at a time, hands the nodes to the
+integrand and sums the weighted values of each block in one pass.  The
+blocks bound the memory at MAX_LEVEL, where z of the whole fold would take
+136 MB before the integrand's sign images; they also fix the summation
+order and are part of the determinism contract.  `integrate` recovers the
+first-quadrant nodes as sqrt(z) = |xi|.
 """
 
 from __future__ import annotations
@@ -92,11 +100,11 @@ from .geometry import (
     check_inverse_squares,
 )
 
-# phi representatives per block of `_rule_sum`, which only `integrate` uses.
-# It bounds memory at MAX_LEVEL: z of a level-256 block takes 8.5 MB, z of
-# the whole fold 136 MB, and `integrate` holds a few arrays of that size
-# while it averages the sign images.  Part of the determinism contract, do
-# not make it configurable.
+# phi representatives per block of `integrate`.  It bounds memory at
+# MAX_LEVEL: z of a level-256 block takes 8.5 MB, z of the whole fold
+# 136 MB, and `integrate` holds a few arrays of that size while it averages
+# the sign images.  Part of the determinism contract, do not make it
+# configurable.
 PHI_BLOCK = 8
 
 
@@ -177,47 +185,6 @@ def build_rule(level: int) -> SphereRule:
     return _factors(level)
 
 
-def _rule_sum(rule: SphereRule, f) -> float:
-    """Sum of w * f over the nodes of the 3-D fold.
-
-    For each block of at most PHI_BLOCK phi representatives, f receives the
-    (4, b, K, level) array of the squares z at the nodes of the block, in
-    phi, psi, t order, and returns the (b, K, level) float array of values,
-    which `_rule_sum` may overwrite; f may overwrite z.  The weighted values
-    of a block are added by np.sum, and the block partials in block order
-    with Neumaier summation, so the result is bit-identical between runs.
-    numpy floating-point warnings are off while f runs: an overflow shows
-    as a non-finite value, which the caller checks.
-    """
-    u, t = rule.t_factor
-    angle = rule.angle_factor[:, :, None]
-    # the (phi, t) and (psi, t) halves of z, (2, K, level) each
-    phi_t = angle * u
-    psi_t = angle * t
-    w_psi_t = np.multiply.outer(rule.angle_weights, rule.t_weights)
-    n_phi = angle.shape[1]
-    z = np.empty((4, min(n_phi, PHI_BLOCK)) + w_psi_t.shape)
-    total = 0.0
-    comp = 0.0
-    with np.errstate(all="ignore"):
-        for lo in range(0, n_phi, PHI_BLOCK):
-            hi = min(lo + PHI_BLOCK, n_phi)
-            block = z[:, : hi - lo]
-            block[:2] = phi_t[:, lo:hi, None]
-            block[2:] = psi_t[:, None]
-            values = f(block)
-            values *= w_psi_t
-            values *= rule.angle_weights[lo:hi, None, None]
-            part = float(np.sum(values))
-            s = total + part
-            if abs(total) >= abs(part):
-                comp += (total - s) + part
-            else:
-                comp += (part - s) + total
-            total = s
-    return total + comp
-
-
 def active_backend() -> str:
     """Name of the node-reduction implementation: always "numpy".
 
@@ -236,40 +203,67 @@ def get_threads() -> int:
 
 
 def integrate(rule: SphereRule, f) -> float:
-    """Quadrature of a scalar field over the sphere.
+    """Quadrature of a scalar field over the sphere, on the full 3-D fold.
 
     f must map an (n, 4) node array to an (n,) array of values.  It is
     called on each of the 16 sign images s * xi, s in {+1, -1}^4, of the
     folded nodes xi = sqrt(z) >= 0, and each folded node weighs the mean of
     its 16 values: the product rule regrouped, for any integrand.
     Non-finite values signal a singular integrand and raise.
+
+    The nodes go to f in blocks of PHI_BLOCK phi representatives, with z
+    built from the (phi, t) and (psi, t) halves of the rule.  The weighted
+    values of a block are added by np.sum, and the block partials in block
+    order with Neumaier summation, so the result is bit-identical between
+    runs.  numpy floating-point warnings are off while f runs: an overflow
+    shows as a non-finite value, which raises.
     """
     signs = list(itertools.product((1.0, -1.0), repeat=4))
+    u, t = rule.t_factor
+    angle = rule.angle_factor[:, :, None]
+    # the (phi, t) and (psi, t) halves of z, (2, K, level) each
+    phi_t = angle * u
+    psi_t = angle * t
+    w_psi_t = np.multiply.outer(rule.angle_weights, rule.t_weights)
+    n_phi = angle.shape[1]
+    z = np.empty((4, min(n_phi, PHI_BLOCK)) + w_psi_t.shape)
+    total = 0.0
+    comp = 0.0
+    with np.errstate(all="ignore"):
+        for lo in range(0, n_phi, PHI_BLOCK):
+            hi = min(lo + PHI_BLOCK, n_phi)
+            block = z[:, : hi - lo]
+            block[:2] = phi_t[:, lo:hi, None]
+            block[2:] = psi_t[:, None]
+            x = np.sqrt(block).reshape(4, -1).T
+            values = sum(np.asarray(f(x * sign), dtype=float) for sign in signs)
+            if values.shape != (len(x),):
+                raise ValueError(
+                    f"integrand returned shape {values.shape}, expected {(len(x),)}"
+                )
+            if not np.all(np.isfinite(values)):
+                raise ValueError("integrand is non-finite at a quadrature node")
+            values = (values / 16.0).reshape(block.shape[1:])
+            values *= w_psi_t
+            values *= rule.angle_weights[lo:hi, None, None]
+            part = float(np.sum(values))
+            s = total + part
+            if abs(total) >= abs(part):
+                comp += (total - s) + part
+            else:
+                comp += (part - s) + total
+            total = s
+    return total + comp
 
-    def image_mean(z):
-        x = np.sqrt(z).reshape(4, -1).T
-        total = sum(np.asarray(f(x * s), dtype=float) for s in signs)
-        if total.shape != (len(x),):
-            raise ValueError(
-                f"integrand returned shape {total.shape}, expected {(len(x),)}"
-            )
-        if not np.all(np.isfinite(total)):
-            raise ValueError("integrand is non-finite at a quadrature node")
-        return (total / 16.0).reshape(z.shape[1:])
 
-    return _rule_sum(rule, image_mean)
-
-
-def _canonical_axis_order(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+def _canonical_axis_order(a1, a2) -> list[int]:
     # Canonical relabeling of the four axes.  The exact integral does not
     # depend on a joint relabeling, but the rule is not symmetric under
     # every axis permutation; sorting by the unordered scale pair
     # (tie-broken by the first sheet) makes the computed value exactly
     # invariant under joint permutations and under swapping the two
-    # metrics.
-    lo = np.minimum(a1, a2)
-    hi = np.maximum(a1, a2)
-    return np.lexsort((a1, hi, lo))
+    # metrics.  sorted is stable, so equal keys keep their axis order.
+    return sorted(range(4), key=lambda j: (min(a1[j], a2[j]), max(a1[j], a2[j]), a1[j]))
 
 
 def _plane(rule: SphereRule, coeffs) -> tuple[np.ndarray, np.ndarray]:
@@ -293,23 +287,37 @@ def _plane_sum(rule: SphereRule, values: np.ndarray) -> float:
 
 
 def _psi_potential(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """int_0^{2pi} (D.z)(S.z) / (Q_1^2 Q_2^2) dpsi, elementwise: x and y
-    stack the X and Y tables of Q_1, Q_2, D and S (see the module
-    docstring for the identity).  It is evaluated in a = p / sigma,
-    b = r / sigma and D / sigma^2, S / sigma^2, so no intermediate is a
-    higher power of the forms than sigma^2."""
+    """int_0^{2pi} (D.z)(S.z) / (Q_1^2 Q_2^2) dpsi with S.z = Q_1 + Q_2,
+    elementwise: x and y stack the X and Y tables of Q_1, Q_2 and D (see
+    the module docstring for the identity).  Four square roots and three
+    divisions per point; no intermediate is a higher power of the forms
+    than sigma^2."""
     alpha, gamma = np.sqrt(x[:2])
     beta, delta = np.sqrt(y[:2])
-    sigma = alpha * delta + beta * gamma
-    a = alpha * gamma / sigma
-    b = beta * delta / sigma
-    ab = a + b
-    w = 1.0 / (sigma * sigma)
-    d_x, s_x = x[2:] * w
-    d_y, s_y = y[2:] * w
-    out = d_x * s_x * (1.0 + a * ab) / (a * a * a)
-    out += (d_x * s_y + d_y * s_x) * ab / (a * b)
-    out += d_y * s_y * (1.0 + b * ab) / (b * b * b)
+    sigma = alpha * delta
+    sigma += beta * gamma
+    inv_p = 1.0 / (alpha * gamma)
+    inv_r = 1.0 / (beta * delta)
+    # C = (alpha beta + gamma delta)(1/p + 1/r)
+    c = alpha * beta
+    c += gamma * delta
+    c *= inv_p + inv_r
+    # D_X (C + S_X sigma / p^2) / p + D_Y (C + S_Y sigma / r^2) / r
+    out = x[0] + x[1]
+    out *= sigma
+    out *= inv_p * inv_p
+    out += c
+    out *= inv_p
+    out *= x[2]
+    term = y[0] + y[1]
+    term *= sigma
+    term *= inv_r * inv_r
+    term += c
+    term *= inv_r
+    term *= y[2]
+    out += term
+    sigma *= sigma
+    out /= sigma
     out *= math.pi
     return out
 
@@ -341,31 +349,29 @@ def potential_numeric(
     the (phi, t) plane with psi in closed form.  Raises ValueError when a
     1/a^2 is 0 or inf in double precision, or when the sum is not finite.
     """
-    a1 = g1.as_array()
-    a2 = g2.as_array()
+    a1 = g1.scales
+    a2 = g2.scales
     # the first two axes of the canonical order go on psi, whose integral
     # is exact
-    order = _canonical_axis_order(a1, a2)[[2, 3, 0, 1]]
-    a1 = a1[order]
-    a2 = a2[order]
-    inv1 = 1.0 / a1
-    inv2 = 1.0 / a2
-    with np.errstate(over="ignore"):
-        c1 = inv1 * inv1
-        c2 = inv2 * inv2
+    order = _canonical_axis_order(a1, a2)
+    order = order[2:] + order[:2]
+    inv1 = [1.0 / a1[j] for j in order]
+    inv2 = [1.0 / a2[j] for j in order]
+    c1 = [v * v for v in inv1]
+    c2 = [v * v for v in inv2]
     check_inverse_squares(g1, c1, "g1")
     check_inverse_squares(g2, c2, "g2")
-    d = (inv2 - inv1) ** 2
-    s = c1 + c2
+    d = [(v - w) * (v - w) for v, w in zip(inv2, inv1)]
     # V is homogeneous of degree -2 in the coefficients.  Scaled by an even
     # power of two, so that every product, quotient and square root rounds
     # as before, the largest 1/a^2 falls below 1, and the plane stays finite
     # at any overall scale that check_inverse_squares admits; only 1/a^2
     # that span more than about 1e150 can overflow it.
-    _, e = math.frexp(max(c1.max(), c2.max()))
+    _, e = math.frexp(max(c1 + c2))
     e += e & 1
+    coeffs = [[math.ldexp(v, -e) for v in row] for row in (c1, c2, d)]
     with np.errstate(all="ignore"):
-        x, y = _plane(rule, np.ldexp(np.stack([c1, c2, d, s]), -e))
+        x, y = _plane(rule, coeffs)
         total = float(np.ldexp(_plane_sum(rule, _psi_potential(x, y)), -2 * e))
     if not math.isfinite(total):
         raise ValueError(

@@ -1,6 +1,6 @@
-"""The rule's two sums and the evaluators built on them: the 3-D fold of
-s3quad._rule_sum behind `integrate`, and the (phi, t) plane, with psi in
-closed form, behind potential_numeric and rational_integral."""
+"""The rule's two sums and the evaluators built on them: the 3-D fold
+behind `integrate`, and the (phi, t) plane, with psi in closed form, behind
+potential_numeric and rational_integral."""
 
 import dataclasses
 import math
@@ -24,7 +24,6 @@ from doubled_spectral.s3quad import (
     _plane,
     _plane_sum,
     _psi_reciprocal,
-    _rule_sum,
     active_backend,
     get_threads,
 )
@@ -56,12 +55,12 @@ class TestDeterminism:
 
     def test_multi_chunk_repeatable_and_matches_fsum(self, rule64):
         # level 64 spans 5 phi blocks folded and 16 unfolded, so the
-        # Neumaier block combine of `_rule_sum` runs; `integrate` and a raw
-        # `_rule_sum` are checked against a one-pass fsum of another
-        # grouping of the same rule, the product set of conftest.  The
-        # in-box potential and rational integral, summed on the plane with
-        # psi in closed form, are checked against the same fsums, which
-        # have converged in psi there.
+        # Neumaier block combine of `integrate` runs; `integrate` is checked
+        # on a field of the nodes and on one of their squares against a
+        # one-pass fsum of another grouping of the same rule, the product
+        # set of conftest.  The in-box potential and rational integral,
+        # summed on the plane with psi in closed form, are checked against
+        # the same fsums, which have converged in psi there.
         rng = np.random.default_rng(223)
         a1 = np.array(draw_scales(rng))
         a2 = np.array(draw_scales(rng))
@@ -114,7 +113,7 @@ class TestDeterminism:
                     None,
                 ),
                 (
-                    lambda: _rule_sum(rule, g),
+                    lambda: integrate(rule, lambda x: g((x * x).T)),
                     math.fsum((w * g(z.T)).tolist()),
                     None,
                 ),
@@ -126,21 +125,24 @@ class TestDeterminism:
                 scale = abs(reference) if scale is None else scale
                 assert abs(first - reference) <= 1e-13 * scale
 
-        # one t node with t = 0 and 2 PHI_BLOCK + 1 angles of weight 1, so
-        # the block partials are n_phi (1e16, 1, -1e16): a plain running sum
-        # of the partials loses the 1, and a sum without the last block keeps
-        # 1e16
+        # one t node with t = 0 and 2 PHI_BLOCK + 1 angles of weight 1, and
+        # a field of z_0 - z_1 that is 1e16, 1 and -1e16 on the first angle
+        # of each block, so the block partials are n_phi (1e16, 1, -1e16): a
+        # plain running sum of the partials loses the 1, and a sum without
+        # the last block keeps 1e16
         n_phi = 2 * PHI_BLOCK + 1
         cos2 = np.zeros(n_phi)
-        cos2[[0, PHI_BLOCK, 2 * PHI_BLOCK]] = (1e16, 1.0, -1e16)
+        sin2 = np.zeros(n_phi)
+        cos2[[0, PHI_BLOCK]] = (1e16, 1.0)
+        sin2[2 * PHI_BLOCK] = 1e16
         cancel = dataclasses.replace(
             rule64,
             t_factor=np.array([[1.0], [0.0]]),
             t_weights=np.ones(1),
-            angle_factor=np.stack([cos2, np.zeros(n_phi)]),
+            angle_factor=np.stack([cos2, sin2]),
             angle_weights=np.ones(n_phi),
         )
-        got = _rule_sum(cancel, lambda z: z[0])
+        got = integrate(cancel, lambda x: x[:, 0] ** 2 - x[:, 1] ** 2)
         assert got == n_phi
 
     def test_rational_node_guard(self, rule8):
@@ -188,18 +190,15 @@ class TestDeterminism:
             return float(np.sum(values))
 
         def potential(xs, ys):
+            # S.z = Q_1 + Q_2: the first derivatives of int dpsi / (Q_1 Q_2)
             alpha, gamma, beta, delta = map(np.sqrt, (xs[0], xs[1], ys[0], ys[1]))
             sigma = alpha * delta + beta * gamma
-            a = alpha * gamma / sigma
-            b = beta * delta / sigma
-            w = 1.0 / (sigma * sigma)
-            d_x, s_x, d_y, s_y = xs[2] * w, xs[3] * w, ys[2] * w, ys[3] * w
-            v = (
-                d_x * s_x * (1.0 + a * (a + b)) / (a * a * a)
-                + (d_x * s_y + d_y * s_x) * (a + b) / (a * b)
-                + d_y * s_y * (1.0 + b * (a + b)) / (b * b * b)
-            )
-            return v * math.pi
+            inv_p = 1.0 / (alpha * gamma)
+            inv_r = 1.0 / (beta * delta)
+            c = (alpha * beta + gamma * delta) * (inv_p + inv_r)
+            v = ((xs[0] + xs[1]) * sigma * (inv_p * inv_p) + c) * inv_p * xs[2]
+            v += ((ys[0] + ys[1]) * sigma * (inv_r * inv_r) + c) * inv_r * ys[2]
+            return v / (sigma * sigma) * math.pi
 
         def reciprocal(xs, ys):
             return 2.0 * math.pi / (np.sqrt(xs[0]) * np.sqrt(ys[0]))
@@ -207,10 +206,11 @@ class TestDeterminism:
         def coefficients(s1, s2):
             # canonical order, its first two axes on psi
             a1, a2 = np.array(s1), np.array(s2)
-            order = _canonical_axis_order(a1, a2)[[2, 3, 0, 1]]
+            order = _canonical_axis_order(s1, s2)
+            order = order[2:] + order[:2]
             inv1, inv2 = 1.0 / a1[order], 1.0 / a2[order]
             c1, c2 = inv1 * inv1, inv2 * inv2
-            return c1, c2, (inv2 - inv1) ** 2, c1 + c2
+            return c1, c2, (inv2 - inv1) ** 2
 
         rng = np.random.default_rng(229)
         in_box = [(draw_scales(rng), draw_scales(rng)) for _ in range(3)]

@@ -78,7 +78,7 @@ class TestRule:
             rule8.angle_weights[0] = 0.0
 
     def test_evaluator_and_build_memory(self):
-        # the rule stores no node array and sums in cache-sized blocks
+        # the rule stores no node array, and the evaluators sum a plane
         g1 = DiagonalMetric((0.7, 1.3, 1.1, 0.9))
         g2 = DiagonalMetric((1.2, 0.8, 0.6, 1.5))
         pf = PerturbedForm(omega=1.0, eps=np.diag([0.3, -0.1, -0.4, 0.2]))
@@ -403,14 +403,34 @@ class TestPsiClosedForms:
         # X and Y in 1e-6 .. 1e6, within 10^1.5 of a common magnitude
         return 10.0 ** rng.uniform(-4.5, 4.5) * 10.0 ** rng.uniform(-1.5, 1.5, 2)
 
+    @staticmethod
+    def three_terms(x, y):
+        """The psi integral with a general numerator S.z, as the mixed
+        second derivatives of int dpsi / (Q_1 Q_2): x and y stack the X and
+        Y values of Q_1, Q_2, D and S."""
+        alpha, gamma, beta, delta = np.sqrt([x[0], x[1], y[0], y[1]])
+        sigma = alpha * delta + beta * gamma
+        a = alpha * gamma / sigma
+        b = beta * delta / sigma
+        w = 1.0 / (sigma * sigma)
+        d_x, s_x, d_y, s_y = x[2] * w, x[3] * w, y[2] * w, y[3] * w
+        return math.pi * (
+            d_x * s_x * (1.0 + a * (a + b)) / (a * a * a)
+            + (d_x * s_y + d_y * s_x) * (a + b) / (a * b)
+            + d_y * s_y * (1.0 + b * (a + b)) / (b * b * b)
+        )
+
     def test_potential(self):
+        # the potential's numerator S.z is Q_1 + Q_2, so S_X = X_1 + X_2 and
+        # S_Y = Y_1 + Y_2
         rng = np.random.default_rng(73)
         for i in range(60):
-            (x1, y1), (x2, y2), (d_x, d_y), (s_x, s_y) = (self.draw(rng) for _ in range(4))
+            (x1, y1), (x2, y2), (d_x, d_y) = (self.draw(rng) for _ in range(3))
             if i % 2:
                 # proportional forms, X1 / Y1 = X2 / Y2
                 k = 10.0 ** rng.uniform(-3, 3)
                 x2, y2 = k * x1, k * y1
+            s_x, s_y = x1 + x2, y1 + y2
 
             def f(c, s):
                 q1 = x1 * c + y1 * s
@@ -419,9 +439,30 @@ class TestPsiClosedForms:
 
             expect = self.trapezoid(f)
             got = float(s3quad._psi_potential(
-                np.array([x1, x2, d_x, s_x]), np.array([y1, y2, d_y, s_y])
+                np.array([x1, x2, d_x]), np.array([y1, y2, d_y])
             ))
             assert abs(got - expect) <= 1e-14 * expect
+            other = self.three_terms([x1, x2, d_x, s_x], [y1, y2, d_y, s_y])
+            assert abs(other - expect) <= 1e-14 * expect
+
+    def test_potential_identities_agree(self):
+        # the first-derivative identity against the three-term one, on
+        # 20,000 draws, half of them proportional forms
+        rng = np.random.default_rng(83)
+        n = 20_000
+        x1, y1, x2, y2, d_x, d_y = (
+            10.0 ** rng.uniform(-6, 6, n) for _ in range(6)
+        )
+        k = 10.0 ** rng.uniform(-3, 3, n)
+        half = n // 2
+        x2[:half], y2[:half] = k[:half] * x1[:half], k[:half] * y1[:half]
+        x = np.stack([x1, x2, d_x])
+        y = np.stack([y1, y2, d_y])
+        expect = self.three_terms(
+            [x1, x2, d_x, x1 + x2], [y1, y2, d_y, y1 + y2]
+        )
+        got = s3quad._psi_potential(x, y)
+        assert float(np.abs(got / expect - 1.0).max()) <= 2e-15
 
     def test_reciprocal(self):
         rng = np.random.default_rng(79)
