@@ -422,10 +422,10 @@ class TestPsiClosedForms:
 
     def test_potential(self):
         # the potential's numerator S.z is Q_1 + Q_2, so S_X = X_1 + X_2 and
-        # S_Y = Y_1 + Y_2
+        # S_Y = Y_1 + Y_2 (the fourth draw goes unused)
         rng = np.random.default_rng(73)
         for i in range(60):
-            (x1, y1), (x2, y2), (d_x, d_y) = (self.draw(rng) for _ in range(3))
+            (x1, y1), (x2, y2), (d_x, d_y), _ = (self.draw(rng) for _ in range(4))
             if i % 2:
                 # proportional forms, X1 / Y1 = X2 / Y2
                 k = 10.0 ** rng.uniform(-3, 3)
@@ -450,17 +450,13 @@ class TestPsiClosedForms:
         # 20,000 draws, half of them proportional forms
         rng = np.random.default_rng(83)
         n = 20_000
-        x1, y1, x2, y2, d_x, d_y = (
-            10.0 ** rng.uniform(-6, 6, n) for _ in range(6)
-        )
+        x1, y1, x2, y2, d_x, d_y = (10.0 ** rng.uniform(-6, 6, n) for _ in range(6))
         k = 10.0 ** rng.uniform(-3, 3, n)
         half = n // 2
         x2[:half], y2[:half] = k[:half] * x1[:half], k[:half] * y1[:half]
         x = np.stack([x1, x2, d_x])
         y = np.stack([y1, y2, d_y])
-        expect = self.three_terms(
-            [x1, x2, d_x, x1 + x2], [y1, y2, d_y, y1 + y2]
-        )
+        expect = self.three_terms([x1, x2, d_x, x1 + x2], [y1, y2, d_y, y1 + y2])
         got = s3quad._psi_potential(x, y)
         assert float(np.abs(got / expect - 1.0).max()) <= 2e-15
 
