@@ -3,8 +3,8 @@ the two constant diagonal metrics of a doubled (two-sheeted) geometry.
 
 Layers:
 
-* geometry  -- diagonal-metric domain types and the 2x2 symbol algebra
-* feynman   -- kinetic identity and 1-D Feynman-parameter potential
+* geometry  -- diagonal-metric types, kinetic identity, 2x2 symbol algebra
+* carlson   -- Carlson's R_D and the elliptic closed form of the potential
 * s3quad    -- deterministic product quadrature on the 3-sphere (the oracle)
 * hopf      -- closed forms for the two-parameter Hopf-symmetric family
 * matchings -- Wick-pairing combinatorics and the perturbative series
@@ -19,7 +19,7 @@ full 3-D rule in a fixed order of phi blocks.  Every result is
 bit-identical between runs.
 
 numpy is imported by s3quad, conjecture and reports, and inside the
-functions of geometry and matchings that handle arrays; feynman, hopf, the
+functions of geometry and matchings that handle arrays; carlson, hopf, the
 combinatorial half of matchings (c_coefficient, pattern_census, count_n,
 count_n_formula) and _emit are pure Python.  The names below are resolved
 on first access (PEP 562), and cli imports the numpy layers and matchings
@@ -35,6 +35,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "active_backend": "s3quad",
     "get_threads": "s3quad",
+    "potential_elliptic": "carlson",
     "HypothesisReport": "conjecture",
     "check_exchange_identity": "conjecture",
     "check_permutation_invariance": "conjecture",
@@ -42,8 +43,6 @@ _EXPORTS = {
     "run_hypothesis_suite": "conjecture",
     "sqrt_det": "conjecture",
     "v_prime": "conjecture",
-    "kinetic_term": "feynman",
-    "potential_1d": "feynman",
     "DiagonalMetric": "geometry",
     "DoubledGeometry": "geometry",
     "EffectiveParams": "geometry",
@@ -52,6 +51,7 @@ _EXPORTS = {
     "b2_trace_matrix": "geometry",
     "effective_params": "geometry",
     "inverse_rates": "geometry",
+    "kinetic_term": "geometry",
     "quadratic_form": "geometry",
     "relative_eigenvalues": "geometry",
     "HopfMetric": "hopf",

@@ -14,7 +14,7 @@ printed NaN or Infinity.
 The S^3 rule is the oracle: `potential --method numeric|both`,
 `hypothesis` and `series` sum on it, and `potential`, `hypothesis` and
 `series` are the subcommands with --level.  `action` and `sweep` take the
-potential from the 1-D Feynman-parameter integral (`feynman.potential_1d`).
+potential from its elliptic closed form (`carlson.potential_elliptic`).
 numpy, the S^3 rule, the invariance suite and the Wick-pairing module are
 imported inside the subcommands that use them, so `action`, `sweep`,
 `potential --method closed|conjecture` and `moments` run without numpy.
@@ -28,7 +28,7 @@ import math
 import sys
 
 from ._emit import fmt_float, to_csv, to_json
-from .feynman import kinetic_term, potential_1d
+from .carlson import potential_elliptic
 from .geometry import (
     MAX_LEVEL,
     MIN_LEVEL,
@@ -36,6 +36,7 @@ from .geometry import (
     DiagonalMetric,
     DoubledGeometry,
     effective_params,
+    kinetic_term,
 )
 from .hopf import HopfMetric, potential_closed, potential_via_conjecture
 
@@ -177,7 +178,7 @@ def _cmd_action(args) -> None:
     if _config_only(args):
         return
     kin = kinetic_term(g1, g2)
-    pot = potential_1d(g1, g2)
+    pot = potential_elliptic(g1, g2)
     _emit(
         args,
         {
@@ -339,7 +340,7 @@ def _cmd_sweep(args) -> None:
             for ax in axes:
                 scales[ax] = value
         g1 = DiagonalMetric(tuple(scales))
-        vn = potential_1d(g1, g2)
+        vn = potential_elliptic(g1, g2)
         vc = None
         if _is_hopf(g1) and _is_hopf(g2):
             vc = potential_closed(_as_hopf(g1, "--base"), _as_hopf(g2, "--g2"))

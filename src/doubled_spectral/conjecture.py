@@ -26,8 +26,8 @@ PARAM_RANGE = (0.5, 2.0)
 
 # Per-axis scale factors for the scaling check.  Narrower than PARAM_RANGE,
 # so rescaled metrics stay in the box [0.35, 2.8], where the level-64 rule
-# is within 5.6e-10 of the 1-D integral (worst of 2,000 log-uniform pairs;
-# the median is 1.1e-15).  Over the first 18,000 trials of each
+# is within 3.1e-9 of carlson.potential_elliptic (worst of 2,000 pairs
+# from default_rng(0); the median is 1.2e-15).  Over the first 18,000 trials of each
 # perfbench suite seed 1-3 (54,000 in all) the worst violation is that of
 # the trial of seed 3560234048, 4.0e-11 at level 64, 2,500x below 1e-7.
 SCALE_RANGE = (0.7, 1.4)

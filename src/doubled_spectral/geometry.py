@@ -138,6 +138,19 @@ def check_inverse_squares(g: DiagonalMetric, c, name: str) -> None:
         )
 
 
+def kinetic_term(g1: DiagonalMetric, g2: DiagonalMetric) -> float:
+    """int dS (Q1^-2 + Q2^-2), Q_i(xi) = sum_j xi_j^2 / a_{i,j}^2: by the
+    sphere identity int dS / (xi^T C xi)^2 = 2 pi^2 / sqrt(det C), it is
+    2 pi^2 (prod a1 + prod a2).  Raises ValueError when it overflows."""
+    value = TWO_PI_SQ * (math.prod(g1.scales) + math.prod(g2.scales))
+    if not math.isfinite(value):
+        raise ValueError(
+            f"the kinetic term overflows double precision for g1 = {g1.scales}, "
+            f"g2 = {g2.scales}"
+        )
+    return value
+
+
 def relative_eigenvalues(g1: DiagonalMetric, g2: DiagonalMetric) -> tuple[float, ...]:
     """Eigenvalues of sqrt(g2^-1 g1) in axis order: a_{1,j} / a_{2,j}."""
     return tuple(u / v for u, v in zip(g1.scales, g2.scales))

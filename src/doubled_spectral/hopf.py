@@ -7,8 +7,8 @@ For two such metrics the interaction potential has the closed form
 
 with a logarithmic term F and a polynomial term G.  The denominator vanishes
 on the surface a2 b1 = a1 b2 where the singularity is removable; inside a
-narrow relative tube around it the one-dimensional Feynman-parameter
-integral (feynman.potential_1d), which has no such singularity, is used
+narrow relative tube around it the elliptic closed form
+(carlson.potential_elliptic), which has no such singularity, is used
 instead.  Everything is kept in factored form (products of single
 differences) so the reductions at a1 = a2 and b1 = b2 hold to machine
 precision.
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .feynman import potential_1d
+from .carlson import potential_elliptic
 from .geometry import TWO_PI_SQ, DiagonalMetric
 
 # relative half-width of the fallback tube around the singular surface
@@ -84,27 +84,30 @@ def g_term(a1: float, a2: float, b1: float, b2: float) -> float:
 def potential_closed(h1: HopfMetric, h2: HopfMetric) -> float:
     """Closed-form interaction potential of two Hopf metrics.
 
-    Inside the relative tube |a2 b1 - a1 b2| < SINGULAR_TUBE * (a2 b1 + a1 b2)
-    the 0/0 form is avoided by falling back to the one-dimensional integral
-    potential_1d.  Raises ValueError where the value overflows.
-    """
-    a1, b1 = h1.a, h1.b
-    a2, b2 = h2.a, h2.b
-    u = a2 * b1
-    v = a1 * b2
-    diff = u - v
-    total = u + v
+    V has degree 4 in the scales and its terms multiply up to ten of them,
+    so it is evaluated at the scales times the power of two that brings
+    their geometric mean near 1, and scaled back (exact).  Inside the tube
+    |a2 b1 - a1 b2| < SINGULAR_TUBE * (a2 b1 + a1 b2), where it is 0/0,
+    potential_elliptic is used.  Raises ValueError where the value
+    overflows, where the scales span more than 2^1000 (a2 b1 or a1 b2 could
+    leave double range), and where potential_elliptic does."""
+    scales = (h1.a, h1.b, h2.a, h2.b)
+    exps = [math.frexp(v)[1] for v in scales]
+    pair = f"a1={h1.a!r}, b1={h1.b!r}, a2={h2.a!r}, b2={h2.b!r}"
+    if max(exps) - min(exps) > 1000:
+        raise ValueError(f"the scale factors span a ratio above 2^1000 for {pair}")
+    k = sum(exps) // 4
+    a1, b1, a2, b2 = (math.ldexp(v, -k) for v in scales)
+    u, v = a2 * b1, a1 * b2
+    diff, total = u - v, u + v
     if abs(diff) < SINGULAR_TUBE * total:
-        return potential_1d(to_diagonal(h1), to_diagonal(h2))
-    fval = f_term(a1, a2, b1, b2)
-    gval = g_term(a1, a2, b1, b2)
-    value = TWO_PI_SQ * (fval + gval) / (diff * total * total)
-    if not math.isfinite(value):
-        raise ValueError(
-            f"the closed-form potential overflows double precision for "
-            f"a1={a1!r}, b1={b1!r}, a2={a2!r}, b2={b2!r}"
-        )
-    return value
+        return potential_elliptic(to_diagonal(h1), to_diagonal(h2))
+    fg = f_term(a1, a2, b1, b2) + g_term(a1, a2, b1, b2)
+    value = TWO_PI_SQ * fg / (diff * total * total)
+    # ldexp raises OverflowError past 2^1024: test the exponent first
+    if math.isfinite(value) and math.frexp(value)[1] + 4 * k <= 1024:
+        return math.ldexp(value, 4 * k)
+    raise ValueError(f"the closed-form potential overflows double precision for {pair}")
 
 
 def script_v(x: float, y: float) -> float:
@@ -127,9 +130,13 @@ def script_v(x: float, y: float) -> float:
     xy = x * y
     rel = (y - x) / x
     log_ratio = math.log1p(rel) if rel > -1.0 else math.log(y) - math.log(x)
-    log_term = (
-        4.0 * xy * xy * (x - 1.0) * (y - 1.0) / ((x - y) * (x + y) * (x + y))
-    ) * log_ratio
+    den = (x - y) * (x + y) * (x + y)
+    if den:
+        coef = 4.0 * xy * xy * (x - 1.0) * (y - 1.0) / den
+    else:  # den underflows: the same coefficient, with factors in range
+        w = xy / (x + y)
+        coef = 4.0 * (x - 1.0) * (y - 1.0) * w * w / (x - y)
+    log_term = coef * log_ratio
     return log_term + xy * xy + 1.0 - 2.0 * xy * (xy + 1.0) / (x + y)
 
 

@@ -13,7 +13,7 @@ periodic trapezoid in each angle.  Smooth integrands converge spectrally.
 Evaluators built on the rule: the interaction potential of a pair of
 diagonal metrics, the generic rational integral int dS / (xi^T A xi) for a
 positive quadratic form A, and `integrate` for any scalar field.  The
-kinetic term is the identity of `feynman.kinetic_term`; the rule checks it
+kinetic term is the identity of `geometry.kinetic_term`; the rule checks it
 through `integrate`.
 
 Fold.  On the angle grid phi_k = pi k / level (k = 0 .. 2 level - 1), the
@@ -89,15 +89,15 @@ from functools import lru_cache
 
 import numpy as np
 
-# Unused here, but the benchmark's layer tracer wraps `s3quad.kinetic_term`
-# and looks the name up in this module; keep the binding.
-from .feynman import kinetic_term  # noqa: F401
-from .geometry import (
+# kinetic_term is unused here, but the benchmark's layer tracer wraps
+# `s3quad.kinetic_term` and looks the name up in this module; keep the binding.
+from .geometry import (  # noqa: F401
     MAX_LEVEL,
     MIN_LEVEL,
     TWO_PI_SQ,
     DiagonalMetric,
     check_inverse_squares,
+    kinetic_term,
 )
 
 # phi representatives per block of `integrate`.  It bounds memory at

@@ -5,7 +5,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from doubled_spectral import build_rule
+from doubled_spectral import DiagonalMetric, build_rule
+from doubled_spectral.geometry import TWO_PI_SQ, check_inverse_squares
 from doubled_spectral.matchings import MAX_MATCHING_ORDER
 
 
@@ -65,6 +66,87 @@ def unfolded(rule):
     factor = np.stack([np.cos(ang) ** 2, np.sin(ang) ** 2])
     weights = np.full(ang.shape, np.pi / rule.level)
     return replace(rule, angle_factor=factor, angle_weights=weights)
+
+
+# The potential as a Feynman-parameter integral over t, summed by a
+# tanh-sinh rule: the test oracle of carlson.potential_elliptic at scale
+# ratios where the S^3 rule is not accurate.  With d = (sqrt(c2) - sqrt(c1))^2,
+# s = c1 + c2, c(t) = t c1 + (1-t) c2 and c = a^-2 per axis,
+#
+#     V = 2 pi^2 int_0^1 t (1-t) / (4 sqrt(prod_j c_j(t)))
+#           [ (sum_j d_j / c_j(t)) (sum_l s_l / c_l(t)) + 2 sum_j d_j s_j / c_j(t)^2 ] dt.
+#
+# The integrand is positive, smooth and vanishes at both ends, so the rule
+# (Takahasi & Mori 1974) converges double exponentially.  It starts at step
+# H0 and halves the step, reusing the previous nodes, until two successive
+# sums agree to REL_TOL.
+
+# first step in u, where t = 1 / (1 + exp(-pi sinh u))
+H0 = 1.0 / 16.0
+# nodes stop at |u| = U_MAX, where t (1-t) < 1e-275
+U_MAX = 6.0
+REL_TOL = 1e-13
+MAX_HALVINGS = 8
+# largest spread max/min of the eight 1/a^2 (a scale ratio of 1e75)
+MAX_SPREAD = 1e150
+
+
+def _term(u, c1, c2, d, s):
+    """Integrand times dt/du at the node u, without the 2 pi^2 / 4."""
+    x = math.pi * math.sinh(u)
+    t = 1.0 / (1.0 + math.exp(-x))
+    tc = 1.0 / (1.0 + math.exp(x))
+    tt = t * tc
+    c = [t * p + tc * q for p, q in zip(c1, c2)]
+    dc = [tt * dj / cj for dj, cj in zip(d, c)]
+    sc = [tt * sj / cj for sj, cj in zip(s, c)]
+    bracket = sum(dc) * sum(sc) + 2.0 * sum(p * q for p, q in zip(dc, sc))
+    root = math.sqrt(c[0]) * math.sqrt(c[1]) * math.sqrt(c[2]) * math.sqrt(c[3])
+    return math.pi * math.cosh(u) * bracket / root
+
+
+def potential_1d(g1: DiagonalMetric, g2: DiagonalMetric) -> float:
+    """Interaction potential from the tanh-sinh rule above.  Exactly 0.0 for
+    identical metrics.  Raises ValueError when a 1/a^2 is 0 or inf, when the
+    1/a^2 spread more than MAX_SPREAD, when the rule does not converge, or
+    when the potential overflows."""
+    inv1 = [1.0 / a for a in g1.scales]
+    inv2 = [1.0 / a for a in g2.scales]
+    c1 = [v * v for v in inv1]
+    c2 = [v * v for v in inv2]
+    check_inverse_squares(g1, c1, "g1")
+    check_inverse_squares(g2, c2, "g2")
+    d = [(q - p) ** 2 for p, q in zip(inv1, inv2)]
+    if not any(d):
+        return 0.0
+    # the integrand is homogeneous of degree -2 in (c1, c2): scale the
+    # largest entry to 1
+    kappa = max(c1 + c2)
+    if min(c1 + c2) * MAX_SPREAD < kappa:
+        raise ValueError("the scale factors span a ratio above 1e75")
+    c1 = [v / kappa for v in c1]
+    c2 = [v / kappa for v in c2]
+    d = [v / kappa for v in d]
+    s = [p + q for p, q in zip(c1, c2)]
+
+    h = H0
+    n = round(U_MAX / h)
+    terms = [_term(k * h, c1, c2, d, s) for k in range(-n, n + 1)]
+    est = h * math.fsum(terms)
+    for _ in range(MAX_HALVINGS):
+        prev = est
+        h *= 0.5
+        n *= 2
+        terms.extend(_term(k * h, c1, c2, d, s) for k in range(1 - n, n, 2))
+        est = h * math.fsum(terms)
+        if abs(est - prev) <= REL_TOL * est:
+            break
+    else:
+        raise ValueError("the 1-D potential rule did not converge")
+    value = TWO_PI_SQ * 0.25 * est / kappa / kappa
+    if not math.isfinite(value):
+        raise ValueError("the potential overflows double precision")
+    return value
 
 
 # The census built matching by matching: the test oracle of

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubled_spectral import cli, s3quad
 from doubled_spectral.cli import CliError, _check_finite, main
@@ -272,13 +276,13 @@ class TestSweep:
     def test_one_potential_evaluation_per_point(self, capsys, monkeypatch):
         # v_prime is derived from v_numeric, not integrated again
         calls = []
-        potential = cli.potential_1d
+        potential = cli.potential_elliptic
 
         def counting(g1, g2):
             calls.append(1)
             return potential(g1, g2)
 
-        monkeypatch.setattr(cli, "potential_1d", counting)
+        monkeypatch.setattr(cli, "potential_elliptic", counting)
         code, out, err = run_cli(
             capsys, "sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1",
             "--sweep", "b:0.5:2.0:3",
@@ -384,7 +388,7 @@ class TestFiniteOutput:
 
     def test_sweep_rows_checked(self, capsys):
         # at a = 1e-100 the S^3 rule's Q^2 overflowed and its sum came out
-        # NaN; the 1-D integral rejects the 1e100 scale ratio up front
+        # NaN; the elliptic form rejects the 1e100 scale ratio up front
         code, out, err = run_cli(
             capsys, "sweep", "--g2", "1,1,1,1", "--base", "1,1,1,1",
             "--sweep", "b:1e-100:1e-100:1",
@@ -397,8 +401,63 @@ class TestFiniteOutput:
         )
 
 
+def run_quiet(argv):
+    """main(argv) with its output captured, for tests that cannot take the
+    function-scoped capsys fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# scale factors log-uniform in [1e-50, 1e50]
+WIDE_SCALES = st.floats(-50.0, 50.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a1=WIDE_SCALES, b1=WIDE_SCALES, a2=WIDE_SCALES, b2=WIDE_SCALES)
+def test_wide_hopf_pairs_exit_cleanly_and_agree(a1, b1, a2, b2):
+    # every request exits 0 with finite values or 2 with one JSON error
+    # record, and none raises; where two evaluators both give a value,
+    # they agree
+    g1 = f"{b1!r},{b1!r},{a1!r},{a1!r}"
+    g2 = f"{b2!r},{b2!r},{a2!r},{a2!r}"
+    requests = {
+        "closed": ["potential", "--g1", g1, "--g2", g2, "--method", "closed"],
+        "conjecture": ["potential", "--g1", g1, "--g2", g2, "--method", "conjecture"],
+        "action": ["action", "--g1", g1, "--g2", g2, "--phi", "0.5", "--kappa", "1",
+                   "--lambda", "1", "--c", "1"],
+        "sweep": ["sweep", "--g2", g2, "--base", g1, "--sweep", f"b:{b1!r}:{b1!r}:1"],
+    }
+    values = {}
+    for name, argv in requests.items():
+        code, out, err = run_quiet(argv)
+        if code == 2:
+            assert out == ""
+            assert set(json.loads(err)) == {"error"}
+            continue
+        assert code == 0 and err == ""
+        if name == "sweep":
+            header, row = out.strip().split("\n")
+            cells = [float(c) for c in row.split(",") if c]
+            assert all(math.isfinite(c) for c in cells)
+            values[name] = cells[4]
+        else:
+            rec = json.loads(out)
+            assert all(math.isfinite(v) for v in rec.values() if isinstance(v, float))
+            values[name] = rec["potential" if name == "action" else "value"]
+    # the closed and the ratio form sum terms of size
+    # 2 pi^2 ((a1 b1)^2 + (a2 b2)^2) = 2 pi^2 (p^2 + q^2), which cancel as the metrics approach
+    # each other: agreement is to 1e-12 of that size
+    p, q = a1 * b1, a2 * b2
+    size = TWO_PI_SQ * (p * p + q * q)
+    for other in ("conjecture", "action", "sweep"):
+        if "closed" in values and other in values:
+            assert abs(values["closed"] - values[other]) <= 1e-12 * size, other
+
+
 OVERFLOWING_REQUESTS = {
-    # V ~ 1e280 * 1e60 overflows the 1-D integral's final scaling
+    # V ~ 1e280 * 1e60 overflows the elliptic form's final scaling
     "sweep": ["sweep", "--g2", "1e70,1e70,1e70,1e70", "--base", "1e70,1e70,1e70,1e70",
               "--sweep", "b:1e100:1e100:1"],
     "series": ["series", "--omega", "1e-320", "--eps=0,0,0,0,0,0,0,0,0,0",
@@ -419,13 +478,13 @@ def test_overflow_error_is_one_json_record(argv):
 
 NUMPY_FREE_REQUESTS = {
     "closed": ["potential", "--g1", "2,2,1,1", "--g2", "1,1,1,1", "--method", "closed"],
-    # a2 b1 = a1 b2: the singular tube, where the 1-D integral is used
+    # a2 b1 = a1 b2: the singular tube, where the elliptic form is used
     "closed-tube": ["potential", "--g1", "1.5,1.5,1.2,1.2", "--g2", "1.25,1.25,1,1",
                     "--method", "closed"],
     "conjecture": ["potential", "--g1", "2,2,1,1", "--g2", "1,1,1,1",
                    "--method", "conjecture"],
     "moments": ["moments", "--m", "7"],
-    # the potential of action and sweep is the 1-D integral, not the S^3 rule
+    # the potential of action and sweep is the elliptic form, not the S^3 rule
     "action": ["action", "--g1", "30,30,1,1", "--g2", "1.2,0.8,1.1,0.9", "--phi", "0.5",
                "--kappa", "-1", "--lambda", "2", "--c", "0.7"],
     "sweep": ["sweep", "--g2", "1,1,1.5,1.5", "--base", "1,1,2,2",

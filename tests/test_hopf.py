@@ -9,8 +9,8 @@ from doubled_spectral import (
     HopfMetric,
     f_term,
     g_term,
-    potential_1d,
     potential_closed,
+    potential_elliptic,
     potential_numeric,
     potential_via_conjecture,
     relative_eigenvalues,
@@ -130,14 +130,14 @@ class TestPotentialClosed:
 
     def test_singular_tube_uses_1d_fallback(self):
         # on the surface itself the closed form is 0/0; the fallback, the
-        # 1-D Feynman-parameter integral, must match the analytic limit
+        # elliptic closed form, must match the analytic limit
         a1, a2, b2 = 1.4, 0.9, 1.1
         b1 = b2 * a1 / a2
         h1, h2 = HopfMetric(a=a1, b=b1), HopfMetric(a=a2, b=b2)
         val = potential_closed(h1, h2)
         limit = TWO_PI_SQ * (b2**2 / a2**2) * (a1 - a2) ** 2 * (a1**2 + a2**2)
         assert abs(val - limit) <= 1e-12 * limit
-        assert val == potential_1d(to_diagonal(h1), to_diagonal(h2))
+        assert val == potential_elliptic(to_diagonal(h1), to_diagonal(h2))
 
     def test_wide_log_ratio(self):
         # a1 b2 / (a2 b1) = 1e-20 rounds log1p's argument to -1; the log
@@ -149,6 +149,45 @@ class TestPotentialClosed:
     def test_overflow_raises(self):
         with pytest.raises(ValueError, match="potential overflows"):
             potential_closed(HopfMetric(a=1.0, b=1e200), HopfMetric(a=1.0, b=1.0))
+
+    def test_power_of_two_scaling_is_exact(self):
+        # V(2^k h1, 2^k h2) = 2^(4k) V(h1, h2) bit for bit, also where the
+        # products of the unscaled closed form under- or overflow
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            h1, h2 = draw_hopf(rng), draw_hopf(rng)
+            base = potential_closed(h1, h2)
+            for k in (-250, -180, 1, 190, 240):
+                scaled = [
+                    HopfMetric(a=math.ldexp(h.a, k), b=math.ldexp(h.b, k)) for h in (h1, h2)
+                ]
+                assert potential_closed(*scaled) == math.ldexp(base, 4 * k)
+
+    @pytest.mark.parametrize(
+        "h1, h2",
+        [
+            # the unscaled products underflow: a ZeroDivisionError before
+            ((1e-66, 1e-55), (1e-56, 1e-64)),
+            # the unscaled products overflow: a false overflow error before
+            ((1.3e60, 2e60), (1e60, 1e60)),
+        ],
+    )
+    def test_tiny_and_huge_scales_match_ratio_form(self, h1, h2):
+        h1, h2 = HopfMetric(*h1), HopfMetric(*h2)
+        vc = potential_closed(h1, h2)
+        vj = potential_via_conjecture(h1, h2)
+        assert abs(vc - vj) <= 1e-13 * vj
+        assert vc == pytest.approx(
+            potential_elliptic(to_diagonal(h1), to_diagonal(h2)), rel=1e-14
+        )
+
+    def test_scales_beyond_double_range_raise(self):
+        # a2 b1 underflows to 0 at any common scaling: a ZeroDivisionError
+        # in f_term before
+        h1 = HopfMetric(a=6.7e-200, b=1.8e-230)
+        h2 = HopfMetric(a=2.4e-265, b=8.7e160)
+        with pytest.raises(ValueError, match="ratio above 2\\^1000"):
+            potential_closed(h1, h2)
 
     def test_continuity_across_surface(self):
         rng = np.random.default_rng(73)
@@ -209,6 +248,12 @@ class TestScriptV:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             script_v(-1.0, 2.0)
+
+    def test_underflowing_denominator(self):
+        # (x - y)(x + y)^2 underflows to 0: a ZeroDivisionError before; the
+        # log term is then below 1e-100 and V is 1 to double precision
+        assert script_v(1e-110, 2e-110) == 1.0
+        assert script_v(2e-110, 1e-110) == 1.0
 
 
 class TestConjectureForm:

@@ -22,7 +22,7 @@ def test_star_import():
     namespace = {}
     exec("from doubled_spectral import *", namespace)
     assert set(doubled_spectral.__all__) <= set(namespace)
-    assert namespace["potential_1d"].__module__ == "doubled_spectral.feynman"
+    assert namespace["potential_elliptic"].__module__ == "doubled_spectral.carlson"
 
 
 def test_unknown_name_raises_attribute_error():

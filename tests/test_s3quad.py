@@ -15,10 +15,9 @@ from doubled_spectral import (
     rational_integral,
     s3quad,
 )
-from doubled_spectral.feynman import potential_1d
 from doubled_spectral.geometry import MAX_LEVEL
 from doubled_spectral.matchings import PerturbedForm
-from conftest import draw_scales, full_product_set, unfolded
+from conftest import draw_scales, full_product_set, potential_1d, unfolded
 
 TWO_PI_SQ = 2.0 * math.pi**2
 # level 26: the k = level/2 angle rounds past pi/2, so a folded node has a
