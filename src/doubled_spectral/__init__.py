@@ -6,7 +6,7 @@ Layers:
 * geometry  -- diagonal-metric types, kinetic identity, 2x2 symbol algebra
 * carlson   -- Carlson's R_D and the elliptic closed form of the potential
 * s3quad    -- deterministic product quadrature on the 3-sphere (the oracle)
-* hopf      -- closed forms for the two-parameter Hopf-symmetric family
+* hopf      -- closed form for the two-parameter Hopf-symmetric family
 * matchings -- Wick-pairing combinatorics and the perturbative series
 * conjecture-- randomized invariance suite for the bimetric factorization
 * cli       -- reproducible command-line front end
@@ -50,13 +50,10 @@ _EXPORTS = {
     "b2_trace_closed": "geometry",
     "b2_trace_matrix": "geometry",
     "effective_params": "geometry",
-    "inverse_rates": "geometry",
     "kinetic_term": "geometry",
     "quadratic_form": "geometry",
     "relative_eigenvalues": "geometry",
     "HopfMetric": "hopf",
-    "f_term": "hopf",
-    "g_term": "hopf",
     "potential_closed": "hopf",
     "potential_via_conjecture": "hopf",
     "script_v": "hopf",

@@ -9,6 +9,13 @@ joint per-axis rescaling of both metrics, and joint relabeling of the four
 axes.  Together with the exchange identity V'(g1,g2) sqrt(det g2) =
 V'(g2,g1) sqrt(det g1) these are checked on seeded random pairs; the suite
 records violations above a tolerance and is byte-reproducible per seed.
+
+For the exact integral all three checks are theorems: the integrand is
+homogeneous of degree -4, so a joint linear change of variables L scales
+the sphere integral by |det L|^-1 (docs/derivation.md, section 1).  V' is
+evaluated on the S^3 rule, so a violation the suite records is the error
+of the rule, not a counterexample to the factorization.  The suite serves
+as the rule's self-check.
 """
 
 from __future__ import annotations

@@ -115,11 +115,6 @@ class EffectiveParams:
     alpha: float
 
 
-def inverse_rates(g: DiagonalMetric) -> tuple[float, float, float, float]:
-    """Per-axis inverse scales A_j = 1/a_j."""
-    return tuple(1.0 / v for v in g.scales)
-
-
 def quadratic_form(g: DiagonalMetric, xi: UnitVector4) -> float:
     """Q(xi) = sum_j xi_j^2 / a_j^2, the leading-symbol denominator."""
     a = g.scales

@@ -11,6 +11,7 @@ from doubled_spectral import (
     potential_closed,
     potential_elliptic,
     potential_numeric,
+    relative_eigenvalues,
     to_diagonal,
 )
 from doubled_spectral.carlson import R_D
@@ -111,6 +112,22 @@ class TestAgainstClosedForm:
             return
         expect = TWO_PI_SQ * (z - 1.0) ** 2 * (z * z + 1.0)
         assert rel(value, expect) <= 1e-14
+
+
+class TestFactorization:
+    @pytest.mark.parametrize("span", [math.log(2.0), 20.0])
+    def test_depends_only_on_relative_eigenvalues(self, span):
+        # the integrand is homogeneous of degree -4, so a joint per-axis
+        # rescaling by 1/a2 gives V(g1, g2) = sqrt(det g2) V(r, 1) with
+        # r = a1 / a2 (docs/derivation.md)
+        rng = np.random.default_rng(round(span) + 7)
+        unit = DiagonalMetric((1.0, 1.0, 1.0, 1.0))
+        for _ in range(20):
+            g1 = DiagonalMetric(draw_scales(rng, math.exp(-span), math.exp(span)))
+            g2 = DiagonalMetric(draw_scales(rng, math.exp(-span), math.exp(span)))
+            r = DiagonalMetric(relative_eigenvalues(g1, g2))
+            expect = math.prod(g2.scales) * potential_elliptic(r, unit)
+            assert rel(potential_elliptic(g1, g2), expect) <= 1e-14
 
 
 class TestEdges:

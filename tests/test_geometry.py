@@ -13,7 +13,6 @@ from doubled_spectral import (
     b2_trace_closed,
     b2_trace_matrix,
     effective_params,
-    inverse_rates,
     quadratic_form,
     relative_eigenvalues,
 )
@@ -70,17 +69,6 @@ class TestTypes:
             make_dg(g, g, cutoff=0.0)
         with pytest.raises(ValueError):
             make_dg(g, g, c=0.0)
-
-
-class TestInverseRates:
-    def test_identity(self):
-        assert inverse_rates(DiagonalMetric((1, 1, 1, 1))) == (1, 1, 1, 1)
-
-    def test_uniform(self):
-        assert inverse_rates(DiagonalMetric((2, 2, 2, 2))) == (0.5, 0.5, 0.5, 0.5)
-
-    def test_reciprocal(self):
-        assert inverse_rates(DiagonalMetric((1, 2, 4, 8))) == (1, 0.5, 0.25, 0.125)
 
 
 class TestQuadraticForm:

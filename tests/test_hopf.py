@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from doubled_spectral import (
     HopfMetric,
-    f_term,
-    g_term,
     potential_closed,
     potential_elliptic,
     potential_numeric,
@@ -49,48 +47,34 @@ class TestToDiagonal:
             HopfMetric(a=0.0, b=1.0)
 
 
-class TestFTerm:
-    def test_equal_a_vanishes(self):
-        assert f_term(1.3, 1.3, 0.7, 1.9) == 0.0
+class TestPotentialClosed:
+    def test_equal_metrics_zero(self):
+        h = HopfMetric(a=1.2, b=0.7)
+        assert potential_closed(h, h) == 0.0
 
-    def test_equal_b_vanishes(self):
-        assert f_term(0.6, 1.8, 1.1, 1.1) == 0.0
-
-    def test_proportional_metrics_vanish(self):
-        # a1 b2 = a2 b1 makes the log factor zero
-        assert f_term(1.0, 2.0, 0.5, 1.0) == 0.0
-
-
-class TestGTerm:
-    def test_singular_surface_vanishes(self):
-        assert g_term(1.0, 2.0, 0.5, 1.0) == 0.0
-
-    def test_identical_sheets_vanish(self):
-        assert g_term(1.4, 1.4, 0.8, 0.8) == 0.0
-
-    def test_spot_value(self):
-        # consistent with potential_closed(1,2 ; 1,1) = 2 pi^2 via the
-        # prefactor 2 pi^2 / 9
-        assert g_term(1.0, 1.0, 2.0, 1.0) == 9.0
-
-    def test_factored_matches_expanded(self):
+    def test_matches_expanded_formula(self):
+        # the paper's form, F and G multiplied out and divided by the full
+        # (a2 b1 - a1 b2)(a2 b1 + a1 b2)^2
         rng = np.random.default_rng(53)
-        for _ in range(20):
-            a1, a2, b1, b2 = np.exp(rng.uniform(np.log(0.5), np.log(2.0), 4))
-            expanded = (a2**2 * b1**2 - a1**2 * b2**2) * (
+        checked = 0
+        while checked < 20:
+            h1, h2 = draw_hopf(rng), draw_hopf(rng)
+            if not off_singular(h1, h2):
+                continue
+            checked += 1
+            a1, b1, a2, b2 = h1.a, h1.b, h2.a, h2.b
+            f = (
+                4 * a1**2 * a2**2 * b1**2 * b2**2 * (a1 - a2) * (b1 - b2)
+                * math.log(a1 * b2 / (a2 * b1))
+            )
+            g = (a2**2 * b1**2 - a1**2 * b2**2) * (
                 a1**2 * b1**2 * a2 * (b1 - 2 * b2)
                 + a2**2 * b2**2 * a1 * (b2 - 2 * b1)
                 + a1**3 * b1**2 * b2
                 + a2**3 * b2**2 * b1
             )
-            got = g_term(a1, a2, b1, b2)
-            assert abs(got - expanded) <= 1e-12 * max(abs(expanded), 1e-30)
-
-
-class TestPotentialClosed:
-    def test_equal_metrics_zero(self):
-        h = HopfMetric(a=1.2, b=0.7)
-        assert potential_closed(h, h) == 0.0
+            expect = TWO_PI_SQ * (f + g) / ((a2 * b1 - a1 * b2) * (a2 * b1 + a1 * b2) ** 2)
+            assert abs(potential_closed(h1, h2) - expect) <= 1e-12 * expect
 
     def test_reduction_equal_a(self):
         rng = np.random.default_rng(59)
@@ -183,7 +167,7 @@ class TestPotentialClosed:
 
     def test_scales_beyond_double_range_raise(self):
         # a2 b1 underflows to 0 at any common scaling: a ZeroDivisionError
-        # in f_term before
+        # in the log term before
         h1 = HopfMetric(a=6.7e-200, b=1.8e-230)
         h2 = HopfMetric(a=2.4e-265, b=8.7e160)
         with pytest.raises(ValueError, match="ratio above 2\\^1000"):
@@ -250,8 +234,8 @@ class TestScriptV:
             script_v(-1.0, 2.0)
 
     def test_underflowing_denominator(self):
-        # (x - y)(x + y)^2 underflows to 0: a ZeroDivisionError before; the
-        # log term is then below 1e-100 and V is 1 to double precision
+        # the unscaled (x - y)(x + y)^2 underflows to 0; the log term is
+        # below 1e-100 and V is 1 to double precision
         assert script_v(1e-110, 2e-110) == 1.0
         assert script_v(2e-110, 1e-110) == 1.0
 
@@ -278,3 +262,37 @@ class TestConjectureForm:
     def test_equal_metrics_zero(self):
         h = HopfMetric(a=0.9, b=1.8)
         assert potential_via_conjecture(h, h) == 0.0
+
+
+# 60-digit mpmath values of 2 pi^2 (F + G) / ((u - v)(u + v)^2), scales as
+# (a, b) of h1 and h2
+@pytest.mark.parametrize(
+    "method, h1, h2, ref, tol",
+    [
+        # near-identical metrics, where V is second order in the offset;
+        # 2.2e-9 of it is the rounding of x = b1 / b2
+        (potential_via_conjecture, (1.0, 1.0), (1.0, 1.00000001),
+         1.9739208562249781e-15, 1e-8),
+        # scale ratios near 1e80: x^2 y^2 of the ratio variables overflows
+        # unless the scales are brought near 1
+        (potential_via_conjecture, (1.42e43, 7.9e19), (1.8e-38, 6.19e-14),
+         2.4840515966379885e127, 1e-14),
+        # x^2 y^2 + 1 - 2 x y (x y + 1) / (x + y) multiplied out cancels
+        # to 1e-5 of its terms
+        (potential_via_conjecture, (1.0, 1.0), (1.0, 1.0045),
+         3.9971897824410987e-4, 1e-13),
+        # scale ratios near 1e104: 2 pi^2 (F + G) overflows although V is
+        # 2.7e-3
+        (potential_closed, (2.6e-50, 4.5e47), (1.5e48, 8.7e-57),
+         2.7021002929336063e-3, 1e-14),
+        # the product a1^2 a2^2 of F is subnormal once the scales' geometric
+        # mean is brought near 1
+        (potential_closed, (9.5e-16, 3.1e147), (4.1e-20, 1.6e141),
+         1.7119845829889329e266, 1e-14),
+    ],
+    ids=["conjecture-near-identical", "conjecture-wide", "conjecture-cancelling",
+         "closed-false-overflow", "closed-subnormal"],
+)
+def test_against_reference(method, h1, h2, ref, tol):
+    value = method(HopfMetric(*h1), HopfMetric(*h2))
+    assert abs(value - ref) <= tol * ref
