@@ -67,6 +67,17 @@ order, those with the smallest scales, and the rational integral the two
 smallest eigenvalues; the other choices measure no better than the full
 3-D rule.
 
+Memo.  The potential also puts the two sheets in a canonical order, the
+smaller coefficient row first.  The plane pairs the sheets only through
+commutative sums and products, so the order changes no bit, and it makes
+exchange invariance structural: V(g1, g2) and V(g2, g1) are one sum, as
+are a pair and its joint axis permutations.  `_potential_sum` memoizes the
+plane sum on the rule and the power-of-two scaled rows, with the scale
+applied outside, in a bounded two-entry lru_cache, which is thread-safe.
+A hypothesis trial sums two distinct planes, the pair's and the rescaled
+pair's; its permuted and exchanged pairs reuse the pair's.  Rules hash by
+identity, so a rule with other arrays never shares an entry.
+
 `integrate` keeps the full 3-D fold, level (level//2 + 1)^2 nodes (69,696
 at level 64 against the product rule's 4 level^3 = 1,048,576), and is the
 independent check of the closed forms.  It averages a general integrand
@@ -108,7 +119,7 @@ from .geometry import (  # noqa: F401
 PHI_BLOCK = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereRule:
     """Immutable quadrature rule of a given level, stored as the factors of
     its fold (see the module docstring).
@@ -121,7 +132,8 @@ class SphereRule:
     (i, k1, k2) has the squares (u_i c_k1, u_i s_k1, t_i c_k2, t_i s_k2)
     and the weight t_weights[i] angle_weights[k1] angle_weights[k2]; the
     weights sum to 2 pi^2, the area of the 3-sphere.  All arrays are
-    read-only; rules are safe to share between threads.
+    read-only; rules are safe to share between threads, and compare and
+    hash by identity.
     """
 
     level: int
@@ -337,6 +349,14 @@ def _psi_reciprocal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (2.0 * math.pi) / (np.sqrt(x) * np.sqrt(y))
 
 
+@lru_cache(maxsize=2)
+def _potential_sum(rule: SphereRule, coeffs) -> float:
+    """The plane sum of `potential_numeric` for its scaled coefficient rows
+    (c1, c2, d), memoized (see Memo in the module docstring)."""
+    x, y = _plane(rule, coeffs)
+    return _plane_sum(rule, _psi_potential(x, y))
+
+
 def potential_numeric(
     g1: DiagonalMetric, g2: DiagonalMetric, rule: SphereRule
 ) -> float:
@@ -369,10 +389,14 @@ def potential_numeric(
     # that span more than about 1e150 can overflow it.
     _, e = math.frexp(max(c1 + c2))
     e += e & 1
-    coeffs = [[math.ldexp(v, -e) for v in row] for row in (c1, c2, d)]
+    c1, c2, d = (tuple(math.ldexp(v, -e) for v in row) for row in (c1, c2, d))
+    # the plane pairs the sheets only through commutative sums and
+    # products, so their order changes no bit; a canonical one makes the
+    # exchanged pair's key the same as the pair's
+    if c2 < c1:
+        c1, c2 = c2, c1
     with np.errstate(all="ignore"):
-        x, y = _plane(rule, coeffs)
-        total = float(np.ldexp(_plane_sum(rule, _psi_potential(x, y)), -2 * e))
+        total = float(np.ldexp(_potential_sum(rule, (c1, c2, d)), -2 * e))
     if not math.isfinite(total):
         raise ValueError(
             f"the potential of g1 = {g1.scales} and g2 = {g2.scales} is not "

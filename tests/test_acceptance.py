@@ -40,6 +40,7 @@ from doubled_spectral.reports import (
     series_inputs,
     singular_limit_rows,
 )
+from doubled_spectral.s3quad import _potential_sum
 
 TWO_PI_SQ = 2.0 * math.pi**2
 PI_SQ = math.pi**2
@@ -273,11 +274,15 @@ def test_criterion_12_series_adjudication(rule64):
 
 
 def test_criterion_13_determinism(rule64):
+    # the plane sum of potential_numeric is memoized: clear it before each
+    # rerun so that the rerun sums afresh
     rows_a = _closed_vs_numeric_rows(seed=42, count=100, rule=rule64)
+    _potential_sum.cache_clear()
     rows_b = _closed_vs_numeric_rows(seed=42, count=100, rule=rule64)
     two_ok = to_json(rows_a) == to_json(rows_b)
 
     rep_a = run_hypothesis_suite(trials=200, seed=42, rule=rule64, tol=1e-7)
+    _potential_sum.cache_clear()
     rep_b = run_hypothesis_suite(trials=200, seed=42, rule=rule64, tol=1e-7)
     six_ok = to_json(rep_a.to_dict()) == to_json(rep_b.to_dict())
 

@@ -17,6 +17,7 @@ from doubled_spectral import (
 )
 from doubled_spectral._emit import to_json
 from doubled_spectral.cli import DEFAULT_TOL
+from doubled_spectral.s3quad import _potential_sum
 from conftest import draw_scales
 
 
@@ -106,14 +107,19 @@ class TestSuite:
         assert report.rng == "numpy.random.Generator(PCG64)"
 
     def test_worst_known_trial_passes_default_tol(self, rule64):
-        # the largest level-64 self-errors in the first 18,000 trials of
-        # perfbench suite seeds 2 and 3; see the SCALE_RANGE comment
-        for seed, floor in ((3560234048, 3e-11), (2261106947, 1e-11)):
+        # the largest level-64 self-error in the first 50,000 trials of
+        # perfbench suite seeds 1-5, then the largest in the first 18,000 of
+        # seeds 2 and 3; see the SCALE_RANGE comment
+        for seed, floor in (
+            (2831489971, 1e-10),
+            (3560234048, 3e-11),
+            (2261106947, 1e-11),
+        ):
             report = run_hypothesis_suite(
                 trials=1, seed=seed, rule=rule64, tol=DEFAULT_TOL
             )
             assert report.failures == ()
-            assert floor < report.max_violation < DEFAULT_TOL
+            assert floor < report.max_violation < 1e-9
 
     def test_former_worst_trials_are_resolved(self, rule64):
         # 2.6e-8 and 3.2e-8 when the rule summed psi numerically: the
@@ -129,6 +135,8 @@ class TestSuite:
 
     def test_deterministic_reports(self, rule32):
         a = run_hypothesis_suite(trials=3, seed=11, rule=rule32, tol=1e-7)
+        # the plane sum is memoized: clear it so the rerun sums afresh
+        _potential_sum.cache_clear()
         b = run_hypothesis_suite(trials=3, seed=11, rule=rule32, tol=1e-7)
         assert to_json(a.to_dict()) == to_json(b.to_dict())
 

@@ -15,6 +15,7 @@ from doubled_spectral import (
     integrate,
     potential_numeric,
     rational_integral,
+    run_hypothesis_suite,
 )
 from doubled_spectral.matchings import PerturbedForm
 from doubled_spectral.geometry import TWO_PI_SQ
@@ -23,6 +24,7 @@ from doubled_spectral.s3quad import (
     _canonical_axis_order,
     _plane,
     _plane_sum,
+    _potential_sum,
     _psi_reciprocal,
     active_backend,
     get_threads,
@@ -51,6 +53,8 @@ class TestDeterminism:
         g1 = DiagonalMetric(draw_scales(rng))
         g2 = DiagonalMetric(draw_scales(rng))
         first = potential_numeric(g1, g2, rule16)
+        # the plane sum is memoized: clear it so the repeat sums afresh
+        _potential_sum.cache_clear()
         assert potential_numeric(g1, g2, rule16) == first
 
     def test_multi_chunk_repeatable_and_matches_fsum(self, rule64):
@@ -121,6 +125,7 @@ class TestDeterminism:
             )
             for call, reference, scale in cases:
                 first = call()
+                _potential_sum.cache_clear()
                 assert call() == first
                 scale = abs(reference) if scale is None else scale
                 assert abs(first - reference) <= 1e-13 * scale
@@ -281,6 +286,67 @@ class TestDeterminism:
             axis=-1,
         ).reshape(-1, 4)
         assert float(np.abs(grid - z).max()) <= 1e-15
+
+
+class TestPotentialMemo:
+    """potential_numeric memoizes its plane sum on the rule, by identity,
+    and the power-of-two scaled coefficient rows in canonical sheet order."""
+
+    def test_memoized_equals_recomputed(self, rule16, rule64):
+        # a joint rescaling by 2 leaves the scaled rows, and so the key, as
+        # they are: the hit must equal a fresh sum, scaled back exactly
+        rng = np.random.default_rng(233)
+        for rule in (rule16, rule64):
+            for lo, hi in ((0.5, 2.0), (math.exp(-5.0), math.exp(5.0))):
+                for _ in range(5):
+                    s1, s2 = draw_scales(rng, lo, hi), draw_scales(rng, lo, hi)
+                    g1, g2 = DiagonalMetric(s1), DiagonalMetric(s2)
+                    h1 = DiagonalMetric(tuple(2.0 * a for a in s1))
+                    h2 = DiagonalMetric(tuple(2.0 * a for a in s2))
+                    _potential_sum.cache_clear()
+                    potential_numeric(g1, g2, rule)
+                    memo = potential_numeric(h1, h2, rule)
+                    assert _potential_sum.cache_info().hits == 1
+                    _potential_sum.cache_clear()
+                    assert memo == potential_numeric(h1, h2, rule)
+                    assert _potential_sum.cache_info().hits == 0
+
+    def test_exchange_and_permutation_bitwise(self, rule64):
+        # each value a fresh sum, so the equalities are the arithmetic's,
+        # not the memo's
+        rng = np.random.default_rng(239)
+        for _ in range(10):
+            s1, s2 = draw_scales(rng), draw_scales(rng)
+            perm = rng.permutation(4)
+            pairs = (
+                (s1, s2),
+                (s2, s1),
+                (tuple(s1[i] for i in perm), tuple(s2[i] for i in perm)),
+            )
+            values = []
+            for a1, a2 in pairs:
+                _potential_sum.cache_clear()
+                values.append(
+                    potential_numeric(DiagonalMetric(a1), DiagonalMetric(a2), rule64)
+                )
+            assert values[1] == values[0] and values[2] == values[0]
+
+    def test_suite_trial_sums_two_planes(self, rule64):
+        # base and scaled pairs miss; the permuted and exchanged pairs hit
+        # the base pair's entry
+        _potential_sum.cache_clear()
+        run_hypothesis_suite(trials=1, seed=7, rule=rule64, tol=1e-7)
+        info = _potential_sum.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+
+    def test_rules_key_by_identity(self, rule16):
+        # a rule with doubled weights, cached beside the original, sums to
+        # exactly twice its value
+        g1 = DiagonalMetric((1.2, 0.8, 1.5, 0.7))
+        g2 = DiagonalMetric((0.9, 1.1, 0.6, 1.4))
+        base = potential_numeric(g1, g2, rule16)
+        doubled = dataclasses.replace(rule16, t_weights=2.0 * rule16.t_weights)
+        assert potential_numeric(g1, g2, doubled) == 2.0 * base
 
 
 class TestBackendSelection:
