@@ -232,10 +232,7 @@ def _cmd_series(args) -> None:
             eps[i, j] = vals[k]
             eps[j, i] = vals[k]
             k += 1
-    try:
-        pf = PerturbedForm(omega=args.omega, eps=eps)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    pf = PerturbedForm(omega=args.omega, eps=eps)
     check_series_order(args.order)
     if _config_only(args):
         return

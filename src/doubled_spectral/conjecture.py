@@ -72,6 +72,8 @@ class HypothesisReport:
     max_violation: float
     failures: tuple[CheckFailure, ...]
 
+    # not dataclasses.asdict, which is about 15x slower: the suite benchmark
+    # converts one report per trial
     def to_dict(self) -> dict:
         return {
             "trials": self.trials,

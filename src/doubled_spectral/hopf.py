@@ -24,7 +24,9 @@ The paper's ratio form W(x, y) of x = b1/b2 and y = a1/a2 is the same
 function at a unit second metric, V at a1 = y, b1 = x, a2 = b2 = 1 over
 2 pi^2: the potential is invariant under a joint per-axis rescaling of
 both metrics (docs/derivation.md), so `script_v` and
-`potential_via_conjecture` call the same evaluator.
+`potential_via_conjecture` call the same evaluator, the latter at a second
+metric of equal scales near sqrt(a2 b2), a power of two, so that neither W
+nor a2^2 b2^2 has to be representable on its own.
 """
 
 from __future__ import annotations
@@ -119,7 +121,19 @@ def script_v(x: float, y: float) -> float:
 
 
 def potential_via_conjecture(h1: HopfMetric, h2: HopfMetric) -> float:
-    """Bimetric factorized form 2 pi^2 V(b1/b2, a1/a2) sqrt(det g2), with
-    sqrt(det g2) = a2^2 b2^2 for a Hopf metric."""
-    det_root = (h2.a * h2.a) * (h2.b * h2.b)
-    return TWO_PI_SQ * script_v(h1.b / h2.b, h1.a / h2.a) * det_root
+    """Bimetric factorized form 2 pi^2 W(b1/b2, a1/a2) sqrt(det g2), with
+    sqrt(det g2) = a2^2 b2^2 for a Hopf metric.
+
+    By degree-4 homogeneity this is _closed(2^j y, 2^j x, 2^j, 2^j) times
+    (a2 b2 / 2^(2j))^2 in [1, 64), where 2^(2j) <= a2 b2: the exact 2^j only
+    shifts _closed's own scaling, so neither W nor sqrt(det g2) has to be
+    representable, and this returns wherever the closed form does at scale
+    ratios up to 1e80.  Raises ValueError as `_closed` does, and where the
+    product is not finite."""
+    (ma, ea), (mb, eb) = math.frexp(h2.a), math.frexp(h2.b)
+    j = (ea + eb - 2) // 2
+    s, rest = math.ldexp(1.0, j), math.ldexp(ma * mb, ea + eb - 2 * j)
+    value = _closed(s * (h1.a / h2.a), s * (h1.b / h2.b), s, s) * rest * rest
+    if not math.isfinite(value):
+        raise ValueError(f"the factorized potential overflows double precision for {h1}, {h2}")
+    return value

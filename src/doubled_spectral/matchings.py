@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -78,10 +78,11 @@ def c_coefficient(m: int) -> Fraction:
 @dataclass(frozen=True)
 class PerturbedForm:
     """Positive quadratic form A = omega (I + eps), eps symmetric traceless
-    with spectral radius < 1."""
+    with spectral radius < 1 (kept as `spectral_radius`)."""
 
     omega: float
     eps: np.ndarray
+    spectral_radius: float = field(init=False)
 
     def __post_init__(self):
         import numpy as np
@@ -104,12 +105,7 @@ class PerturbedForm:
             )
         eps.flags.writeable = False
         object.__setattr__(self, "eps", eps)
-
-    @property
-    def spectral_radius(self) -> float:
-        import numpy as np
-
-        return float(np.abs(np.linalg.eigvalsh(self.eps)).max())
+        object.__setattr__(self, "spectral_radius", rho)
 
 
 def _partitions(m: int) -> list[tuple[int, ...]]:
@@ -249,11 +245,13 @@ def series_exact(pf: PerturbedForm, order: int) -> float:
     """Exact truncated expansion of the rational integral:
 
         (1/Omega) sum_{m=0}^{order} (-1)^m c_m
-                  sum_{matchings} prod_cycles tr(eps^k).
+                  sum_{matchings} prod_cycles tr(eps^k),
+
+    from the per-order terms of compare_series, so it is its value_exact.
     """
     order = check_series_order(order, 0)
     traces = _trace_powers(pf.eps, max(order, 1))
-    return math.fsum(_exact_term(m, traces) for m in range(order + 1)) / pf.omega
+    return math.fsum(_exact_term(m, traces) / pf.omega for m in range(order + 1))
 
 
 @dataclass(frozen=True)
@@ -272,20 +270,7 @@ class SeriesComparison:
     value_quadrature: float
 
     def to_dict(self) -> dict:
-        return {
-            "omega": self.omega,
-            "spectral_radius": self.spectral_radius,
-            "order": self.order,
-            "level": self.level,
-            "terms_exact": list(self.terms_exact),
-            "terms_single_trace": list(self.terms_single_trace),
-            "ratios_single_trace_vs_exact": list(
-                self.ratios_single_trace_vs_exact
-            ),
-            "value_exact": self.value_exact,
-            "value_single_trace": self.value_single_trace,
-            "value_quadrature": self.value_quadrature,
-        }
+        return asdict(self)
 
 
 def compare_series(pf: PerturbedForm, order: int, rule: SphereRule) -> SeriesComparison:

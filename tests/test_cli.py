@@ -216,6 +216,45 @@ class TestSeries:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "fmt, expect",
+        [
+            ("json", """{
+  "omega": 1.5,
+  "spectral_radius": 0.125,
+  "order": 4,
+  "level": 16,
+  "terms_exact": [13.159472534785811, -0, 0.032127618493129416, -0.00050199403895514712, 0.00018165909284689386],
+  "terms_single_trace": [13.159472534785811, 0, 0.12851047397251769, -0.004015952311641177, 0.0022213236223765265],
+  "ratios_single_trace_vs_exact": [1, null, 4.0000000000000009, 8, 12.227979274611402],
+  "value_exact": 13.191279818332832,
+  "value_single_trace": 13.286188380069063,
+  "value_quadrature": 13.191273824868052
+}
+"""),
+            ("csv", "omega,spectral_radius,order,level,terms_exact,terms_single_trace,"
+                    "ratios_single_trace_vs_exact,value_exact,value_single_trace,"
+                    "value_quadrature\n"
+                    "1.5,0.125,4,16,"
+                    "13.159472534785811;-0;0.032127618493129416;"
+                    "-0.00050199403895514712;0.00018165909284689386,"
+                    "13.159472534785811;0;0.12851047397251769;"
+                    "-0.004015952311641177;0.0022213236223765265,"
+                    "1;;4.0000000000000009;8;12.227979274611402,"
+                    "13.191279818332832,13.286188380069063,13.191273824868052\n"),
+        ],
+    )
+    def test_record_bytes(self, capsys, fmt, expect):
+        # the whole record: field order, list layout, 17-digit floats, -0
+        # and null; a diagonal eps has exact eigenvalues
+        code, out, err = run_cli(
+            capsys, "series", "--omega", "1.5",
+            "--eps=0.125,0,0,0,-0.0625,0,0,0.03125,0,-0.09375",
+            "--order", "4", "--level", "16", "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        assert out == expect
+
     def test_non_finite_result_rejected(self, capsys):
         # 2 pi^2 / omega overflows; this used to print Infinity and NaN
         code, out, err = run_cli(

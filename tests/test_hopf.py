@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -263,6 +265,26 @@ class TestConjectureForm:
         h = HopfMetric(a=0.9, b=1.8)
         assert potential_via_conjecture(h, h) == 0.0
 
+    def test_overflow_raises(self):
+        # V is about 2e308; _closed's part of it is about 13 times smaller
+        with pytest.raises(ValueError, match="factorized potential overflows"):
+            potential_via_conjecture(HopfMetric(a=8e76, b=4e76), HopfMetric(a=1.9, b=1.9))
+
+    @pytest.mark.parametrize("span", [60, 80])
+    def test_returns_wherever_closed_form_does(self, span):
+        # log-uniform scales in 10^+-span; a subnormal value is compared
+        # to within 1e-12 of the smallest normal double
+        rng = random.Random(7)
+        for _ in range(2000):
+            a1, b1, a2, b2 = (10.0 ** rng.uniform(-span, span) for _ in range(4))
+            h1, h2 = HopfMetric(a=a1, b=b1), HopfMetric(a=a2, b=b2)
+            try:
+                vc = potential_closed(h1, h2)
+            except ValueError:
+                continue
+            vj = potential_via_conjecture(h1, h2)
+            assert abs(vj - vc) <= 1e-12 * max(vc, sys.float_info.min)
+
 
 # 60-digit mpmath values of 2 pi^2 (F + G) / ((u - v)(u + v)^2), scales as
 # (a, b) of h1 and h2
@@ -281,6 +303,12 @@ class TestConjectureForm:
         # to 1e-5 of its terms
         (potential_via_conjecture, (1.0, 1.0), (1.0, 1.0045),
          3.9971897824410987e-4, 1e-13),
+        # sqrt(det g2) = 1e-400 alone underflows to 0
+        (potential_via_conjecture, (1e-75, 3e-75), (1e-100, 1e-100),
+         1.7765287921960843e-298, 1e-14),
+        # W(x, y) alone overflows at scale ratios near 1e92 and 1e96
+        (potential_via_conjecture, (1.6923442730168229e34, 2.4221124116965457e22),
+         (9.761608991445863e-63, 4.199128033893202e-70), 3.316620367857809e114, 1e-14),
         # scale ratios near 1e104: 2 pi^2 (F + G) overflows although V is
         # 2.7e-3
         (potential_closed, (2.6e-50, 4.5e47), (1.5e48, 8.7e-57),
@@ -291,6 +319,7 @@ class TestConjectureForm:
          1.7119845829889329e266, 1e-14),
     ],
     ids=["conjecture-near-identical", "conjecture-wide", "conjecture-cancelling",
+         "conjecture-det-underflows", "conjecture-ratio-form-overflows",
          "closed-false-overflow", "closed-subnormal"],
 )
 def test_against_reference(method, h1, h2, ref, tol):

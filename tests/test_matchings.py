@@ -331,6 +331,18 @@ class TestCompareSeries:
         assert abs(cmp_.value_exact - cmp_.value_quadrature) <= tail
         assert cmp_.terms_single_trace[4] != pytest.approx(expect_exact, rel=1e-3)
 
+    def test_value_exact_is_series_exact(self, rule8):
+        # both sum the same per-order terms, so they agree to the bit
+        rng = np.random.default_rng(131)
+        for _ in range(200):
+            pf = PerturbedForm(
+                omega=float(np.exp(rng.uniform(-0.7, 0.7))),
+                eps=random_traceless(rng, float(rng.uniform(0.01, 0.9))),
+            )
+            order = int(rng.integers(2, 9))
+            cmp_ = compare_series(pf, order, rule8)
+            assert series_exact(pf, order) == cmp_.value_exact
+
     def test_dict_round_trip(self, rule16):
         pf = PerturbedForm(omega=1.0, eps=np.zeros((4, 4)))
         d = compare_series(pf, 2, rule16).to_dict()
