@@ -25,6 +25,10 @@ count_n_formula) and _emit are pure Python.  The names below are resolved
 on first access (PEP 562), and cli imports the numpy layers and matchings
 inside the subcommands that use them, so ``action``, ``sweep``,
 ``potential --method closed|conjecture`` and ``moments`` never load numpy.
+Nor do they load dataclasses, which imports inspect, ast and dis: the value
+types of geometry, hopf and matchings are namedtuple subclasses that
+validate in ``__new__``.  Only s3quad's ``SphereRule`` and conjecture's
+records, which load with numpy anyway, are dataclasses.
 """
 
 from importlib import import_module

@@ -14,10 +14,13 @@ printed NaN or Infinity.
 The S^3 rule is the oracle: `potential --method numeric|both`,
 `hypothesis` and `series` sum on it, and `potential`, `hypothesis` and
 `series` are the subcommands with --level.  `action` and `sweep` take the
-potential from its elliptic closed form (`carlson.potential_elliptic`).
+potential from its elliptic closed form (`carlson.potential_elliptic`), and
+so does `potential --method closed|both` for a pair that is not
+Hopf-shaped; a Hopf-shaped pair takes the Hopf closed form (`hopf`).
 numpy, the S^3 rule, the invariance suite and the Wick-pairing module are
 imported inside the subcommands that use them, so `action`, `sweep`,
-`potential --method closed|conjecture` and `moments` run without numpy.
+`potential --method closed|conjecture` and `moments` run without numpy, and
+without dataclasses (the types they build are namedtuples).
 """
 
 from __future__ import annotations
@@ -76,6 +79,14 @@ def _is_hopf(g: DiagonalMetric) -> bool:
     return a[0] == a[1] and a[2] == a[3]
 
 
+def _closed_form(g1: DiagonalMetric, g2: DiagonalMetric) -> float:
+    """The Hopf closed form of a pair of Hopf-shaped metrics, else the
+    elliptic closed form, which holds for every diagonal pair."""
+    if _is_hopf(g1) and _is_hopf(g2):
+        return potential_closed(_as_hopf(g1, "--g1"), _as_hopf(g2, "--g2"))
+    return potential_elliptic(g1, g2)
+
+
 def _check_finite(obj, name: str = "") -> None:
     """Raise CliError naming the first float in obj (nested dicts and
     lists) that is NaN or infinite."""
@@ -132,7 +143,7 @@ def _write_out(args, text: str) -> None:
 def _cmd_potential(args) -> None:
     g1 = _parse_metric(args.g1, "--g1")
     g2 = _parse_metric(args.g2, "--g2")
-    if args.method in ("closed", "conjecture", "both"):
+    if args.method == "conjecture":
         h1 = _as_hopf(g1, "--g1")
         h2 = _as_hopf(g2, "--g2")
     if _config_only(args):
@@ -144,7 +155,7 @@ def _cmd_potential(args) -> None:
         "level": args.level,
     }
     if args.method == "closed":
-        record["value"] = potential_closed(h1, h2)
+        record["value"] = _closed_form(g1, g2)
     elif args.method == "conjecture":
         record["value"] = potential_via_conjecture(h1, h2)
     else:
@@ -154,7 +165,7 @@ def _cmd_potential(args) -> None:
         if args.method == "numeric":
             record["value"] = vn
         else:
-            vc = potential_closed(h1, h2)
+            vc = _closed_form(g1, g2)
             record["value_numeric"] = vn
             record["value_closed"] = vc
             record["abs_difference"] = abs(vn - vc)
@@ -405,8 +416,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g2", required=True, help="second metric")
     p.add_argument("--method", choices=("numeric", "closed", "both", "conjecture"),
                    default="numeric",
-                   help="closed/conjecture require Hopf-shaped metrics "
-                        "(a0 == a1 and a2 == a3)")
+                   help="numeric: the S^3 rule at --level; closed: the Hopf "
+                        "closed form for Hopf-shaped metrics (a0 == a1 and "
+                        "a2 == a3), else the elliptic closed form; both: "
+                        "numeric and closed side by side; conjecture: the "
+                        "factorized Hopf form, Hopf-shaped metrics only")
     p.set_defaults(func=_cmd_potential)
 
     p = sub.add_parser("action", parents=[output, fmt],
@@ -443,8 +457,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=_cmd_moments)
 
-    p = sub.add_parser("sweep", parents=[output],
-                       help="CSV sweep of the potential over a 1- or 2-parameter grid of g1")
+    p = sub.add_parser(
+        "sweep", parents=[output],
+        help="CSV sweep of the potential over a 1- or 2-parameter grid of g1",
+        description=(
+            "CSV sweep of the potential over a 1- or 2-parameter grid of g1. "
+            "Columns: g1_0..g1_3 are the scales of g1 at the grid point; "
+            "v_numeric is the potential from its elliptic closed form "
+            "(carlson.potential_elliptic), not from the S^3 rule; v_closed is "
+            "the Hopf closed form where g1 and g2 are both Hopf-shaped "
+            "(a0 == a1 and a2 == a3), else empty; v_prime is "
+            "v_numeric / (2 pi^2 sqrt(det g2))."
+        ),
+    )
     p.add_argument("--g2", required=True, help="fixed second metric")
     p.add_argument("--base", required=True,
                    help="base value of g1 for the axes not swept")

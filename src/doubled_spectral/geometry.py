@@ -3,12 +3,17 @@ from a pair of them, and the 2x2 symbol algebra of the squared coupled Dirac
 operator (everything here is post-Clifford-trace scalar/2x2 algebra).
 
 The module imports numpy only inside the functions that use it, so the
-closed-form and census paths of the CLI load without it."""
+closed-form and census paths of the CLI load without it.  The types are
+namedtuple subclasses, not dataclasses: importing dataclasses loads inspect,
+ast and dis, which costs a numpy-free CLI request about 10 ms.  Each type
+is immutable, compares and hashes by value as the tuple of its fields,
+prints as ``Type(field=value, ...)``, and checks any conditions on its
+inputs in __new__."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -29,19 +34,19 @@ MAX_LEVEL = 256
 UNIT_NORM_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class DiagonalMetric:
-    """Metric ds^2 = sum_j scales[j]^2 (dx^j)^2 with constant scales a_j > 0."""
+class DiagonalMetric(namedtuple("DiagonalMetric", "scales")):
+    """Metric ds^2 = sum_j scales[j]^2 (dx^j)^2 with constant scales a_j > 0;
+    scales is a tuple of 4 floats."""
 
-    scales: tuple[float, float, float, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.scales)
+    def __new__(cls, scales):
+        vals = tuple(float(v) for v in scales)
         if len(vals) != 4:
             raise ValueError("a diagonal metric needs exactly 4 scale factors")
         if not all(math.isfinite(v) and v > 0.0 for v in vals):
             raise ValueError(f"scale factors must be positive and finite, got {vals}")
-        object.__setattr__(self, "scales", vals)
+        return tuple.__new__(cls, (vals,))
 
     def as_array(self) -> np.ndarray:
         import numpy as np
@@ -49,20 +54,20 @@ class DiagonalMetric:
         return np.array(self.scales)
 
 
-@dataclass(frozen=True)
-class UnitVector4:
-    """Momentum covector on the unit 3-sphere: sum_j xi_j^2 = 1."""
+class UnitVector4(namedtuple("UnitVector4", "xi")):
+    """Momentum covector on the unit 3-sphere: sum_j xi_j^2 = 1, with xi a
+    tuple of 4 floats."""
 
-    xi: tuple[float, float, float, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.xi)
+    def __new__(cls, xi):
+        vals = tuple(float(v) for v in xi)
         if len(vals) != 4:
             raise ValueError("need exactly 4 components")
         norm_sq = math.fsum(v * v for v in vals)
         if abs(norm_sq - 1.0) > UNIT_NORM_TOL:
             raise ValueError(f"not a unit vector: |xi|^2 = {norm_sq!r}")
-        object.__setattr__(self, "xi", vals)
+        return tuple.__new__(cls, (vals,))
 
     @classmethod
     def normalized(cls, components) -> "UnitVector4":
@@ -75,9 +80,11 @@ class UnitVector4:
         return cls(tuple(v / norm))
 
 
-@dataclass(frozen=True)
-class DoubledGeometry:
-    """Two diagonal metrics coupled through a constant off-diagonal field.
+class DoubledGeometry(
+    namedtuple("DoubledGeometry", "g1 g2 coupling kappa cutoff moment_coeff")
+):
+    """Two diagonal metrics g1, g2 coupled through a constant off-diagonal
+    field.
 
     coupling is the magnitude |Phi| of the field (only |Phi|^2 ever enters),
     kappa = +-1 is the square of the grading operator, cutoff is the scale
@@ -85,34 +92,24 @@ class DoubledGeometry:
     the subleading term.
     """
 
-    g1: DiagonalMetric
-    g2: DiagonalMetric
-    coupling: float
-    kappa: int
-    cutoff: float
-    moment_coeff: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kappa not in (1, -1):
-            raise ValueError(f"kappa must be +1 or -1, got {self.kappa}")
-        if not (math.isfinite(self.coupling) and self.coupling >= 0.0):
-            raise ValueError(
-                f"coupling |Phi| must be finite and >= 0, got {self.coupling}"
-            )
-        if not (math.isfinite(self.cutoff) and self.cutoff > 0.0):
-            raise ValueError(f"cutoff must be finite and positive, got {self.cutoff}")
-        if not math.isfinite(self.moment_coeff) or self.moment_coeff == 0.0:
-            raise ValueError(
-                f"moment_coeff must be finite and nonzero, got {self.moment_coeff}"
-            )
+    def __new__(cls, g1, g2, coupling, kappa, cutoff, moment_coeff):
+        if kappa not in (1, -1):
+            raise ValueError(f"kappa must be +1 or -1, got {kappa}")
+        if not (math.isfinite(coupling) and coupling >= 0.0):
+            raise ValueError(f"coupling |Phi| must be finite and >= 0, got {coupling}")
+        if not (math.isfinite(cutoff) and cutoff > 0.0):
+            raise ValueError(f"cutoff must be finite and positive, got {cutoff}")
+        if not math.isfinite(moment_coeff) or moment_coeff == 0.0:
+            raise ValueError(f"moment_coeff must be finite and nonzero, got {moment_coeff}")
+        return tuple.__new__(cls, (g1, g2, coupling, kappa, cutoff, moment_coeff))
 
 
-@dataclass(frozen=True)
-class EffectiveParams:
+class EffectiveParams(namedtuple("EffectiveParams", "lambda_e_sq alpha")):
     """Effective parametrization (lambda_e_sq, alpha) of the truncated action."""
 
-    lambda_e_sq: float
-    alpha: float
+    __slots__ = ()
 
 
 def quadratic_form(g: DiagonalMetric, xi: UnitVector4) -> float:

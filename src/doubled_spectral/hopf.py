@@ -32,7 +32,7 @@ nor a2^2 b2^2 has to be representable on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .carlson import potential_elliptic
 from .geometry import TWO_PI_SQ, DiagonalMetric
@@ -41,18 +41,18 @@ from .geometry import TWO_PI_SQ, DiagonalMetric
 SINGULAR_TUBE = 1e-6
 
 
-@dataclass(frozen=True)
-class HopfMetric:
-    """Two-parameter diagonal metric: scale b on axes 0, 1 and a on axes 2, 3."""
+class HopfMetric(namedtuple("HopfMetric", "a b")):
+    """Two-parameter diagonal metric: scale b on axes 0, 1 and a on axes 2, 3
+    (an immutable value type, as geometry.DiagonalMetric)."""
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError(f"a must be positive, got {self.a}")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise ValueError(f"b must be positive, got {self.b}")
+    def __new__(cls, a, b):
+        if not (math.isfinite(a) and a > 0.0):
+            raise ValueError(f"a must be positive, got {a}")
+        if not (math.isfinite(b) and b > 0.0):
+            raise ValueError(f"b must be positive, got {b}")
+        return tuple.__new__(cls, (a, b))
 
 
 def to_diagonal(h: HopfMetric) -> DiagonalMetric:
@@ -65,18 +65,20 @@ def _closed(a1: float, b1: float, a2: float, b2: float) -> float:
 
     V has degree 4 in the scales and its terms multiply up to six of them,
     so it is evaluated at the scales times the power of two that brings
-    their geometric mean near 1, and scaled back (exact).  Inside the tube
-    |u - v| < SINGULAR_TUBE * (u + v), where the log term is 0/0,
-    potential_elliptic is used.  The log is evaluated as log1p of the
-    relative difference so it stays accurate when v / u is close to 1;
-    where that difference rounds to -1 (a ratio below about 1e-16) as
-    log(v) - log(u).  Raises ValueError where the value overflows, where
-    the scales span more than 2^1000 (u or v could leave double range), and
-    where potential_elliptic does."""
+    their geometric mean near 1, and scaled back (exact).  Where a product
+    still overflows (scales far apart), V is evaluated
+    again by `_closed_exact`.  Inside the tube |u - v| < SINGULAR_TUBE *
+    (u + v), where the log term is 0/0, potential_elliptic is used.  The log
+    is evaluated as log1p of the relative difference so it stays accurate
+    when v / u is close to 1; where that difference rounds to -1 (a ratio
+    below about 1e-16) as log(v) - log(u).  Raises ValueError where the
+    value overflows, where the scales span more than 2^1000 (u or v could
+    leave double range) or one is 0, and where potential_elliptic does."""
     scales = (a1, b1, a2, b2)
     exps = [math.frexp(s)[1] for s in scales]
     pair = f"a1={a1!r}, b1={b1!r}, a2={a2!r}, b2={b2!r}"
-    if max(exps) - min(exps) > 1000:
+    # a 0 is a ratio of potential_via_conjecture that underflowed
+    if not min(scales) > 0.0 or max(exps) - min(exps) > 1000:
         raise ValueError(f"the scale factors span a ratio above 2^1000 for {pair}")
     k = sum(exps) // 4
     a1, b1, a2, b2 = (math.ldexp(s, -k) for s in scales)
@@ -96,10 +98,44 @@ def _closed(a1: float, b1: float, a2: float, b2: float) -> float:
     value = TWO_PI_SQ * (
         bracket / total + 4.0 * w * w * (a1 - a2) * (b1 - b2) * log_ratio / diff
     )
-    # ldexp raises OverflowError past 2^1024: test the exponent first
-    if math.isfinite(value) and math.frexp(value)[1] + 4 * k <= 1024:
-        return math.ldexp(value, 4 * k)
+    if math.isfinite(value):
+        # ldexp raises OverflowError past 2^1024: test the exponent first
+        if math.frexp(value)[1] + 4 * k <= 1024:
+            return math.ldexp(value, 4 * k)
+    else:
+        try:
+            return _closed_exact(*scales)
+        except OverflowError:
+            pass
     raise ValueError(f"the closed-form potential overflows double precision for {pair}")
+
+
+def _closed_exact(a1: float, b1: float, a2: float, b2: float) -> float:
+    """_closed's formula off the tube in exact rational arithmetic, where
+    only log(v / u) and the result are rounded: for pairs whose products
+    leave double range at the mean scaling although V need not, such as
+    b1 = 6.8e-156, a1 = 6.7e-153 against a unit second metric.  The log
+    is split as log(m) + s log 2 with v / u = m 2^s and m in (1/2, 2), so
+    that it stays accurate beyond double range.  Raises OverflowError where
+    V does."""
+    from fractions import Fraction
+
+    a1, b1, a2, b2 = (Fraction(s) for s in (a1, b1, a2, b2))
+    u, v = a2 * b1, a1 * b2
+    total = u + v
+    bracket = a1 * a2 * (b1 - b2) * (a1 * b1 * b1 - a2 * b2 * b2) + b1 * b2 * (
+        a1 - a2
+    ) * (a1 * a1 * b1 - a2 * a2 * b2)
+    w = a1 * b1 * a2 * b2 / total
+    ratio = v / u
+    if abs(ratio - 1) < 0.5:
+        log_ratio = math.log1p(ratio - 1)
+    else:
+        n, d = ratio.numerator, ratio.denominator
+        s = n.bit_length() - d.bit_length()
+        log_ratio = math.log((n << max(-s, 0)) / (d << max(s, 0))) + s * math.log(2.0)
+    value = bracket / total + 4 * w * w * (a1 - a2) * (b1 - b2) * Fraction(log_ratio) / (u - v)
+    return float(Fraction(TWO_PI_SQ) * value)
 
 
 def potential_closed(h1: HopfMetric, h2: HopfMetric) -> float:

@@ -28,8 +28,7 @@ functions that use them.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import asdict, dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -75,21 +74,20 @@ def c_coefficient(m: int) -> Fraction:
     return Fraction(4, double_factorial(2 * m + 2))
 
 
-@dataclass(frozen=True)
-class PerturbedForm:
-    """Positive quadratic form A = omega (I + eps), eps symmetric traceless
-    with spectral radius < 1 (kept as `spectral_radius`)."""
+class PerturbedForm(namedtuple("PerturbedForm", "omega eps spectral_radius")):
+    """Positive quadratic form A = omega (I + eps), eps a symmetric traceless
+    4x4 array with spectral radius < 1, which the constructor solves for and
+    keeps as `spectral_radius`.  Immutable, as geometry.DiagonalMetric; eps
+    is a read-only copy."""
 
-    omega: float
-    eps: np.ndarray
-    spectral_radius: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, omega, eps):
         import numpy as np
 
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        eps = np.array(self.eps, dtype=float)
+        if not (math.isfinite(omega) and omega > 0.0):
+            raise ValueError(f"omega must be positive, got {omega}")
+        eps = np.array(eps, dtype=float)
         if eps.shape != (4, 4):
             raise ValueError(f"eps must be 4x4, got shape {eps.shape}")
         if not np.all(np.isfinite(eps)):
@@ -104,8 +102,11 @@ class PerturbedForm:
                 f"spectral radius of eps must be < 1 for positivity, got {rho}"
             )
         eps.flags.writeable = False
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "spectral_radius", rho)
+        return tuple.__new__(cls, (omega, eps, rho))
+
+    def __getnewargs__(self):
+        # copy and pickle call __new__ with these, not with all three fields
+        return self.omega, self.eps
 
 
 def _partitions(m: int) -> list[tuple[int, ...]]:
@@ -254,23 +255,21 @@ def series_exact(pf: PerturbedForm, order: int) -> float:
     return math.fsum(_exact_term(m, traces) / pf.omega for m in range(order + 1))
 
 
-@dataclass(frozen=True)
-class SeriesComparison:
-    """Per-order comparison of the two series against direct quadrature."""
+class SeriesComparison(
+    namedtuple(
+        "SeriesComparison",
+        "omega spectral_radius order level terms_exact terms_single_trace "
+        "ratios_single_trace_vs_exact value_exact value_single_trace value_quadrature",
+    )
+):
+    """Per-order comparison of the two series against direct quadrature.
+    The terms_* and ratios_* fields are tuples over the orders 0..order, a
+    ratio None where the exact term is not resolvably nonzero."""
 
-    omega: float
-    spectral_radius: float
-    order: int
-    level: int
-    terms_exact: tuple[float, ...]
-    terms_single_trace: tuple[float, ...]
-    ratios_single_trace_vs_exact: tuple[float | None, ...]
-    value_exact: float
-    value_single_trace: float
-    value_quadrature: float
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def compare_series(pf: PerturbedForm, order: int, rule: SphereRule) -> SeriesComparison:

@@ -67,13 +67,27 @@ class TestPotential:
         )
         assert rec["value"] == pytest.approx(TWO_PI_SQ, rel=1e-12)
 
-    def test_closed_rejects_non_hopf(self, capsys):
+    def test_conjecture_rejects_non_hopf(self, capsys):
         code, out, err = run_cli(
             capsys, "potential", "--g1", "1,2,3,4", "--g2", "1,1,1,1",
-            "--method", "closed",
+            "--method", "conjecture",
         )
         assert code == 2
         assert "Hopf" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "g1, g2",
+        [("1.3,0.7,1.1,0.9", "0.8,1.6,0.6,1.2"), ("0.5,2,1,1.7", "1.9,0.6,1.2,0.55"),
+         ("2,2,1,1", "1,1.5,1,1")],
+    )
+    def test_closed_on_non_hopf_pair_matches_the_rule(self, capsys, g1, g2):
+        # the elliptic closed form, which the level-64 rule matches in the box
+        closed = run_json(capsys, "potential", "--g1", g1, "--g2", g2, "--method", "closed")
+        numeric = run_json(capsys, "potential", "--g1", g1, "--g2", g2, "--method", "numeric")
+        assert abs(closed["value"] - numeric["value"]) <= 1e-14 * numeric["value"]
+        both = run_json(capsys, "potential", "--g1", g1, "--g2", g2, "--method", "both")
+        assert both["value_closed"] == closed["value"]
+        assert both["value_numeric"] == numeric["value"]
 
     def test_rejects_nonpositive_metric(self, capsys):
         code, _, err = run_cli(
@@ -522,6 +536,9 @@ NUMPY_FREE_REQUESTS = {
                     "--method", "closed"],
     "conjecture": ["potential", "--g1", "2,2,1,1", "--g2", "1,1,1,1",
                    "--method", "conjecture"],
+    # a pair that is not Hopf-shaped: the elliptic form
+    "closed-general": ["potential", "--g1", "1.3,0.7,1.1,0.9", "--g2", "0.8,1.6,0.6,1.2",
+                       "--method", "closed"],
     "moments": ["moments", "--m", "7"],
     # the potential of action and sweep is the elliptic form, not the S^3 rule
     "action": ["action", "--g1", "30,30,1,1", "--g2", "1.2,0.8,1.1,0.9", "--phi", "0.5",
@@ -540,6 +557,8 @@ def test_closed_form_and_census_requests_do_not_import_numpy(argv):
         "assert code == 0, code\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
         "assert 'doubled_spectral.s3quad' not in sys.modules, 's3quad was imported'\n"
+        # dataclasses loads inspect, ast and dis: about 10 ms per request
+        "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -631,7 +650,7 @@ class TestConfigAndDeterminism:
             (("moments", "--m", "0"), "--m must be in 1.."),
             (("potential", "--g1", "1,0,1,1", "--g2", "1,1,1,1"),
              "--g1 entries must be positive"),
-            (("potential", "--g1", "1,2,3,4", "--g2", "1,1,1,1", "--method", "closed"),
+            (("potential", "--g1", "1,2,3,4", "--g2", "1,1,1,1", "--method", "conjecture"),
              "--g1 is not Hopf-shaped"),
             (("action", "--g1", "1,1,1,1", "--g2", "2,2,1,1", "--phi", "1",
               "--kappa", "1", "--lambda", "-1", "--c", "1"),

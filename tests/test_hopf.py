@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from doubled_spectral import (
     HopfMetric,
+    hopf,
     potential_closed,
     potential_elliptic,
     potential_numeric,
@@ -175,6 +176,24 @@ class TestPotentialClosed:
         with pytest.raises(ValueError, match="ratio above 2\\^1000"):
             potential_closed(h1, h2)
 
+    def test_exact_evaluation_matches_float_evaluation(self):
+        # the fallback for products beyond double range, on pairs the
+        # float evaluation covers, both sides of log1p's range included
+        rng = random.Random(5)
+        for _ in range(200):
+            a1, b1, a2, b2 = (10.0 ** rng.uniform(-3, 3) for _ in range(4))
+            if not off_singular(HopfMetric(a1, b1), HopfMetric(a2, b2), margin=1e-3):
+                continue
+            exact = hopf._closed_exact(a1, b1, a2, b2)
+            assert abs(hopf._closed(a1, b1, a2, b2) - exact) <= 1e-13 * exact
+
+    def test_ratio_beyond_double_range_raises(self):
+        # b1 / b2 = 1e-327 underflows to 0: a ZeroDivisionError before
+        h1 = HopfMetric(a=5.44e266, b=9.67e-207)
+        h2 = HopfMetric(a=9.05e-54, b=9.43e120)
+        with pytest.raises(ValueError, match="ratio above 2\\^1000"):
+            potential_via_conjecture(h1, h2)
+
     def test_continuity_across_surface(self):
         rng = np.random.default_rng(73)
         for _ in range(10):
@@ -286,6 +305,23 @@ class TestConjectureForm:
             assert abs(vj - vc) <= 1e-12 * max(vc, sys.float_info.min)
 
 
+# b1 = 6.8e-156 and a1 = 6.7e-153 against the unit metric: at the scales'
+# mean exponent the product a1 a2^2 b2^3 overflows, yet V = 2 pi^2 to
+# double precision
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda h1, h2: potential_closed(h1, h2),
+        lambda h1, h2: potential_via_conjecture(h1, h2),
+        lambda h1, h2: script_v(h1.b / h2.b, h1.a / h2.a) * TWO_PI_SQ,
+    ],
+    ids=["closed", "conjecture", "script_v"],
+)
+def test_products_beyond_double_range_at_the_mean_scaling(evaluate):
+    h1, h2 = HopfMetric(a=6.7e-153, b=6.8e-156), HopfMetric(a=1.0, b=1.0)
+    assert evaluate(h1, h2) == TWO_PI_SQ
+
+
 # 60-digit mpmath values of 2 pi^2 (F + G) / ((u - v)(u + v)^2), scales as
 # (a, b) of h1 and h2
 @pytest.mark.parametrize(
@@ -317,10 +353,14 @@ class TestConjectureForm:
         # mean is brought near 1
         (potential_closed, (9.5e-16, 3.1e147), (4.1e-20, 1.6e141),
          1.7119845829889329e266, 1e-14),
+        # a product overflows at the scales' mean exponent: the exact
+        # fallback, with V far from any leading-order limit
+        (potential_closed, (2.5438979249591837e-54, 6.409127175558323e55),
+         (9.797117694467623e78, 3.2484266209653115e-198), 524719.11068147453116, 1e-15),
     ],
     ids=["conjecture-near-identical", "conjecture-wide", "conjecture-cancelling",
          "conjecture-det-underflows", "conjecture-ratio-form-overflows",
-         "closed-false-overflow", "closed-subnormal"],
+         "closed-false-overflow", "closed-subnormal", "closed-exact-fallback"],
 )
 def test_against_reference(method, h1, h2, ref, tol):
     value = method(HopfMetric(*h1), HopfMetric(*h2))

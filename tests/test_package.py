@@ -63,3 +63,60 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     # bindings no subcommand calls, which a cleanup could otherwise drop
     assert ("s3quad", "kinetic_term") in checked
     assert ("matchings", "series_exact") in checked
+
+
+VALUE_TYPES = {
+    "DiagonalMetric": (("scales",), ((1.0, 2.0, 3.0, 4.0),)),
+    "UnitVector4": (("xi",), ((0.0, 0.6, 0.0, 0.8),)),
+    "DoubledGeometry": (
+        ("g1", "g2", "coupling", "kappa", "cutoff", "moment_coeff"),
+        (doubled_spectral.DiagonalMetric((1, 1, 1, 1)),
+         doubled_spectral.DiagonalMetric((2, 2, 1, 1)), 0.5, -1, 2.0, 0.7),
+    ),
+    "EffectiveParams": (("lambda_e_sq", "alpha"), (12.0, -3.0)),
+    "HopfMetric": (("a", "b"), (1.5, 0.25)),
+    "SeriesComparison": (
+        ("omega", "spectral_radius", "order", "level", "terms_exact",
+         "terms_single_trace", "ratios_single_trace_vs_exact", "value_exact",
+         "value_single_trace", "value_quadrature"),
+        (1.5, 0.1, 2, 8, (1.0, 0.0, 0.5), (1.0, 0.0, 0.25), (1.0, None, 0.5),
+         1.5, 1.25, 1.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_are_immutable_values(name):
+    # the types of the numpy-free paths are namedtuples, not dataclasses:
+    # positional and keyword construction, value equality and hashing,
+    # immutability and the Type(field=value, ...) repr
+    cls = getattr(doubled_spectral, name)
+    fields, args = VALUE_TYPES[name]
+    value = cls(*args)
+    assert value == cls(**dict(zip(fields, args)))
+    assert hash(value) == hash(cls(*args))
+    assert [getattr(value, f) for f in fields] == list(args)
+    assert repr(value) == f"{name}(" + ", ".join(f"{f}={a!r}" for f, a in zip(fields, args)) + ")"
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], args[0])
+    if name == "SeriesComparison":
+        assert value.to_dict() == dict(zip(fields, args))
+        assert list(value.to_dict()) == list(fields)
+
+
+def test_perturbed_form_keeps_its_spectral_radius_through_copies():
+    import copy
+    import pickle
+
+    import numpy as np
+
+    eps = np.diag([0.3, -0.1, -0.1, -0.1])
+    pf = doubled_spectral.PerturbedForm(omega=1.5, eps=eps)
+    assert pf.spectral_radius == pytest.approx(0.3, rel=1e-15)
+    assert not pf.eps.flags.writeable
+    with pytest.raises(TypeError):
+        doubled_spectral.PerturbedForm(1.5, eps, 0.3)
+    for clone in (copy.copy(pf), pickle.loads(pickle.dumps(pf))):
+        assert clone.omega == pf.omega
+        assert clone.spectral_radius == pf.spectral_radius
+        assert np.array_equal(clone.eps, pf.eps)
