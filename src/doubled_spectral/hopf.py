@@ -1,24 +1,22 @@
 """Closed form for the Hopf-symmetric metric family g00 = g11 = b^2,
 g22 = g33 = a^2.
 
-For two such metrics, with u = a2 b1 and v = a1 b2, the interaction
-potential is
+For two such metrics put u = a2 b1 and v = a1 b2.  The paper's form of the
+potential (docs/derivation.md, section 2) is 0/0 on the surface u = v;
+`_closed` evaluates the same potential as Carlson's R_D with two equal
+arguments (section 2b), which is regular there.  V is exchange symmetric,
+so take u <= v and put r = u / v, s = (1 - r^2) / (1 + r^2) and
+L = log(v / u) = atanh s:
 
-    V = 2 pi^2 (F + G) / ((u - v)(u + v)^2),
-    F = 4 a1^2 a2^2 b1^2 b2^2 (a1 - a2)(b1 - b2) log(v / u),
-    G = (u - v)(u + v) B,
-    B = a1 a2 (b1 - b2)(a1 b1^2 - a2 b2^2) + b1 b2 (a1 - a2)(a1^2 b1 - a2^2 b2).
+    V = 4 pi^2 / (1 + r^2)^2 [ (phi + psi (1 + r^2)) (T1 + T2)
+                              + (phi r^2 + psi (1 + r^2)) (T3 + T4) ],
+    phi = (L - s) / s^3 = sum_k s^(2k) / (2k + 3),
+    psi = [1 - 4 r^2 L / (s (1 + r^2)^2)] / (2 s^2)
+        = 4 r^2 / (1 + r^2)^2 sum_k (k + 1) s^(2k) / (2k + 3),
+    T1 = (u (b1 - b2) / b2)^2,  T2 = (u (a1 - a2) / a1)^2,
+    T3 = (a2 (b1 - b2))^2,      T4 = (b1 (a1 - a2))^2.
 
-One evaluator, `_closed`, takes it with G's factor (u - v)(u + v)
-cancelled: with w = a1 b1 a2 b2 / (u + v),
-
-    V = 2 pi^2 [ B / (u + v) + 4 w^2 (a1 - a2)(b1 - b2) log(v / u) / (u - v) ].
-
-B is a sum of two products of single differences, so the reductions at
-a1 = a2 and b1 = b2 hold to machine precision.  The log term is 0/0 on the
-surface u = v, where the singularity is removable; inside a narrow relative
-tube around it the elliptic closed form (carlson.potential_elliptic), which
-has no such singularity, is used instead.
+Every term is >= 0, phi = psi = 1/3 at s = 0 and psi = 1/2 at s = 1.
 
 The paper's ratio form W(x, y) of x = b1/b2 and y = a1/a2 is the same
 function at a unit second metric, V at a1 = y, b1 = x, a2 = b2 = 1 over
@@ -34,11 +32,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .carlson import potential_elliptic
 from .geometry import TWO_PI_SQ, DiagonalMetric
 
-# relative half-width of the fallback tube around the singular surface
-SINGULAR_TUBE = 1e-6
+LOG2 = math.log(2.0)
+# below SERIES_CUT, phi and psi are summed from their series in t = s^2 <
+# 1/4, highest power first: the 30 terms leave a tail below 4^-30 of the sum
+SERIES_CUT = 0.5
+SERIES = tuple((1.0 / (2 * k + 3), (k + 1.0) / (2 * k + 3)) for k in reversed(range(30)))
 
 
 class HopfMetric(namedtuple("HopfMetric", "a b")):
@@ -60,82 +60,70 @@ def to_diagonal(h: HopfMetric) -> DiagonalMetric:
 
 
 def _closed(a1: float, b1: float, a2: float, b2: float) -> float:
-    """V of the Hopf pair (b1, b1, a1, a1), (b2, b2, a2, a2), as in the
-    module docstring.
-
-    V has degree 4 in the scales and its terms multiply up to six of them,
-    so it is evaluated at the scales times the power of two that brings
-    their geometric mean near 1, and scaled back (exact).  Where a product
-    still overflows (scales far apart), V is evaluated
-    again by `_closed_exact`.  Inside the tube |u - v| < SINGULAR_TUBE *
-    (u + v), where the log term is 0/0, potential_elliptic is used.  The log
-    is evaluated as log1p of the relative difference so it stays accurate
-    when v / u is close to 1; where that difference rounds to -1 (a ratio
-    below about 1e-16) as log(v) - log(u).  Raises ValueError where the
-    value overflows, where the scales span more than 2^1000 (u or v could
-    leave double range) or one is 0, and where potential_elliptic does."""
-    scales = (a1, b1, a2, b2)
-    exps = [math.frexp(s)[1] for s in scales]
-    pair = f"a1={a1!r}, b1={b1!r}, a2={a2!r}, b2={b2!r}"
-    # a 0 is a ratio of potential_via_conjecture that underflowed
-    if not min(scales) > 0.0 or max(exps) - min(exps) > 1000:
-        raise ValueError(f"the scale factors span a ratio above 2^1000 for {pair}")
-    k = sum(exps) // 4
-    a1, b1, a2, b2 = (math.ldexp(s, -k) for s in scales)
-    u, v = a2 * b1, a1 * b2
-    diff, total = u - v, u + v
-    if abs(diff) < SINGULAR_TUBE * total:
-        a1, b1, a2, b2 = scales
-        return potential_elliptic(
-            DiagonalMetric((b1, b1, a1, a1)), DiagonalMetric((b2, b2, a2, a2))
-        )
-    bracket = a1 * a2 * (b1 - b2) * (a1 * b1 * b1 - a2 * b2 * b2) + b1 * b2 * (
-        a1 - a2
-    ) * (a1 * a1 * b1 - a2 * a2 * b2)
-    w = a1 * b1 * a2 * b2 / total
-    rel = (v - u) / u
-    log_ratio = math.log1p(rel) if rel > -1.0 else math.log(v) - math.log(u)
-    value = TWO_PI_SQ * (
-        bracket / total + 4.0 * w * w * (a1 - a2) * (b1 - b2) * log_ratio / diff
-    )
-    if math.isfinite(value):
+    """V of the Hopf pair (b1, b1, a1, a1), (b2, b2, a2, a2).  Raises
+    ValueError where a scale is 0 (an underflowed ratio of
+    potential_via_conjecture) or infinite, and where V overflows."""
+    if not (min(a1, b1, a2, b2) > 0.0 and max(a1, b1, a2, b2) < math.inf):
+        problem = "a scale factor is 0 or infinite"
+    else:
+        value, exp = _scaled(a1, b1, a2, b2)
         # ldexp raises OverflowError past 2^1024: test the exponent first
-        if math.frexp(value)[1] + 4 * k <= 1024:
-            return math.ldexp(value, 4 * k)
+        if math.frexp(value)[1] + exp <= 1024:
+            return math.ldexp(value, exp)
+        problem = "the closed-form potential overflows double precision"
+    raise ValueError(f"{problem} for a1={a1!r}, b1={b1!r}, a2={a2!r}, b2={b2!r}")
+
+
+def _scaled(a1: float, b1: float, a2: float, b2: float) -> tuple[float, int]:
+    """(value, exp) with V = value 2^exp, for positive finite scales.
+
+    r and L are taken from the frexp mantissas and exponents of u and v,
+    and each T is held as a mantissa and a power of two, so no product
+    leaves double range.  With q = r^2, w = 1 + q and psi = 1/2 + delta,
+    where delta = 2 q (1 - q - L w) / (1 - q)^3 for s >= 1/2, the bracket
+    is summed as
+
+        V / (2 pi^2) = T1 + T2 + T3 + T4
+                       + [2 phi (T1 + T2 + q (T3 + T4)) / w + (2 delta - q) sum T] / w,
+
+    correctly rounded by fsum: V is exact where the correction cancels to
+    below the rounding of the T (2 pi^2 at b1 = 6.8e-156, a1 = 6.7e-153
+    against a unit metric)."""
+    (ma1, ea1), (mb1, eb1), (ma2, ea2), (mb2, eb2) = map(math.frexp, (a1, b1, a2, b2))
+    m, e = math.frexp(ma2 * mb1 / (ma1 * mb2))
+    e += ea2 + eb1 - ea1 - eb2  # u / v = m 2^e, m in [1/2, 1)
+    if e > 1 or (e == 1 and m > 0.5):
+        return _scaled(a2, b2, a1, b1)
+    q = math.ldexp(m, e) ** 2
+    w = 1.0 + q
+    s = (1.0 - q) / w
+    if s < SERIES_CUT:
+        t = s * s
+        phi = psi = 0.0
+        for c_phi, c_psi in SERIES:
+            phi = phi * t + c_phi
+            psi = psi * t + c_psi
+        delta = 4.0 * q / (w * w) * psi - 0.5
     else:
-        try:
-            return _closed_exact(*scales)
-        except OverflowError:
-            pass
-    raise ValueError(f"the closed-form potential overflows double precision for {pair}")
-
-
-def _closed_exact(a1: float, b1: float, a2: float, b2: float) -> float:
-    """_closed's formula off the tube in exact rational arithmetic, where
-    only log(v / u) and the result are rounded: for pairs whose products
-    leave double range at the mean scaling although V need not, such as
-    b1 = 6.8e-156, a1 = 6.7e-153 against a unit second metric.  The log
-    is split as log(m) + s log 2 with v / u = m 2^s and m in (1/2, 2), so
-    that it stays accurate beyond double range.  Raises OverflowError where
-    V does."""
-    from fractions import Fraction
-
-    a1, b1, a2, b2 = (Fraction(s) for s in (a1, b1, a2, b2))
-    u, v = a2 * b1, a1 * b2
-    total = u + v
-    bracket = a1 * a2 * (b1 - b2) * (a1 * b1 * b1 - a2 * b2 * b2) + b1 * b2 * (
-        a1 - a2
-    ) * (a1 * a1 * b1 - a2 * a2 * b2)
-    w = a1 * b1 * a2 * b2 / total
-    ratio = v / u
-    if abs(ratio - 1) < 0.5:
-        log_ratio = math.log1p(ratio - 1)
-    else:
-        n, d = ratio.numerator, ratio.denominator
-        s = n.bit_length() - d.bit_length()
-        log_ratio = math.log((n << max(-s, 0)) / (d << max(s, 0))) + s * math.log(2.0)
-    value = bracket / total + 4 * w * w * (a1 - a2) * (b1 - b2) * Fraction(log_ratio) / (u - v)
-    return float(Fraction(TWO_PI_SQ) * value)
+        log_ratio = -(math.log(m) + e * LOG2)
+        phi = (log_ratio - s) / (s * s * s)
+        p = 1.0 - q
+        delta = 2.0 * q * (p - log_ratio * w) / (p * p * p)
+    (mda, eda), (mdb, edb) = math.frexp(a1 - a2), math.frexp(b1 - b2)
+    terms = (
+        (ma2 * mb1 * mdb / mb2, ea2 + eb1 + edb - eb2),
+        (ma2 * mb1 * mda / ma1, ea2 + eb1 + eda - ea1),
+        (ma2 * mdb, ea2 + edb),
+        (mb1 * mda, eb1 + eda),
+    )
+    exps = [k for t, k in terms if t]
+    if not exps:
+        return 0.0, 0
+    top = max(exps)
+    t1, t2, t3, t4 = (math.ldexp(t, k - top) ** 2 for t, k in terms)
+    t12, t34 = t1 + t2, t3 + t4
+    correction = (2.0 * phi * (t12 + q * t34) / w + (2.0 * delta - q) * (t12 + t34)) / w
+    return TWO_PI_SQ * math.fsum((t1, t2, t3, t4, correction)), 2 * top
 
 
 def potential_closed(h1: HopfMetric, h2: HopfMetric) -> float:
@@ -161,15 +149,21 @@ def potential_via_conjecture(h1: HopfMetric, h2: HopfMetric) -> float:
     sqrt(det g2) = a2^2 b2^2 for a Hopf metric.
 
     By degree-4 homogeneity this is _closed(2^j y, 2^j x, 2^j, 2^j) times
-    (a2 b2 / 2^(2j))^2 in [1, 64), where 2^(2j) <= a2 b2: the exact 2^j only
-    shifts _closed's own scaling, so neither W nor sqrt(det g2) has to be
-    representable, and this returns wherever the closed form does at scale
-    ratios up to 1e80.  Raises ValueError as `_closed` does, and where the
-    product is not finite."""
+    (a2 b2 / 2^(2j))^2 in [1, 64), where 2^(2j) <= a2 b2 (exact in _closed's
+    exponents), so neither W nor sqrt(det g2) has to be representable, and
+    this returns wherever the closed form does at scale ratios up to 1e80.
+    Raises ValueError, naming h1 and h2, where 2^j y or 2^j x leaves double
+    range and where the product overflows."""
     (ma, ea), (mb, eb) = math.frexp(h2.a), math.frexp(h2.b)
     j = (ea + eb - 2) // 2
     s, rest = math.ldexp(1.0, j), math.ldexp(ma * mb, ea + eb - 2 * j)
-    value = _closed(s * (h1.a / h2.a), s * (h1.b / h2.b), s, s) * rest * rest
+    y, x = s * (h1.a / h2.a), s * (h1.b / h2.b)
+    if not (min(x, y) > 0.0 and max(x, y) < math.inf):
+        raise ValueError(f"a scale ratio of {h1} and {h2} leaves double range")
+    try:
+        value = _closed(y, x, s, s) * rest * rest
+    except ValueError:  # _closed's part of the product overflows
+        value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"the factorized potential overflows double precision for {h1}, {h2}")
     return value

@@ -115,6 +115,23 @@ class TestPotential:
         assert out == ""
         assert "potential overflows" in json.loads(err)["error"]
 
+    def test_conjecture_ratio_beyond_double_range_names_the_metrics(self, capsys):
+        # a1 / a2 = 6e319 overflows; the record names the scales given, not
+        # the closed form's rescaled arguments
+        code, out, err = run_cli(
+            capsys, "potential", "--g1", "9.67e-207,9.67e-207,5.44e266,5.44e266",
+            "--g2", "9.43e120,9.43e120,9.05e-54,9.05e-54", "--method", "conjecture",
+        )
+        assert code == 2
+        assert out == ""
+        record = json.loads(err)
+        assert set(record) == {"error"}
+        error = record["error"]
+        assert "leaves double range" in error
+        for scale in (9.67e-207, 5.44e266, 9.43e120, 9.05e-54):
+            assert repr(scale) in error
+        assert "inf" not in error
+
 
 class TestAction:
     def test_decoupled(self, capsys):
@@ -531,7 +548,7 @@ def test_overflow_error_is_one_json_record(argv):
 
 NUMPY_FREE_REQUESTS = {
     "closed": ["potential", "--g1", "2,2,1,1", "--g2", "1,1,1,1", "--method", "closed"],
-    # a2 b1 = a1 b2: the singular tube, where the elliptic form is used
+    # a2 b1 = a1 b2: the surface where the paper's form is 0/0
     "closed-tube": ["potential", "--g1", "1.5,1.5,1.2,1.2", "--g2", "1.25,1.25,1,1",
                     "--method", "closed"],
     "conjecture": ["potential", "--g1", "2,2,1,1", "--g2", "1,1,1,1",

@@ -4,12 +4,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from doubled_spectral import (
     HopfMetric,
-    hopf,
     potential_closed,
     potential_elliptic,
     potential_numeric,
@@ -116,19 +115,17 @@ class TestPotentialClosed:
             assert abs(va - vb) <= 1e-12 * max(abs(va), 1e-30)
 
     def test_singular_tube_uses_1d_fallback(self):
-        # on the surface itself the closed form is 0/0; the fallback, the
-        # elliptic closed form, must match the analytic limit
+        # on the surface u = v the paper's form is 0/0; the R_D form is
+        # regular there and must match the analytic limit
         a1, a2, b2 = 1.4, 0.9, 1.1
         b1 = b2 * a1 / a2
         h1, h2 = HopfMetric(a=a1, b=b1), HopfMetric(a=a2, b=b2)
         val = potential_closed(h1, h2)
         limit = TWO_PI_SQ * (b2**2 / a2**2) * (a1 - a2) ** 2 * (a1**2 + a2**2)
         assert abs(val - limit) <= 1e-12 * limit
-        assert val == potential_elliptic(to_diagonal(h1), to_diagonal(h2))
 
     def test_wide_log_ratio(self):
-        # a1 b2 / (a2 b1) = 1e-20 rounds log1p's argument to -1; the log
-        # is then taken as a difference of logs
+        # a1 b2 / (a2 b1) = 1e-20: log(v / u) is far from 0
         val = potential_closed(HopfMetric(a=1.0, b=1e20), HopfMetric(a=1.0, b=1.0))
         expect = TWO_PI_SQ * (1e20 - 1.0) ** 2
         assert abs(val - expect) <= 1e-12 * expect
@@ -168,31 +165,14 @@ class TestPotentialClosed:
             potential_elliptic(to_diagonal(h1), to_diagonal(h2)), rel=1e-14
         )
 
-    def test_scales_beyond_double_range_raise(self):
-        # a2 b1 underflows to 0 at any common scaling: a ZeroDivisionError
-        # in the log term before
-        h1 = HopfMetric(a=6.7e-200, b=1.8e-230)
-        h2 = HopfMetric(a=2.4e-265, b=8.7e160)
-        with pytest.raises(ValueError, match="ratio above 2\\^1000"):
-            potential_closed(h1, h2)
-
-    def test_exact_evaluation_matches_float_evaluation(self):
-        # the fallback for products beyond double range, on pairs the
-        # float evaluation covers, both sides of log1p's range included
-        rng = random.Random(5)
-        for _ in range(200):
-            a1, b1, a2, b2 = (10.0 ** rng.uniform(-3, 3) for _ in range(4))
-            if not off_singular(HopfMetric(a1, b1), HopfMetric(a2, b2), margin=1e-3):
-                continue
-            exact = hopf._closed_exact(a1, b1, a2, b2)
-            assert abs(hopf._closed(a1, b1, a2, b2) - exact) <= 1e-13 * exact
-
     def test_ratio_beyond_double_range_raises(self):
-        # b1 / b2 = 1e-327 underflows to 0: a ZeroDivisionError before
+        # a1 / a2 = 6e319 overflows: the error names the metrics given, not
+        # the rescaled arguments of the closed form
         h1 = HopfMetric(a=5.44e266, b=9.67e-207)
         h2 = HopfMetric(a=9.05e-54, b=9.43e120)
-        with pytest.raises(ValueError, match="ratio above 2\\^1000"):
+        with pytest.raises(ValueError, match="leaves double range") as err:
             potential_via_conjecture(h1, h2)
+        assert repr(h1) in str(err.value) and repr(h2) in str(err.value)
 
     def test_continuity_across_surface(self):
         rng = np.random.default_rng(73)
@@ -246,7 +226,7 @@ class TestScriptV:
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-30)
 
     def test_wide_log_ratio(self):
-        # y / x = 1e-20 rounds log1p's argument to -1
+        # y / x = 1e-20: log(y / x) is far from 0
         expect = (1e20 - 1.0) ** 2
         assert abs(script_v(1e20, 1.0) - expect) <= 1e-12 * expect
 
@@ -322,8 +302,8 @@ def test_products_beyond_double_range_at_the_mean_scaling(evaluate):
     assert evaluate(h1, h2) == TWO_PI_SQ
 
 
-# 60-digit mpmath values of 2 pi^2 (F + G) / ((u - v)(u + v)^2), scales as
-# (a, b) of h1 and h2
+# 60-digit mpmath values of 2 pi^2 (F + G) / ((u - v)(u + v)^2), the
+# paper's form (at u = v its limit), scales as (a, b) of h1 and h2
 @pytest.mark.parametrize(
     "method, h1, h2, ref, tol",
     [
@@ -353,15 +333,67 @@ def test_products_beyond_double_range_at_the_mean_scaling(evaluate):
         # mean is brought near 1
         (potential_closed, (9.5e-16, 3.1e147), (4.1e-20, 1.6e141),
          1.7119845829889329e266, 1e-14),
-        # a product overflows at the scales' mean exponent: the exact
-        # fallback, with V far from any leading-order limit
+        # scales spanning 1e253, with V far from any leading-order limit
         (potential_closed, (2.5438979249591837e-54, 6.409127175558323e55),
          (9.797117694467623e78, 3.2484266209653115e-198), 524719.11068147453116, 1e-15),
+        # seeded draws from each accuracy set, bounded at 4e-15: scales
+        # log-uniform in e^+-0.7, in 10^+-20 and in 10^+-300 (V a normal
+        # double), near-identical metrics at offsets 1e-2 and 1e-8, and the
+        # surface u = v at relative offsets 1e-3 and 1e-10
+        (potential_closed, (0.8488190013800966, 1.935966962505219),
+         (1.6182485015689798, 0.777550172696795), 35.28161718436670387, 4e-15),
+        (potential_closed, (1.1045478112056644, 0.7962272001279377),
+         (0.5712472092653095, 0.5906282397861586), 3.5049644946724118766, 4e-15),
+        (potential_closed, (1.3642213619363303e-08, 74399369.5703986),
+         (542725760.1985347, 1.1125654211884875e-08), 740.01850997886758273, 4e-15),
+        (potential_closed, (2.0257774118585757e-11, 1.2873590918050474e19),
+         (1.1682882659072536e-13, 4.812810252484553e-20), 1.3424947581351020753e18, 4e-15),
+        (potential_closed, (1.0918982431078631e-12, 8.587971463352252e-179),
+         (2.034573528722408e79, 2.6953271357139546e19), 5.9360764810857917577e198, 4e-15),
+        (potential_closed, (4.638071865668972e-112, 2.2809827772108043e-109),
+         (5.047070312945884e187, 3.4004459765599536e-205), 5.814069385381622036e-33, 4e-15),
+        (potential_closed, (1.3712711032431093, 0.5535840980313597),
+         (1.3673524828309, 0.5570538241838258), 5.3904157390345384374e-4, 4e-15),
+        (potential_closed, (0.6081030175871036, 0.8071449855613081),
+         (0.6081030193724246, 0.8071449778246901), 4.7789317494004610075e-16, 4e-15),
+        (potential_closed, (0.6379350187561709, 0.20052139487465026),
+         (1.5817396484872477, 0.49754194308981764), 5.0625903662396861104, 4e-15),
+        (potential_closed, (0.6573276455193837, 0.3800818689684565),
+         (1.2209082276247711, 0.7059570430552863), 4.030352547111488266, 4e-15),
+        # the scales span 2^1400 and a2 b1 = 1.6e-495 leaves double range,
+        # yet V is a normal double
+        (potential_closed, (6.7e-200, 1.8e-230), (2.4e-265, 8.7e160),
+         8.6057897140045841405e-207, 4e-15),
     ],
     ids=["conjecture-near-identical", "conjecture-wide", "conjecture-cancelling",
          "conjecture-det-underflows", "conjecture-ratio-form-overflows",
-         "closed-false-overflow", "closed-subnormal", "closed-exact-fallback"],
+         "closed-false-overflow", "closed-subnormal", "closed-exact-fallback",
+         "closed-box-1", "closed-box-2", "closed-1e20-1", "closed-1e20-2",
+         "closed-1e300-1", "closed-1e300-2", "closed-near-1e-2", "closed-near-1e-8",
+         "closed-tube-1e-3", "closed-tube-1e-10", "closed-former-guard"],
 )
 def test_against_reference(method, h1, h2, ref, tol):
     value = method(HopfMetric(*h1), HopfMetric(*h2))
     assert abs(value - ref) <= tol * ref
+
+
+
+# scale factors log-uniform in 10^+-37, where the 1/a^2 stay inside
+# carlson.MAX_SPREAD
+HOPF_SCALES = st.floats(-37.0, 37.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a1=HOPF_SCALES, b1=HOPF_SCALES, a2=HOPF_SCALES, b2=HOPF_SCALES,
+       tube=st.sampled_from([None, 0.0, 1e-12, -1e-6, 1e-3]))
+def test_closed_form_matches_elliptic_form(a1, b1, a2, b2, tube):
+    # the elementary R_D form and Carlson's iterative R_D share no code:
+    # each checks the other, on the surface u = v (tube: the relative
+    # offset of b1 from it) as elsewhere
+    if tube is not None:
+        b1 = b2 * a1 / a2 * (1.0 + tube)
+        assume(1e-37 <= b1 <= 1e37)
+    h1, h2 = HopfMetric(a=a1, b=b1), HopfMetric(a=a2, b=b2)
+    closed = potential_closed(h1, h2)
+    elliptic = potential_elliptic(to_diagonal(h1), to_diagonal(h2))
+    assert abs(closed - elliptic) <= 1e-14 * elliptic
