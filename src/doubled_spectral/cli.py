@@ -449,7 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True,
                    help="10 upper-triangle entries e00,e01,e02,e03,e11,e12,e13,e22,e23,e33 "
                         "of the symmetric traceless perturbation")
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--order", type=int, default=4,
+                   help="highest order of both series, 2..100 (default %(default)s)")
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("moments", parents=[output],

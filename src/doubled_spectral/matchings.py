@@ -10,13 +10,14 @@ the 2m index slots that pair equal axis labels, with
 
 Contracting m copies of eps along a matching produces a product of traces,
 one tr(eps^k) per cycle of the block graph (blocks are the slot pairs
-(2l-1, 2l) of each eps factor).  The census of cycle types over all
-matchings therefore determines the exact expansion.  pattern_census counts
-each cycle type in closed form; the tests check it against a census built
-matching by matching.  compare_series evaluates the exact series next to
-its single-trace variant, which keeps only a tr(eps^m) term with
-coefficient (-2)^m N_{2m} c_m per order.  N_{2m} counts the matchings with
-no block pair (2l-1, 2l), i.e. no 1-cycle.
+(2l-1, 2l) of each eps factor).  pattern_census counts each cycle type in
+closed form for `moments`, and the tests check it against a census built
+matching by matching.  The series sums these products over all matchings by
+the exponential formula's recurrence in the traces (docs/derivation.md,
+section 3), which the tests check against the census.  compare_series
+evaluates the exact series next to its single-trace variant, which keeps
+only a tr(eps^m) term with coefficient (-2)^m N_{2m} c_m per order.
+N_{2m} counts the matchings with no block pair (2l-1, 2l), i.e. no 1-cycle.
 
 Rational bookkeeping (fractions.Fraction, in units of pi^2) is kept exact;
 floats appear only when a series is evaluated.  The combinatorial half
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .geometry import TWO_PI_SQ
@@ -48,8 +48,8 @@ PI_SQ = math.pi * math.pi
 MAX_MATCHING_ORDER = 10
 # largest m of moment_integral (2m indices) and of `moments --m`
 MAX_MOMENT_ORDER = 8
-# largest order of series_exact and compare_series
-MAX_SERIES_ORDER = 8
+# largest order of series_exact and compare_series (c_m is normal up to m ~ 150)
+MAX_SERIES_ORDER = 100
 
 EPS_SYMMETRY_TOL = 1e-15
 EPS_TRACE_TOL = 1e-15
@@ -121,7 +121,6 @@ def _partitions(m: int) -> list[tuple[int, ...]]:
     return list(gen(m, m))
 
 
-@lru_cache(maxsize=None)
 def pattern_census(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Number of matchings realizing each cycle type, for all cycle types
     (partitions of m), as ((lengths descending), count) pairs.  Counts sum
@@ -207,15 +206,16 @@ def _trace_powers(eps: np.ndarray, kmax: int) -> list[float]:
     return traces
 
 
-def _exact_term(m: int, traces) -> float:
-    """(-1)^m c_m sum over matchings of prod tr(eps^k), without the 1/Omega."""
-    if m == 0:
-        return TWO_PI_SQ
-    pat_sum = math.fsum(
-        count * math.prod(traces[k] for k in pat)
-        for pat, count in pattern_census(m)
-    )
-    return (-1.0) ** m * float(c_coefficient(m)) * PI_SQ * pat_sum
+def _exact_terms(order: int, traces) -> list[float]:
+    """(-1)^m c_m b_m, without the 1/Omega, for m = 0..order.  The sum b_m of
+    prod tr(eps^k) over the matchings follows the exponential formula's
+    recurrence b_n = sum_k 2^(k-1) (n-1)!/(n-k)! tr(eps^k) b_{n-k}
+    (docs/derivation.md, section 3)."""
+    b = [1.0]
+    for n in range(1, order + 1):
+        b.append(math.fsum(2 ** (k - 1) * math.perm(n - 1, k - 1) * traces[k] * b[n - k]
+                           for k in range(1, n + 1)))
+    return [(-1.0) ** m * float(c_coefficient(m)) * PI_SQ * b[m] for m in range(order + 1)]
 
 
 def _single_trace_term(m: int, traces) -> float:
@@ -228,7 +228,7 @@ def _single_trace_term(m: int, traces) -> float:
         return 0.0
     if m == 2:
         return (TWO_PI_SQ / 3.0) * traces[2]
-    return (-2.0) ** m * float(c_coefficient(m)) * PI_SQ * count_n(m) * traces[m]
+    return (-2.0) ** m * float(c_coefficient(m)) * PI_SQ * count_n_formula(m) * traces[m]
 
 
 def check_series_order(order: int, minimum: int = 2) -> int:
@@ -251,8 +251,8 @@ def series_exact(pf: PerturbedForm, order: int) -> float:
     from the per-order terms of compare_series, so it is its value_exact.
     """
     order = check_series_order(order, 0)
-    traces = _trace_powers(pf.eps, max(order, 1))
-    return math.fsum(_exact_term(m, traces) / pf.omega for m in range(order + 1))
+    traces = _trace_powers(pf.eps, order)
+    return math.fsum(t / pf.omega for t in _exact_terms(order, traces))
 
 
 class SeriesComparison(
@@ -283,9 +283,7 @@ def compare_series(pf: PerturbedForm, order: int, rule: SphereRule) -> SeriesCom
 
     order = check_series_order(order)
     traces = _trace_powers(pf.eps, order)
-    terms_exact = tuple(
-        _exact_term(m, traces) / pf.omega for m in range(order + 1)
-    )
+    terms_exact = tuple(t / pf.omega for t in _exact_terms(order, traces))
     terms_single = tuple(
         _single_trace_term(m, traces) / pf.omega for m in range(order + 1)
     )

@@ -678,7 +678,7 @@ class TestConfigAndDeterminism:
               "--sweep", "b:1:2:3", "--sweep", "0:1:2:3"), "swept axes overlap"),
             (("series", "--omega", "1", "--eps", "0,0,0"), "--eps needs the 10"),
             (("series", "--omega", "1", "--eps", "0.5,0,0,0,0,0,0,0,0,0"), "traceless"),
-            (("series", "--omega", "1", "--eps", "0,0,0,0,0,0,0,0,0,0", "--order", "99"),
+            (("series", "--omega", "1", "--eps", "0,0,0,0,0,0,0,0,0,0", "--order", "101"),
              "exceeds the guard"),
             (("series", "--omega", "1", "--eps", "0,0,0,0,0,0,0,0,0,0", "--order", "1"),
              "order must be >= 2"),

@@ -20,6 +20,8 @@ from doubled_spectral import (
     rational_integral,
     series_exact,
 )
+from doubled_spectral import matchings
+from doubled_spectral.matchings import MAX_MATCHING_ORDER, MAX_SERIES_ORDER
 from conftest import Matching, enumerate_matchings, trace_pattern
 
 PI_SQ = math.pi**2
@@ -294,10 +296,62 @@ class TestSeries:
 
     def test_order_guards(self, rule8):
         pf = PerturbedForm(omega=1.0, eps=np.zeros((4, 4)))
-        with pytest.raises(ValueError):
-            series_exact(pf, 9)
+        with pytest.raises(ValueError, match="exceeds the guard 100"):
+            series_exact(pf, 101)
+        with pytest.raises(ValueError, match="exceeds the guard 100"):
+            compare_series(pf, 101, rule8)
         with pytest.raises(ValueError):
             compare_series(pf, 1, rule8)
+
+
+class TestExponentialFormula:
+    def test_recurrence_matches_census(self):
+        # the census is the recurrence's independent check: each exact term
+        # against (-1)^m c_m pi^2 sum over cycle types of count * prod tr
+        rng = np.random.default_rng(139)
+        for _ in range(200):
+            eps = random_traceless(rng, float(rng.uniform(0.01, 0.9)))
+            traces = matchings._trace_powers(eps, MAX_MATCHING_ORDER)
+            terms = matchings._exact_terms(MAX_MATCHING_ORDER, traces)
+            assert terms[0] == TWO_PI_SQ
+            for m in range(1, MAX_MATCHING_ORDER + 1):
+                census_sum = math.fsum(
+                    count * math.prod(traces[k] for k in pat)
+                    for pat, count in pattern_census(m)
+                )
+                expect = (-1) ** m * float(c_coefficient(m)) * PI_SQ * census_sum
+                if abs(expect) > 1e-14 * TWO_PI_SQ:
+                    assert abs(terms[m] - expect) <= 1e-15 * abs(expect)
+
+    def test_series_path_never_reads_census(self, monkeypatch, rule16):
+        def refuse(m):
+            raise AssertionError("pattern_census called on the series path")
+
+        monkeypatch.setattr(matchings, "pattern_census", refuse)
+        rng = np.random.default_rng(149)
+        pf = PerturbedForm(omega=1.3, eps=random_traceless(rng, 0.5))
+        assert math.isfinite(series_exact(pf, 100))
+        assert math.isfinite(compare_series(pf, 8, rule16).value_exact)
+
+    @pytest.mark.parametrize("rho, bound", [(0.05, 1e-15), (0.5, 4e-15)])
+    def test_order_40_matches_rule(self, rule64, rho, bound):
+        # the series converges geometrically at the rate rho: at order 40
+        # the last term is 1e-55 of the sum at rho = 0.05, 1e-15 at 0.5
+        rng = np.random.default_rng(151)
+        for _ in range(5):
+            pf = PerturbedForm(omega=1.3, eps=random_traceless(rng, rho))
+            cmp_ = compare_series(pf, 40, rule64)
+            quad = cmp_.value_quadrature
+            assert abs(cmp_.value_exact - quad) <= bound * quad
+
+    def test_highest_order_terms_finite(self, rule8):
+        rng = np.random.default_rng(157)
+        pf = PerturbedForm(omega=1.0, eps=random_traceless(rng, 0.99))
+        cmp_ = compare_series(pf, MAX_SERIES_ORDER, rule8)
+        assert MAX_SERIES_ORDER == 100
+        for term in cmp_.terms_exact + cmp_.terms_single_trace:
+            assert math.isfinite(term)
+        assert math.isfinite(series_exact(pf, MAX_SERIES_ORDER))
 
 
 class TestCompareSeries:
