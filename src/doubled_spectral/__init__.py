@@ -14,9 +14,8 @@ Layers:
 A rule stores no nodes, only their t and angle factors
 (``SphereRule.t_factor``, ``SphereRule.angle_factor`` and their weights).
 The potential and the rational integral integrate one angle in closed form
-and sum the (phi, t) plane in one pairwise numpy sum; ``integrate`` sums the
-full 3-D rule in a fixed order of phi blocks.  Every result is
-bit-identical between runs.
+and sum the (phi, t) plane in one pairwise numpy sum, the rule's only
+reduction, so every result is bit-identical between runs.
 
 numpy is imported by s3quad, conjecture and reports, and inside the
 functions of geometry and matchings that handle arrays; carlson, hopf, the
@@ -74,7 +73,6 @@ _EXPORTS = {
     "series_exact": "matchings",
     "SphereRule": "s3quad",
     "build_rule": "s3quad",
-    "integrate": "s3quad",
     "potential_numeric": "s3quad",
     "rational_integral": "s3quad",
 }

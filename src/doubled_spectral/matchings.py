@@ -218,17 +218,25 @@ def _exact_terms(order: int, traces) -> list[float]:
     return [(-1.0) ** m * float(c_coefficient(m)) * PI_SQ * b[m] for m in range(order + 1)]
 
 
-def _single_trace_term(m: int, traces) -> float:
-    """Term of the single-trace series variant, without the 1/Omega: the
-    constant 2 pi^2, then (2 pi^2 / 3) tr(eps^2) at order 2, then
-    (-2)^m c_m N_{2m} tr(eps^m)."""
-    if m == 0:
-        return TWO_PI_SQ
-    if m == 1:
-        return 0.0
-    if m == 2:
-        return (TWO_PI_SQ / 3.0) * traces[2]
-    return (-2.0) ** m * float(c_coefficient(m)) * PI_SQ * count_n_formula(m) * traces[m]
+def _count_n_recurrence(order: int) -> list[int]:
+    """[N_0, N_2, ..., N_{2 order}] by N_{2(m+1)} = 2m (N_{2m} + N_{2(m-1)})
+    from N_0 = 1, N_2 = 0: count_n_formula(m) for every m >= 1, in O(order)
+    integer steps."""
+    counts = [1, 0]
+    for m in range(1, order):
+        counts.append(2 * m * (counts[m] + counts[m - 1]))
+    return counts[: order + 1]
+
+
+def _single_trace_terms(order: int, traces) -> list[float]:
+    """Terms of the single-trace series variant, without the 1/Omega, for
+    m = 0..order (order >= 2): the constant 2 pi^2, 0 at order 1,
+    (2 pi^2 / 3) tr(eps^2) at order 2, then (-2)^m c_m N_{2m} tr(eps^m)."""
+    counts = _count_n_recurrence(order)
+    return [TWO_PI_SQ, 0.0, (TWO_PI_SQ / 3.0) * traces[2]] + [
+        (-2.0) ** m * float(c_coefficient(m)) * PI_SQ * counts[m] * traces[m]
+        for m in range(3, order + 1)
+    ]
 
 
 def check_series_order(order: int, minimum: int = 2) -> int:
@@ -284,9 +292,7 @@ def compare_series(pf: PerturbedForm, order: int, rule: SphereRule) -> SeriesCom
     order = check_series_order(order)
     traces = _trace_powers(pf.eps, order)
     terms_exact = tuple(t / pf.omega for t in _exact_terms(order, traces))
-    terms_single = tuple(
-        _single_trace_term(m, traces) / pf.omega for m in range(order + 1)
-    )
+    terms_single = tuple(t / pf.omega for t in _single_trace_terms(order, traces))
     floor = 1e-12 * (TWO_PI_SQ / pf.omega)
     ratios = tuple(
         (ts / te) if abs(te) > floor else None

@@ -11,10 +11,9 @@ dS = (1/2) dt dphi dpsi and the natural rule is Gauss-Legendre in t times
 periodic trapezoid in each angle.  Smooth integrands converge spectrally.
 
 Evaluators built on the rule: the interaction potential of a pair of
-diagonal metrics, the generic rational integral int dS / (xi^T A xi) for a
-positive quadratic form A, and `integrate` for any scalar field.  The
-kinetic term is the identity of `geometry.kinetic_term`; the rule checks it
-through `integrate`.
+diagonal metrics and the generic rational integral int dS / (xi^T A xi) for
+a positive quadratic form A.  The kinetic term is the identity of
+`geometry.kinetic_term`; the tests check it against the product rule.
 
 Fold.  On the angle grid phi_k = pi k / level (k = 0 .. 2 level - 1), the
 maps phi -> -phi and phi -> pi - phi send a node to a sign flip of its
@@ -77,23 +76,10 @@ applied outside, in a bounded two-entry lru_cache, which is thread-safe.
 A hypothesis trial sums two distinct planes, the pair's and the rescaled
 pair's; its permuted and exchanged pairs reuse the pair's.  Rules hash by
 identity, so a rule with other arrays never shares an entry.
-
-`integrate` keeps the full 3-D fold, level (level//2 + 1)^2 nodes (69,696
-at level 64 against the product rule's 4 level^3 = 1,048,576), and is the
-independent check of the closed forms.  It averages a general integrand
-over the 16 sign images of each folded node, which regroups the product
-rule for any integrand.  It builds z from the (phi, t) and (psi, t)
-halves for PHI_BLOCK phi representatives at a time, hands the nodes to the
-integrand and sums the weighted values of each block in one pass.  The
-blocks bound the memory at MAX_LEVEL, where z of the whole fold would take
-136 MB before the integrand's sign images; they also fix the summation
-order and are part of the determinism contract.  `integrate` recovers the
-first-quadrant nodes as sqrt(z) = |xi|.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -110,13 +96,6 @@ from .geometry import (  # noqa: F401
     check_inverse_squares,
     kinetic_term,
 )
-
-# phi representatives per block of `integrate`.  It bounds memory at
-# MAX_LEVEL: z of a level-256 block takes 8.5 MB, z of the whole fold
-# 136 MB, and `integrate` holds a few arrays of that size while it averages
-# the sign images.  Part of the determinism contract, do not make it
-# configurable.
-PHI_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,64 +187,10 @@ def active_backend() -> str:
 def get_threads() -> int:
     """Worker count of the node reduction: always 1.
 
-    Chunks run serially in the calling thread.  Kept for callers that
-    record the worker count, such as the benchmark's run record.
+    The plane sums in the calling thread.  Kept for callers that record
+    the worker count, such as the benchmark's run record.
     """
     return 1
-
-
-def integrate(rule: SphereRule, f) -> float:
-    """Quadrature of a scalar field over the sphere, on the full 3-D fold.
-
-    f must map an (n, 4) node array to an (n,) array of values.  It is
-    called on each of the 16 sign images s * xi, s in {+1, -1}^4, of the
-    folded nodes xi = sqrt(z) >= 0, and each folded node weighs the mean of
-    its 16 values: the product rule regrouped, for any integrand.
-    Non-finite values signal a singular integrand and raise.
-
-    The nodes go to f in blocks of PHI_BLOCK phi representatives, with z
-    built from the (phi, t) and (psi, t) halves of the rule.  The weighted
-    values of a block are added by np.sum, and the block partials in block
-    order with Neumaier summation, so the result is bit-identical between
-    runs.  numpy floating-point warnings are off while f runs: an overflow
-    shows as a non-finite value, which raises.
-    """
-    signs = list(itertools.product((1.0, -1.0), repeat=4))
-    u, t = rule.t_factor
-    angle = rule.angle_factor[:, :, None]
-    # the (phi, t) and (psi, t) halves of z, (2, K, level) each
-    phi_t = angle * u
-    psi_t = angle * t
-    w_psi_t = np.multiply.outer(rule.angle_weights, rule.t_weights)
-    n_phi = angle.shape[1]
-    z = np.empty((4, min(n_phi, PHI_BLOCK)) + w_psi_t.shape)
-    total = 0.0
-    comp = 0.0
-    with np.errstate(all="ignore"):
-        for lo in range(0, n_phi, PHI_BLOCK):
-            hi = min(lo + PHI_BLOCK, n_phi)
-            block = z[:, : hi - lo]
-            block[:2] = phi_t[:, lo:hi, None]
-            block[2:] = psi_t[:, None]
-            x = np.sqrt(block).reshape(4, -1).T
-            values = sum(np.asarray(f(x * sign), dtype=float) for sign in signs)
-            if values.shape != (len(x),):
-                raise ValueError(
-                    f"integrand returned shape {values.shape}, expected {(len(x),)}"
-                )
-            if not np.all(np.isfinite(values)):
-                raise ValueError("integrand is non-finite at a quadrature node")
-            values = (values / 16.0).reshape(block.shape[1:])
-            values *= w_psi_t
-            values *= rule.angle_weights[lo:hi, None, None]
-            part = float(np.sum(values))
-            s = total + part
-            if abs(total) >= abs(part):
-                comp += (total - s) + part
-            else:
-                comp += (part - s) + total
-            total = s
-    return total + comp
 
 
 def _canonical_axis_order(a1, a2) -> list[int]:

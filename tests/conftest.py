@@ -59,6 +59,13 @@ def full_product_set(level):
     return xi, w
 
 
+def product_sum(level, f):
+    """fsum of w f(xi) over the product set of `level`, the 3-D reference
+    of the rule; f maps the (n, 4) nodes to (n,) values."""
+    xi, w = full_product_set(level)
+    return math.fsum((w * f(xi)).tolist())
+
+
 def unfolded(rule):
     """The same rule with the angle factor replaced by the unfolded grid of
     2 level angles, each of multiplicity 1: the product rule itself."""

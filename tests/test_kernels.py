@@ -1,6 +1,7 @@
-"""The rule's two sums and the evaluators built on them: the 3-D fold
-behind `integrate`, and the (phi, t) plane, with psi in closed form, behind
-potential_numeric and rational_integral."""
+"""The rule's one reduction, the (phi, t) plane with psi in closed form,
+and the evaluators built on it, potential_numeric and rational_integral:
+bit-for-bit repeatability, a per-node reference, the product-set fsum and
+the potential's memo."""
 
 import dataclasses
 import math
@@ -12,7 +13,6 @@ import doubled_spectral
 from doubled_spectral import (
     DiagonalMetric,
     build_rule,
-    integrate,
     potential_numeric,
     rational_integral,
     run_hypothesis_suite,
@@ -20,7 +20,6 @@ from doubled_spectral import (
 from doubled_spectral.matchings import PerturbedForm
 from doubled_spectral.geometry import TWO_PI_SQ
 from doubled_spectral.s3quad import (
-    PHI_BLOCK,
     _canonical_axis_order,
     _plane,
     _plane_sum,
@@ -29,7 +28,7 @@ from doubled_spectral.s3quad import (
     active_backend,
     get_threads,
 )
-from conftest import draw_scales, full_product_set, unfolded
+from conftest import draw_scales, full_product_set, product_sum, unfolded
 
 
 def folded_product_set(level):
@@ -57,14 +56,11 @@ class TestDeterminism:
         _potential_sum.cache_clear()
         assert potential_numeric(g1, g2, rule16) == first
 
-    def test_multi_chunk_repeatable_and_matches_fsum(self, rule64):
-        # level 64 spans 5 phi blocks folded and 16 unfolded, so the
-        # Neumaier block combine of `integrate` runs; `integrate` is checked
-        # on a field of the nodes and on one of their squares against a
-        # one-pass fsum of another grouping of the same rule, the product
-        # set of conftest.  The in-box potential and rational integral,
-        # summed on the plane with psi in closed form, are checked against
-        # the same fsums, which have converged in psi there.
+    def test_plane_repeatable_and_matches_fsum(self, rule64):
+        # the in-box potential and rational integral, summed on the plane
+        # with psi in closed form, repeat bit for bit and match a one-pass
+        # fsum of the same rule, folded and unfolded, in which psi has
+        # converged
         rng = np.random.default_rng(223)
         a1 = np.array(draw_scales(rng))
         a2 = np.array(draw_scales(rng))
@@ -78,23 +74,11 @@ class TestDeterminism:
         pf = PerturbedForm(omega=1.3, eps=eps)
         lam = pf.omega * (1.0 + np.linalg.eigvalsh(eps))
 
-        def f(x):
-            return np.exp(x[:, 0] - 0.5 * x[:, 3]) * (1.0 + x[:, 1] ** 2)
-
-        def g(z):
-            # an integrand of the squares
-            return np.exp(z[0] - 0.5 * z[3]) * (1.0 + z[1] * z[2])
-
         xi_full, w_full = full_product_set(64)
-        f_full = w_full * f(xi_full)
-        integral = math.fsum(f_full.tolist())
-        integral_scale = math.fsum(np.abs(f_full).tolist())
-        for rule, (z, w), blocks in (
-            (rule64, folded_product_set(64), 5),
-            (unfolded(rule64), (xi_full * xi_full, w_full), 16),
+        for rule, (z, w) in (
+            (rule64, folded_product_set(64)),
+            (unfolded(rule64), (xi_full * xi_full, w_full)),
         ):
-            n_phi = rule.angle_factor.shape[1]
-            assert -(-n_phi // PHI_BLOCK) == blocks
             q1 = z @ c1
             q2 = z @ c2
             big = w / ((q1 * q1) * (q2 * q2))
@@ -110,45 +94,14 @@ class TestDeterminism:
                 for l in range(4)
             )
             cases = (
-                (lambda: potential_numeric(g1, g2, rule), potential, potential),
-                (
-                    lambda: rational_integral(pf, rule),
-                    math.fsum((w / (z @ lam)).tolist()),
-                    None,
-                ),
-                (
-                    lambda: integrate(rule, lambda x: g((x * x).T)),
-                    math.fsum((w * g(z.T)).tolist()),
-                    None,
-                ),
-                (lambda: integrate(rule, f), integral, integral_scale),
+                (lambda: potential_numeric(g1, g2, rule), potential),
+                (lambda: rational_integral(pf, rule), math.fsum((w / (z @ lam)).tolist())),
             )
-            for call, reference, scale in cases:
+            for call, reference in cases:
                 first = call()
                 _potential_sum.cache_clear()
                 assert call() == first
-                scale = abs(reference) if scale is None else scale
-                assert abs(first - reference) <= 1e-13 * scale
-
-        # one t node with t = 0 and 2 PHI_BLOCK + 1 angles of weight 1, and
-        # a field of z_0 - z_1 that is 1e16, 1 and -1e16 on the first angle
-        # of each block, so the block partials are n_phi (1e16, 1, -1e16): a
-        # plain running sum of the partials loses the 1, and a sum without
-        # the last block keeps 1e16
-        n_phi = 2 * PHI_BLOCK + 1
-        cos2 = np.zeros(n_phi)
-        sin2 = np.zeros(n_phi)
-        cos2[[0, PHI_BLOCK]] = (1e16, 1.0)
-        sin2[2 * PHI_BLOCK] = 1e16
-        cancel = dataclasses.replace(
-            rule64,
-            t_factor=np.array([[1.0], [0.0]]),
-            t_weights=np.ones(1),
-            angle_factor=np.stack([cos2, sin2]),
-            angle_weights=np.ones(n_phi),
-        )
-        got = integrate(cancel, lambda x: x[:, 0] ** 2 - x[:, 1] ** 2)
-        assert got == n_phi
+                assert abs(first - reference) <= 1e-13 * abs(reference)
 
     def test_rational_node_guard(self, rule8):
         # the guard behind rational_integral's eigenvalue check, on the
@@ -245,10 +198,7 @@ class TestDeterminism:
                 assert got == reference(rule, (eigenvalues(pf),), reciprocal)
 
         # in-box, the 3-D product rule has converged in psi, so the two
-        # agree to rounding: against the independent product set, and
-        # against `integrate` on the 3-D fold
-        xi, w = full_product_set(64)
-        z = xi * xi
+        # agree to rounding against the independent product set
         for s1, s2 in in_box:
             a1, a2 = np.array(s1), np.array(s2)
             c1, c2 = 1.0 / a1**2, 1.0 / a2**2
@@ -259,18 +209,14 @@ class TestDeterminism:
                 return (z @ d) * (z @ s) / ((q1 * q1) * (q2 * q2))
 
             got = potential_numeric(DiagonalMetric(s1), DiagonalMetric(s2), rule64)
-            expect = math.fsum((w * field(z)).tolist())
-            assert abs(got - expect) <= 1e-14 * expect
-            expect = integrate(rule64, lambda x: field(x * x))
+            expect = product_sum(64, lambda x: field(x * x))
             assert abs(got - expect) <= 1e-14 * expect
         # the second form, eigenvalues 0.029 .. 1.09, is beyond it: there the
         # 3-D rule is 7.7e-14 off the Carlson R_F value, the plane 1.6e-15
         for pf in forms[:1]:
             lam = pf.omega * (1.0 + np.linalg.eigvalsh(0.5 * (pf.eps + pf.eps.T)))
             got = rational_integral(pf, rule64)
-            expect = math.fsum((w / (z @ lam)).tolist())
-            assert abs(got - expect) <= 1e-14 * expect
-            expect = integrate(rule64, lambda x: 1.0 / ((x * x) @ lam))
+            expect = product_sum(64, lambda x: 1.0 / ((x * x) @ lam))
             assert abs(got - expect) <= 1e-14 * expect
 
         # the factors reproduce the squares of the first-quadrant nodes of

@@ -14,7 +14,6 @@ from doubled_spectral import (
     count_n,
     count_n_formula,
     double_factorial,
-    integrate,
     moment_integral,
     pattern_census,
     rational_integral,
@@ -22,7 +21,7 @@ from doubled_spectral import (
 )
 from doubled_spectral import matchings
 from doubled_spectral.matchings import MAX_MATCHING_ORDER, MAX_SERIES_ORDER
-from conftest import Matching, enumerate_matchings, trace_pattern
+from conftest import Matching, enumerate_matchings, product_sum, trace_pattern
 
 PI_SQ = math.pi**2
 TWO_PI_SQ = 2.0 * PI_SQ
@@ -154,6 +153,13 @@ class TestCountN:
         for m in range(1, 11):
             assert count_n(m) == count_n_formula(m)
 
+    def test_recurrence_matches_inclusion_exclusion(self):
+        # the single-trace series reads N_{2m} from the recurrence
+        counts = matchings._count_n_recurrence(MAX_SERIES_ORDER)
+        assert len(counts) == MAX_SERIES_ORDER + 1
+        for m in range(1, MAX_SERIES_ORDER + 1):
+            assert counts[m] == count_n_formula(m)
+
     def test_brute_force_definition(self):
         for m in (2, 3, 4):
             direct = sum(
@@ -199,16 +205,13 @@ class TestMomentIntegral:
             )
             assert moment_integral(idx) == c_coefficient(m) * direct
 
-    def test_against_quadrature(self, rule32):
+    def test_against_quadrature(self):
         rng = np.random.default_rng(101)
         for _ in range(15):
             m = int(rng.integers(1, 5))
             idx = tuple(int(v) for v in rng.integers(0, 4, 2 * m))
             exact = float(moment_integral(idx)) * PI_SQ
-            quad = integrate(
-                rule32,
-                lambda x, idx=idx: np.prod([x[:, i] for i in idx], axis=0),
-            )
+            quad = product_sum(32, lambda x: np.prod([x[:, i] for i in idx], axis=0))
             if exact == 0.0:
                 assert abs(quad) <= 1e-13
             else:
