@@ -18,16 +18,16 @@ and sum the (phi, t) plane in one pairwise numpy sum, the rule's only
 reduction, so every result is bit-identical between runs.
 
 numpy is imported by s3quad, conjecture and reports, and inside the
-functions of geometry and matchings that handle arrays; carlson, hopf, the
-combinatorial half of matchings (c_coefficient, pattern_census, count_n,
-count_n_formula) and _emit are pure Python.  The names below are resolved
-on first access (PEP 562), and cli imports the numpy layers and matchings
-inside the subcommands that use them, so ``action``, ``sweep``,
-``potential --method closed|conjecture`` and ``moments`` never load numpy.
-Nor do they load dataclasses, which imports inspect, ast and dis: the value
-types of geometry, hopf and matchings are namedtuple subclasses that
-validate in ``__new__``.  Only s3quad's ``SphereRule`` and conjecture's
-records, which load with numpy anyway, are dataclasses.
+functions of geometry and matchings that handle arrays (no method of
+``DiagonalMetric``); carlson, hopf, cli, _emit and the combinatorial half of
+matchings (c_coefficient, pattern_census, count_n, count_n_formula) import
+none.  Names below resolve on first access (PEP 562), and cli imports the
+numpy layers and matchings inside the subcommands using them, so ``action``,
+``sweep``, ``potential --method closed|conjecture`` and ``moments`` never
+load numpy.  Nor do they load dataclasses, which imports inspect, ast and
+dis: the value types of geometry, hopf and matchings are namedtuple
+subclasses that validate in ``__new__``.  Only s3quad's ``SphereRule`` and
+conjecture's records, which load with numpy anyway, are dataclasses.
 """
 
 from importlib import import_module
@@ -44,7 +44,6 @@ _EXPORTS = {
     "check_permutation_invariance": "conjecture",
     "check_scaling_invariance": "conjecture",
     "run_hypothesis_suite": "conjecture",
-    "sqrt_det": "conjecture",
     "v_prime": "conjecture",
     "DiagonalMetric": "geometry",
     "DoubledGeometry": "geometry",
@@ -56,6 +55,7 @@ _EXPORTS = {
     "kinetic_term": "geometry",
     "quadratic_form": "geometry",
     "relative_eigenvalues": "geometry",
+    "sqrt_det": "geometry",
     "HopfMetric": "hopf",
     "potential_closed": "hopf",
     "potential_via_conjecture": "hopf",

@@ -17,10 +17,10 @@ The S^3 rule is the oracle: `potential --method numeric|both`,
 potential from its elliptic closed form (`carlson.potential_elliptic`), and
 so does `potential --method closed|both` for a pair that is not
 Hopf-shaped; a Hopf-shaped pair takes the Hopf closed form (`hopf`).
-numpy, the S^3 rule, the invariance suite and the Wick-pairing module are
-imported inside the subcommands that use them, so `action`, `sweep`,
-`potential --method closed|conjecture` and `moments` run without numpy, and
-without dataclasses (the types they build are namedtuples).
+This module imports no numpy; the S^3 rule, the invariance suite and the
+Wick-pairing module are imported inside the subcommands that use them, so
+`action`, `sweep`, `potential --method closed|conjecture` and `moments` run
+without numpy or dataclasses (the types they build are namedtuples).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .geometry import (
     DoubledGeometry,
     effective_params,
     kinetic_term,
+    sqrt_det,
 )
 from .hopf import HopfMetric, potential_closed, potential_via_conjecture
 
@@ -175,8 +176,6 @@ def _cmd_potential(args) -> None:
 def _cmd_action(args) -> None:
     g1 = _parse_metric(args.g1, "--g1")
     g2 = _parse_metric(args.g2, "--g2")
-    if args.c == 0.0:
-        raise CliError("--c must be nonzero")
     dg = DoubledGeometry(
         g1=g1,
         g2=g2,
@@ -232,17 +231,13 @@ def _cmd_series(args) -> None:
         vals = [float(e) for e in entries]
     except ValueError as exc:
         raise CliError(f"--eps: {exc}") from exc
-    import numpy as np
-
     from .matchings import PerturbedForm, check_series_order, compare_series
 
-    eps = np.zeros((4, 4))
-    k = 0
+    eps = [[0.0] * 4 for _ in range(4)]
+    upper = iter(vals)
     for i in range(4):
         for j in range(i, 4):
-            eps[i, j] = vals[k]
-            eps[j, i] = vals[k]
-            k += 1
+            eps[i][j] = eps[j][i] = next(upper)
     pf = PerturbedForm(omega=args.omega, eps=eps)
     check_series_order(args.order)
     if _config_only(args):
@@ -330,7 +325,7 @@ def _cmd_sweep(args) -> None:
     claimed = [ax for axes, *_ in specs for ax in axes]
     if len(set(claimed)) != len(claimed):
         raise CliError("swept axes overlap")
-    norm = TWO_PI_SQ * math.prod(g2.scales)  # V' = V / norm, as conjecture.v_prime
+    norm = TWO_PI_SQ * sqrt_det(g2)
     if not 0.0 < norm < math.inf:
         raise CliError(
             f"--g2: 2 pi^2 sqrt(det g2) = {fmt_float(norm)} under- or overflows "
@@ -444,7 +439,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hypothesis)
 
     p = sub.add_parser("series", parents=record,
-                       help="per-order series comparison against quadrature")
+                       help="per-order series comparison against quadrature",
+                       description="Exact and single-trace series against the S^3 rule; "
+                                   "the single-trace terms grow like (2 rho)^m, rho the "
+                                   "spectral radius of eps, so they diverge for rho >= 1/2.")
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--eps", required=True,
                    help="10 upper-triangle entries e00,e01,e02,e03,e11,e12,e13,e22,e23,e33 "

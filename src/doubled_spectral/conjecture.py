@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DiagonalMetric
+from .geometry import DiagonalMetric, sqrt_det
 from .s3quad import TWO_PI_SQ, SphereRule, potential_numeric
 
 # Metric entries are drawn log-uniformly from this box.
@@ -92,11 +92,6 @@ class HypothesisReport:
                 for f in self.failures
             ],
         }
-
-
-def sqrt_det(g: DiagonalMetric) -> float:
-    """sqrt(det g) = prod_j a_j for a diagonal metric."""
-    return math.prod(g.scales)
 
 
 def v_prime(g1: DiagonalMetric, g2: DiagonalMetric, rule: SphereRule) -> float:

@@ -14,10 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # area of the unit 3-sphere
 TWO_PI_SQ = 2.0 * math.pi * math.pi
@@ -47,11 +43,6 @@ class DiagonalMetric(namedtuple("DiagonalMetric", "scales")):
         if not all(math.isfinite(v) and v > 0.0 for v in vals):
             raise ValueError(f"scale factors must be positive and finite, got {vals}")
         return tuple.__new__(cls, (vals,))
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.scales)
 
 
 class UnitVector4(namedtuple("UnitVector4", "xi")):
@@ -130,11 +121,16 @@ def check_inverse_squares(g: DiagonalMetric, c, name: str) -> None:
         )
 
 
+def sqrt_det(g: DiagonalMetric) -> float:
+    """sqrt(det g) = prod_j a_j for a diagonal metric."""
+    return math.prod(g.scales)
+
+
 def kinetic_term(g1: DiagonalMetric, g2: DiagonalMetric) -> float:
     """int dS (Q1^-2 + Q2^-2), Q_i(xi) = sum_j xi_j^2 / a_{i,j}^2: by the
     sphere identity int dS / (xi^T C xi)^2 = 2 pi^2 / sqrt(det C), it is
     2 pi^2 (prod a1 + prod a2).  Raises ValueError when it overflows."""
-    value = TWO_PI_SQ * (math.prod(g1.scales) + math.prod(g2.scales))
+    value = TWO_PI_SQ * (sqrt_det(g1) + sqrt_det(g2))
     if not math.isfinite(value):
         raise ValueError(
             f"the kinetic term overflows double precision for g1 = {g1.scales}, "
@@ -191,8 +187,8 @@ def b2_trace_closed(dg: DoubledGeometry, xi: UnitVector4) -> float:
     """
     import numpy as np
 
-    a1 = dg.g1.as_array()
-    a2 = dg.g2.as_array()
+    a1 = np.array(dg.g1.scales)
+    a2 = np.array(dg.g2.scales)
     x = np.asarray(xi.xi)
     z = x * x
     inv1 = 1.0 / a1

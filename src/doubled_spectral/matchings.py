@@ -44,7 +44,7 @@ PI_SQ = math.pi * math.pi
 
 # Largest accepted orders, each range covered by the tests.  The census is
 # closed-form, so none of them bounds (2m-1)!! work.
-# largest m of pattern_census and count_n (cycle types: the partitions of m)
+# largest m of pattern_census (cycle types: the partitions of m)
 MAX_MATCHING_ORDER = 10
 # largest m of moment_integral (2m indices) and of `moments --m`
 MAX_MOMENT_ORDER = 8
@@ -150,12 +150,11 @@ def pattern_census(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 def count_n(m: int) -> int:
-    """Number of matchings of {1, ..., 2m} with no pair (2l-1, 2l), summed
-    over the census (these are exactly the matchings whose cycle type has no
-    1-cycle); independent of the inclusion-exclusion count_n_formula."""
+    """Number of matchings of {1, ..., 2m} with no pair (2l-1, 2l), from the
+    recurrence; independent of the inclusion-exclusion count_n_formula."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    return sum(count for pat, count in pattern_census(m) if 1 not in pat)
+    return _count_n_recurrence(m)[m]
 
 
 def count_n_formula(m: int) -> int:

@@ -127,9 +127,8 @@ class SphereRule:
         return 4 * self.level**3
 
 
-@lru_cache(maxsize=8)
 def _factors(level: int) -> SphereRule:
-    """The rule of `level`, built from its t and angle factors.  Cached."""
+    """The rule of `level`, built from its t and angle factors."""
     x, wx = np.polynomial.legendre.leggauss(level)
     # t = (1 + x) / 2; both rows come from x, so 1 - t keeps its relative
     # accuracy near t = 1
@@ -166,7 +165,7 @@ def _factors(level: int) -> SphereRule:
 def build_rule(level: int) -> SphereRule:
     """Product rule with `level` Gauss-Legendre nodes in t and 2*level
     equispaced nodes in each angle (4*level^3 nodes), stored as the factors
-    of its fold.  Cached.  Raises ValueError unless
+    of its fold.  Raises ValueError unless
     MIN_LEVEL <= level <= MAX_LEVEL, before anything is allocated."""
     level = int(level)
     if level < MIN_LEVEL:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubled_spectral import cli, s3quad
+from doubled_spectral import cli, matchings, s3quad
 from doubled_spectral.cli import CliError, _check_finite, main
 from doubled_spectral.hopf import HopfMetric, potential_closed
 from doubled_spectral.s3quad import MAX_LEVEL, MIN_LEVEL
@@ -166,7 +166,9 @@ class TestAction:
             "--phi", "1", "--kappa", "1", "--lambda", "1", "--c", "0",
         )
         assert code == 2
-        assert "nonzero" in json.loads(err)["error"]
+        assert json.loads(err) == {
+            "error": "moment_coeff must be finite and nonzero, got 0.0"
+        }
 
     def test_potential_is_the_1d_integral_at_wide_ratio(self, capsys):
         # at 30:1 the level-64 rule was 4.6e-3 off the closed form
@@ -322,6 +324,21 @@ class TestMoments:
     def test_guard(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--m", "9")
         assert code == 2
+
+    def test_one_census_per_request(self, capsys, monkeypatch):
+        # the two printed counts come from the recurrence and from
+        # inclusion-exclusion, so only the census rows build the census
+        calls = []
+        census = matchings.pattern_census
+
+        def counting(m):
+            calls.append(m)
+            return census(m)
+
+        monkeypatch.setattr(matchings, "pattern_census", counting)
+        rec = run_json(capsys, "moments", "--m", "7")
+        assert calls == [7]
+        assert rec["forbidden_free_count"] == rec["forbidden_free_inclusion_exclusion"]
 
 
 class TestSweep:

@@ -114,7 +114,7 @@ class TestPotentialClosed:
             vb = potential_closed(h2, h1)
             assert abs(va - vb) <= 1e-12 * max(abs(va), 1e-30)
 
-    def test_singular_tube_uses_1d_fallback(self):
+    def test_singular_tube_analytic_limit(self):
         # on the surface u = v the paper's form is 0/0; the R_D form is
         # regular there and must match the analytic limit
         a1, a2, b2 = 1.4, 0.9, 1.1

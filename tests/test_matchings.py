@@ -121,6 +121,13 @@ class TestCensus:
         for m in range(1, 11):
             assert sum(c for _, c in pattern_census(m)) == double_factorial(2 * m - 1)
 
+    def test_no_one_cycle_count_is_inclusion_exclusion(self):
+        # the matchings with no block pair (2l-1, 2l) are those whose cycle
+        # type has no 1-cycle
+        for m in range(1, 11):
+            free = sum(count for pat, count in pattern_census(m) if 1 not in pat)
+            assert free == count_n_formula(m)
+
     def test_closed_form_cross_check(self):
         # independent count per cycle type: partition the m blocks into
         # cycles, times 2^(k-1) (k-1)! single-cycle matchings per k-cycle

@@ -80,15 +80,14 @@ class TestRule:
         g1 = DiagonalMetric((0.7, 1.3, 1.1, 0.9))
         g2 = DiagonalMetric((1.2, 0.8, 0.6, 1.5))
         pf = PerturbedForm(omega=1.0, eps=np.diag([0.3, -0.1, -0.4, 0.2]))
-        build = s3quad._factors.__wrapped__  # uncached
-        rule = build(64)
+        rule = s3quad._factors(64)
         tracemalloc.start()
         try:
             potential_numeric(g1, g2, rule)
             rational_integral(pf, rule)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            build(MAX_LEVEL)
+            s3quad._factors(MAX_LEVEL)
             _, build_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -96,11 +95,10 @@ class TestRule:
         assert build_peak < 8e6
 
     def test_no_evaluator_allocates_the_product_set(self):
-        level = 36  # no other test builds this level, so the rule is fresh
         g1 = DiagonalMetric((0.7, 1.3, 1.1, 0.9))
         g2 = DiagonalMetric((1.2, 0.8, 0.6, 1.5))
         pf = PerturbedForm(omega=1.0, eps=np.diag([0.3, -0.1, -0.4, 0.2]))
-        rule = build_rule(level)
+        rule = build_rule(36)  # a new rule, so the plane sum is not memoized
         tracemalloc.start()
         try:
             potential_numeric(g1, g2, rule)
@@ -111,20 +109,6 @@ class TestRule:
         # nodes (4 floats) and weights (1 float) of the 4 L^3 product set
         product_bytes = rule.node_count * 5 * 8
         assert peak < product_bytes / 4
-
-
-class TestIntegrate:
-    def test_convergence_under_doubling(self, rule16, rule32, rule64):
-        # eccentric pair so the level-16 error is far above the float floor
-        g1 = DiagonalMetric((0.5, 2.0, 0.5, 2.0))
-        g2 = DiagonalMetric((1.9, 0.6, 1.4, 0.52))
-        v16 = potential_numeric(g1, g2, rule16)
-        v32 = potential_numeric(g1, g2, rule32)
-        v64 = potential_numeric(g1, g2, rule64)
-        d1 = abs(v32 - v16)
-        d2 = abs(v64 - v32)
-        assert d1 > 1e-13 * abs(v64)
-        assert d2 <= d1 / 10.0
 
 
 class TestKinetic:
@@ -156,8 +140,8 @@ class TestKinetic:
         for _ in range(5):
             g1 = DiagonalMetric(draw_scales(rng))
             g2 = DiagonalMetric(draw_scales(rng))
-            c1 = 1.0 / g1.as_array() ** 2
-            c2 = 1.0 / g2.as_array() ** 2
+            c1 = 1.0 / np.array(g1.scales) ** 2
+            c2 = 1.0 / np.array(g2.scales) ** 2
             val = product_sum(64, lambda x: ((x * x) @ c1) ** -2 + ((x * x) @ c2) ** -2)
             expect = kinetic_term(g1, g2)
             assert abs(val - expect) <= 1e-13 * expect
@@ -182,6 +166,18 @@ def test_out_of_range_scale_rejected(rule8, evaluator, scales):
 
 
 class TestPotential:
+    def test_convergence_under_doubling(self, rule16, rule32, rule64):
+        # eccentric pair so the level-16 error is far above the float floor
+        g1 = DiagonalMetric((0.5, 2.0, 0.5, 2.0))
+        g2 = DiagonalMetric((1.9, 0.6, 1.4, 0.52))
+        v16 = potential_numeric(g1, g2, rule16)
+        v32 = potential_numeric(g1, g2, rule32)
+        v64 = potential_numeric(g1, g2, rule64)
+        d1 = abs(v32 - v16)
+        d2 = abs(v64 - v32)
+        assert d1 > 1e-13 * abs(v64)
+        assert d2 <= d1 / 10.0
+
     def test_equal_metrics_exactly_zero(self, rule16):
         rng = np.random.default_rng(23)
         g = DiagonalMetric(draw_scales(rng))
