@@ -25,9 +25,10 @@ none.  Names below resolve on first access (PEP 562), and cli imports the
 numpy layers and matchings inside the subcommands using them, so ``action``,
 ``sweep``, ``potential --method closed|conjecture`` and ``moments`` never
 load numpy.  Nor do they load dataclasses, which imports inspect, ast and
-dis: the value types of geometry, hopf and matchings are namedtuple
-subclasses that validate in ``__new__``.  Only s3quad's ``SphereRule`` and
-conjecture's records, which load with numpy anyway, are dataclasses.
+dis: the value types of geometry, hopf, matchings and conjecture are
+namedtuple subclasses that validate in ``__new__``.  Only s3quad's
+``SphereRule``, which must hash by identity for the plane memo, is a
+dataclass.
 """
 
 from importlib import import_module

@@ -33,6 +33,7 @@ import sys
 from ._emit import fmt_float, to_csv, to_json
 from .carlson import potential_elliptic
 from .geometry import (
+    DEFAULT_LEVEL,
     MAX_LEVEL,
     MIN_LEVEL,
     TWO_PI_SQ,
@@ -42,9 +43,8 @@ from .geometry import (
     kinetic_term,
     sqrt_det,
 )
-from .hopf import HopfMetric, potential_closed, potential_via_conjecture
+from .hopf import from_diagonal, potential_closed, potential_via_conjecture
 
-DEFAULT_LEVEL = 64
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-7
 
@@ -66,26 +66,13 @@ def _parse_metric(text: str, flag: str) -> DiagonalMetric:
     return DiagonalMetric(vals)
 
 
-def _as_hopf(g: DiagonalMetric, flag: str) -> HopfMetric:
-    a = g.scales
-    if not _is_hopf(g):
-        raise CliError(
-            f"{flag} is not Hopf-shaped (need a0 == a1 and a2 == a3): {a}"
-        )
-    return HopfMetric(a=a[2], b=a[0])
-
-
-def _is_hopf(g: DiagonalMetric) -> bool:
-    a = g.scales
-    return a[0] == a[1] and a[2] == a[3]
-
-
 def _closed_form(g1: DiagonalMetric, g2: DiagonalMetric) -> float:
     """The Hopf closed form of a pair of Hopf-shaped metrics, else the
     elliptic closed form, which holds for every diagonal pair."""
-    if _is_hopf(g1) and _is_hopf(g2):
-        return potential_closed(_as_hopf(g1, "--g1"), _as_hopf(g2, "--g2"))
-    return potential_elliptic(g1, g2)
+    h1, h2 = from_diagonal(g1), from_diagonal(g2)
+    if h1 is None or h2 is None:
+        return potential_elliptic(g1, g2)
+    return potential_closed(h1, h2)
 
 
 def _check_finite(obj, name: str = "") -> None:
@@ -145,8 +132,12 @@ def _cmd_potential(args) -> None:
     g1 = _parse_metric(args.g1, "--g1")
     g2 = _parse_metric(args.g2, "--g2")
     if args.method == "conjecture":
-        h1 = _as_hopf(g1, "--g1")
-        h2 = _as_hopf(g2, "--g2")
+        h1, h2 = from_diagonal(g1), from_diagonal(g2)
+        for flag, g, h in (("--g1", g1, h1), ("--g2", g2, h2)):
+            if h is None:
+                raise CliError(
+                    f"{flag} is not Hopf-shaped (need a0 == a1 and a2 == a3): {g.scales}"
+                )
     if _config_only(args):
         return
     record = {
@@ -335,6 +326,7 @@ def _cmd_sweep(args) -> None:
         return
     grids = [_grid(lo, hi, steps) for _, lo, hi, steps in specs]
     header = ["g1_0", "g1_1", "g1_2", "g1_3", "v_numeric", "v_closed", "v_prime"]
+    h2 = from_diagonal(g2)
     rows = []
     # product walks the grid in meshgrid(indexing="ij") order
     for point in itertools.product(*grids):
@@ -344,9 +336,8 @@ def _cmd_sweep(args) -> None:
                 scales[ax] = value
         g1 = DiagonalMetric(tuple(scales))
         vn = potential_elliptic(g1, g2)
-        vc = None
-        if _is_hopf(g1) and _is_hopf(g2):
-            vc = potential_closed(_as_hopf(g1, "--base"), _as_hopf(g2, "--g2"))
+        h1 = from_diagonal(g1)
+        vc = None if h1 is None or h2 is None else potential_closed(h1, h2)
         rows.append(list(g1.scales) + [vn, vc, vn / norm])
     _check_finite([dict(zip(header, row)) for row in rows], "rows")
     _write_out(args, to_csv(header, rows))

@@ -27,12 +27,12 @@ sums a second plane and carries the rule's error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .geometry import DiagonalMetric, sqrt_det
-from .s3quad import TWO_PI_SQ, SphereRule, potential_numeric
+from .geometry import TWO_PI_SQ, DiagonalMetric, sqrt_det
+from .s3quad import SphereRule, potential_numeric
 
 # Metric entries are drawn log-uniformly from this box.
 PARAM_RANGE = (0.5, 2.0)
@@ -54,44 +54,23 @@ RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
 _FLOOR = 1e-30
 
 
-@dataclass(frozen=True)
-class CheckFailure:
-    g1: tuple[float, float, float, float]
-    g2: tuple[float, float, float, float]
-    transformation: str
-    discrepancy: float
+class CheckFailure(namedtuple("CheckFailure", "g1 g2 transformation discrepancy")):
+    """One check of one trial above the tolerance: the pair's scales, the
+    transformation's label and its relative discrepancy."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    trials: int
-    seed: int
-    level: int
-    tol: float
-    rng: str
-    max_violation: float
-    failures: tuple[CheckFailure, ...]
+class HypothesisReport(
+    namedtuple("HypothesisReport", "trials seed level tol rng max_violation failures")
+):
+    """Outcome of run_hypothesis_suite; failures is a tuple of CheckFailure."""
 
-    # not dataclasses.asdict, which is about 15x slower: the suite benchmark
-    # converts one report per trial
+    __slots__ = ()
+
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "level": self.level,
-            "tol": self.tol,
-            "rng": self.rng,
-            "max_violation": self.max_violation,
-            "failures": [
-                {
-                    "g1": list(f.g1),
-                    "g2": list(f.g2),
-                    "transformation": f.transformation,
-                    "discrepancy": f.discrepancy,
-                }
-                for f in self.failures
-            ],
-        }
+        failures = [dict(f._asdict(), g1=list(f.g1), g2=list(f.g2)) for f in self.failures]
+        return dict(self._asdict(), failures=failures)
 
 
 def v_prime(g1: DiagonalMetric, g2: DiagonalMetric, rule: SphereRule) -> float:
@@ -199,14 +178,7 @@ def run_hypothesis_suite(
         for label, disc in checks:
             max_violation = max(max_violation, disc)
             if disc > tol:
-                failures.append(
-                    CheckFailure(
-                        g1=g1.scales,
-                        g2=g2.scales,
-                        transformation=label,
-                        discrepancy=disc,
-                    )
-                )
+                failures.append(CheckFailure(g1.scales, g2.scales, label, disc))
     return HypothesisReport(
         trials=trials,
         seed=int(seed),

@@ -59,6 +59,15 @@ def to_diagonal(h: HopfMetric) -> DiagonalMetric:
     return DiagonalMetric((h.b, h.b, h.a, h.a))
 
 
+def from_diagonal(g: DiagonalMetric) -> HopfMetric | None:
+    """The HopfMetric of g, or None unless g is Hopf-shaped: a0 == a1 and
+    a2 == a3."""
+    b0, b1, a2, a3 = g.scales
+    if b0 == b1 and a2 == a3:
+        return HopfMetric(a=a2, b=b0)
+    return None
+
+
 def _closed(a1: float, b1: float, a2: float, b2: float) -> float:
     """V of the Hopf pair (b1, b1, a1, a1), (b2, b2, a2, a2).  Raises
     ValueError where a scale is 0 (an underflowed ratio of

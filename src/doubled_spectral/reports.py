@@ -27,8 +27,8 @@ import numpy as np
 
 from ._emit import fmt_float
 from .matchings import PerturbedForm, compare_series, pattern_census
-from .s3quad import TWO_PI_SQ, build_rule, potential_numeric
-from .geometry import DiagonalMetric
+from .geometry import DEFAULT_LEVEL, TWO_PI_SQ, DiagonalMetric
+from .s3quad import build_rule, potential_numeric
 
 SINGULAR_SEED = 20240901
 SERIES_SEED = 20240902
@@ -37,7 +37,7 @@ SERIES_SEED = 20240902
 def singular_limit_rows():
     """On-surface comparison rows.
 
-    Each of 10 rows evaluates the potential by level-64 quadrature at a
+    Each of 10 rows evaluates the potential on the DEFAULT_LEVEL rule at a
     seeded point of the surface b1 = b2 a1 / a2 and compares against the
     two candidate limits
 
@@ -47,7 +47,7 @@ def singular_limit_rows():
     reporting the relative deviation from each.
     """
     rng = np.random.default_rng(SINGULAR_SEED)
-    rule = build_rule(64)
+    rule = build_rule(DEFAULT_LEVEL)
     rows = []
     for _ in range(10):
         a1, a2, b2 = np.exp(rng.uniform(math.log(0.5), math.log(2.0), 3))
@@ -123,7 +123,7 @@ def render_markdown() -> str:
         "",
         "`L_2pi2` is what the ratio-variable form `2 pi^2 V(x, y) sqrt(det g2)`",
         "predicts at `x = y`; `L_bare` drops the prefactor. Quadrature at",
-        "level 64 on 10 seeded surface points decides:",
+        f"level {DEFAULT_LEVEL} on 10 seeded surface points decides:",
         "",
     ]
     rows = singular_limit_rows()
@@ -157,10 +157,10 @@ def render_markdown() -> str:
         "gives order-m terms `(-1)^m c_m sum_matchings prod_cycles tr(eps^k)`",
         "(the \"exact\" column). The single-trace variant replaces the matching",
         "sum by `(-2)^m N_2m tr(eps^m)`. Comparison on 5 seeded perturbations",
-        "(spectral radius <= 0.05, order 4, quadrature level 64):",
+        f"(spectral radius <= 0.05, order 4, quadrature level {DEFAULT_LEVEL}):",
         "",
     ]
-    rule = build_rule(64)
+    rule = build_rule(DEFAULT_LEVEL)
     comps = [compare_series(pf, 4, rule) for pf in series_inputs()]
     table_rows = []
     for i, cmp_ in enumerate(comps):

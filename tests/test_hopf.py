@@ -17,6 +17,8 @@ from doubled_spectral import (
     script_v,
     to_diagonal,
 )
+from doubled_spectral.geometry import DiagonalMetric
+from doubled_spectral.hopf import from_diagonal
 
 TWO_PI_SQ = 2.0 * math.pi**2
 
@@ -47,6 +49,15 @@ class TestToDiagonal:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             HopfMetric(a=0.0, b=1.0)
+
+    def test_from_diagonal_inverts_it(self):
+        for h in (HopfMetric(a=1, b=1), HopfMetric(a=2, b=3), HopfMetric(a=1e-200, b=7.5)):
+            assert from_diagonal(to_diagonal(h)) == h
+
+    def test_from_diagonal_of_a_non_hopf_metric_is_none(self):
+        # each of the two conditions a0 == a1 and a2 == a3 on its own
+        for scales in ((2, 1, 1, 1), (1, 1, 1, 2), (1, 2, 1, 2), (1.0, 1.0 + 2**-52, 3, 3)):
+            assert from_diagonal(DiagonalMetric(scales)) is None
 
 
 class TestPotentialClosed:
