@@ -305,7 +305,13 @@ def potential_numeric(
     c2 = [v * v for v in inv2]
     check_inverse_squares(g1, c1, "g1")
     check_inverse_squares(g2, c2, "g2")
-    d = [(v - w) * (v - w) for v, w in zip(inv2, inv1)]
+    # d_j = ((a1_j - a2_j) / (a1_j a2_j))^2, not (1/a2_j - 1/a1_j)^2, which
+    # cancels for nearly equal metrics; the grouping is the same for the
+    # exchanged pair, so its row keeps every bit.  Squared by a product, as
+    # c1 and c2: float ** 2 calls the C library's pow, which need not round
+    # correctly
+    diff = [(a1[j] - a2[j]) * (v * w) for j, v, w in zip(order, inv1, inv2)]
+    d = [v * v for v in diff]
     # V is homogeneous of degree -2 in the coefficients.  Scaled by an even
     # power of two, so that every product, quotient and square root rounds
     # as before, the largest 1/a^2 falls below 1, and the plane stays finite

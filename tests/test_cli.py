@@ -41,6 +41,15 @@ class TestPotential:
         assert rec["value_numeric"] == pytest.approx(TWO_PI_SQ, rel=1e-10)
         assert rec["abs_difference"] <= 1e-9
 
+    def test_both_on_nearly_identical_hopf_pair(self, capsys):
+        # the rule's d_j cancelled here: the two values were 8.5e-8 apart
+        rec = run_json(
+            capsys, "potential", "--g1", "1.3,1.3,0.7,0.7",
+            "--g2", "1.3000000013,1.3000000013,0.6999999993,0.6999999993",
+            "--method", "both",
+        )
+        assert rec["abs_difference"] <= 1e-14 * rec["value_closed"]
+
     def test_equal_metrics_zero(self, capsys):
         rec = run_json(
             capsys, "potential", "--g1", "1.3,0.7,1.1,0.9",
@@ -214,6 +223,44 @@ class TestHypothesis:
         labels = [f["transformation"] for f in rec["failures"]]
         assert "scaling[0.765004669954624, 0.9564840162335098, " \
                "0.9051475237623232, 1.330705955635411]" in labels
+
+    def test_record_bytes(self, capsys):
+        # the whole record, failures included: field order, list layout and
+        # 17-digit floats; at tol 0 every nonzero violation is a failure
+        code, out, err = run_cli(
+            capsys, "hypothesis", "--trials", "2", "--seed", "3", "--level", "8",
+            "--tol", "0",
+        )
+        assert (code, err) == (0, "")
+        assert out == """{
+  "trials": 2,
+  "seed": 3,
+  "level": 8,
+  "tol": 0,
+  "rng": "numpy.random.Generator(PCG64)",
+  "max_violation": 9.0202507196991967e-05,
+  "failures": [
+    {
+      "g1": [0.56303571094356575, 0.69429515700436495, 1.5183968772488834, 1.1206409151361405],
+      "g2": [0.56969327637964839, 0.91146166238925708, 0.97137657187309623, 0.6239394042216847],
+      "transformation": "scaling[1.164736798506605, 0.757385048838886, 0.9180566071128915, 1.0015031853795322]",
+      "discrepancy": 9.0202507196991967e-05
+    },
+    {
+      "g1": [1.3905692329003747, 1.8823494848020912, 0.74144024312328782, 1.2286673853820147],
+      "g2": [1.3126042353573317, 0.75024905306544543, 0.50103391469117398, 1.9277534495035511],
+      "transformation": "scaling[0.8608465809091967, 0.8701963249810474, 1.298762736881781, 1.050145890671998]",
+      "discrepancy": 4.8874027549014698e-05
+    },
+    {
+      "g1": [1.3905692329003747, 1.8823494848020912, 0.74144024312328782, 1.2286673853820147],
+      "g2": [1.3126042353573317, 0.75024905306544543, 0.50103391469117398, 1.9277534495035511],
+      "transformation": "exchange",
+      "discrepancy": 1.3631208879961855e-16
+    }
+  ]
+}
+"""
 
 
 class TestSeries:

@@ -168,7 +168,8 @@ class TestDeterminism:
             order = order[2:] + order[:2]
             inv1, inv2 = 1.0 / a1[order], 1.0 / a2[order]
             c1, c2 = inv1 * inv1, inv2 * inv2
-            return c1, c2, (inv2 - inv1) ** 2
+            diff = (a1[order] - a2[order]) * (inv1 * inv2)
+            return c1, c2, diff * diff
 
         rng = np.random.default_rng(229)
         in_box = [(draw_scales(rng), draw_scales(rng)) for _ in range(3)]

@@ -10,6 +10,7 @@ from doubled_spectral import (
     DiagonalMetric,
     build_rule,
     kinetic_term,
+    potential_elliptic,
     potential_numeric,
     rational_integral,
     s3quad,
@@ -188,6 +189,16 @@ class TestPotential:
         rng = np.random.default_rng(19)
         g = DiagonalMetric(tuple(scale * a for a in draw_scales(rng)))
         assert potential_numeric(g, g, rule64) == 0.0
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_nearly_equal_metrics_against_elliptic(self, rule64, delta):
+        # d_j = (1/a2_j - 1/a1_j)^2 cancelled here: 3.5e-13 off at
+        # delta = 1e-4, 3.8e-9 at 1e-8 and 4.0e-5 at 1e-12
+        a1 = (1.3, 0.7, 1.1, 0.9)
+        a2 = tuple(a * (1 + delta * (j + 1)) for j, a in enumerate(a1))
+        g1, g2 = DiagonalMetric(a1), DiagonalMetric(a2)
+        expect = potential_elliptic(g1, g2)
+        assert abs(potential_numeric(g1, g2, rule64) - expect) <= 1e-14 * expect
 
     def test_power_of_two_scaling_is_exact(self, rule64):
         # V(2^k g1, 2^k g2) = 2^(4k) V(g1, g2), bit for bit, also at scales
