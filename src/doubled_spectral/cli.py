@@ -406,7 +406,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "closed form for Hopf-shaped metrics (a0 == a1 and "
                         "a2 == a3), else the elliptic closed form; both: "
                         "numeric and closed side by side; conjecture: the "
-                        "factorized Hopf form, Hopf-shaped metrics only")
+                        "paper's ratio form 2 pi^2 W(b1/b2, a1/a2) sqrt(det g2), "
+                        "Hopf-shaped metrics only (use closed for any other "
+                        "pair)")
     p.set_defaults(func=_cmd_potential)
 
     p = sub.add_parser("action", parents=[output, fmt],
