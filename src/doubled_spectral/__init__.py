@@ -26,9 +26,9 @@ numpy layers and matchings inside the subcommands using them, so ``action``,
 ``sweep``, ``potential --method closed|conjecture`` and ``moments`` never
 load numpy.  Nor do they load dataclasses, which imports inspect, ast and
 dis: the value types of geometry, hopf, matchings and conjecture are
-namedtuple subclasses that validate in ``__new__``.  Only s3quad's
-``SphereRule``, which must hash by identity for the plane memo, is a
-dataclass.
+namedtuple subclasses, which check any conditions in ``__new__``.  Only
+s3quad's ``SphereRule``, which must hash by identity for the plane memo,
+is a dataclass.
 """
 
 from importlib import import_module

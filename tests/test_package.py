@@ -99,7 +99,9 @@ def test_value_types_are_immutable_values(name):
     # positional and keyword construction, value equality and hashing,
     # immutability and the Type(field=value, ...) repr
     # CheckFailure is no export; HypothesisReport.failures holds it
-    cls = getattr(doubled_spectral, name, None) or getattr(import_module("doubled_spectral.conjecture"), name)
+    cls = getattr(doubled_spectral, name, None) or getattr(
+        import_module("doubled_spectral.conjecture"), name
+    )
     fields, args = VALUE_TYPES[name]
     value = cls(*args)
     assert value == cls(**dict(zip(fields, args)))
@@ -111,19 +113,6 @@ def test_value_types_are_immutable_values(name):
     if name == "SeriesComparison":
         assert value.to_dict() == dict(zip(fields, args))
         assert list(value.to_dict()) == list(fields)
-
-
-def test_hypothesis_report_to_dict_lists_every_tuple():
-    from doubled_spectral.conjecture import CheckFailure, HypothesisReport
-
-    fields, args = VALUE_TYPES["CheckFailure"]
-    failure = CheckFailure(*args)
-    report = HypothesisReport(*VALUE_TYPES["HypothesisReport"][1][:-1], (failure, failure))
-    record = report.to_dict()
-    assert list(record) == list(VALUE_TYPES["HypothesisReport"][0])
-    expect = dict(zip(fields, args), g1=[1.0, 2.0, 3.0, 4.0], g2=[0.5, 1.0, 1.5, 2.0])
-    assert record["failures"] == [expect, expect]
-    assert list(record["failures"][0]) == list(fields)
 
 
 def test_perturbed_form_keeps_its_spectral_radius_through_copies():
