@@ -650,6 +650,32 @@ def test_closed_form_and_census_requests_do_not_import_numpy(argv):
         assert json.loads(out.stdout)[key]
 
 
+NUMPY_RANDOM_FREE_REQUESTS = {
+    "hypothesis": ["hypothesis", "--trials", "1", "--level", "8"],
+    "numeric": ["potential", "--g1", "1,1.2,2,0.8", "--g2", "1.5,0.6,0.7,1.1",
+                "--method", "numeric"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", NUMPY_RANDOM_FREE_REQUESTS.values(), ids=NUMPY_RANDOM_FREE_REQUESTS.keys()
+)
+def test_numpy_requests_do_not_import_numpy_random(argv):
+    # numpy.random adds about 6 MB of RSS to a request; the suite draws its
+    # PCG64 stream in pure Python
+    code = (
+        "import sys\n"
+        "from doubled_spectral.cli import main\n"
+        f"code = main({argv!r})\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' in sys.modules, 'numpy was not imported'\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)
+
+
 class TestConfigAndDeterminism:
     def test_emit_config(self, capsys):
         rec = run_json(

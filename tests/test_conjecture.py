@@ -17,6 +17,7 @@ from doubled_spectral import (
 )
 from doubled_spectral._emit import to_json
 from doubled_spectral.cli import DEFAULT_TOL
+from doubled_spectral.conjecture import _PCG64Stream
 from doubled_spectral.s3quad import _potential_sum
 from conftest import draw_scales
 
@@ -96,6 +97,44 @@ class TestPermutationCheck:
         g = DiagonalMetric((1, 1, 1, 1))
         with pytest.raises(ValueError):
             check_permutation_invariance(g, g, (0, 0, 1, 2), rule16)
+
+
+def _draw_sequence(rng):
+    # uniform draws read 64 bits, a permutation 32-bit halves; the second
+    # permutation starts on any half the first left buffered, and the draw
+    # at index 2 is redrawn a quarter of the time
+    out = []
+    for lo, hi in ((-0.7, 0.7), (0.5, 2.0), (1e-3, 1e3)):
+        out += [float(x) for x in rng.uniform(lo, hi, 4)]
+    out.append([int(i) for i in rng.permutation(4)])
+    out += [float(x) for x in rng.uniform(-0.35, 0.35, 4)]
+    out.append([int(i) for i in rng.permutation(4)])
+    return out
+
+
+class TestStream:
+    """The suite's pure-Python stream against numpy's default_rng."""
+
+    def test_matches_numpy_on_10000_seeds(self):
+        for seed in range(10_000):
+            expect = _draw_sequence(np.random.default_rng(seed))
+            assert _draw_sequence(_PCG64Stream(seed)) == expect, seed
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7, 3**180],
+        ids=["0", "2^32-1", "2^32", "2^64+5", "2^130+7", "3^180"],
+    )
+    def test_matches_numpy_on_multi_word_seeds(self, seed):
+        # 3^180 has 9 words, past the 4-word pool of SeedSequence
+        expect = _draw_sequence(np.random.default_rng(seed))
+        assert _draw_sequence(_PCG64Stream(seed)) == expect
+
+    def test_rejects_seeds_numpy_rejects(self):
+        with pytest.raises(ValueError):
+            _PCG64Stream(-1)
+        with pytest.raises(TypeError):
+            _PCG64Stream(1.0)
 
 
 class TestSuite:
