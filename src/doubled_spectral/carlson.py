@@ -87,17 +87,18 @@ def potential_elliptic(g1: DiagonalMetric, g2: DiagonalMetric) -> float:
     e = math.frexp(max(inv))[1]
     u1 = [math.ldexp(v, -e) for v in inv[:4]]
     u2 = [math.ldexp(v, -e) for v in inv[4:]]
-    p = [(d / b) ** 2 for d, b in zip(delta, a2)]  # d_j / c1_j
-    q = [(d / a) ** 2 for d, a in zip(delta, a1)]  # d_j / c2_j
+    p = [x * x for x in (d / b for d, b in zip(delta, a2))]  # d_j / c1_j
+    q = [x * x for x in (d / a for d, a in zip(delta, a1))]  # d_j / c2_j
     A = [u1[i] * u1[j] * u2[k] * u2[l] for i, j, k, l in SPLITS]
     B = [u2[i] * u2[j] * u1[k] * u1[l] for i, j, k, l in SPLITS]
     s = math.frexp(max(x + y for x, y in zip(A, B)))[1]
     A, B = ([math.ldexp(v, -s) for v in w] for w in (A, B))
     U = [x + y for x, y in zip(A, B)]
+    U2 = [x * x for x in U]
     total = 0.0
     for n, (i, j, k, l) in enumerate(SPLITS):
         dU = A[n] * (p[i] + p[j] + q[k] + q[l]) + B[n] * (q[i] + q[j] + p[k] + p[l])
-        total += R_D(U[n - 1] ** 2, U[n - 2] ** 2, U[n] ** 2) * U[n] * dU
+        total += R_D(U2[n - 1], U2[n - 2], U2[n]) * U[n] * dU
     value = TWO_PI_SQ / 3.0 * total
     # ldexp raises OverflowError past 2^1024: test the exponent first
     if math.frexp(value)[1] - s - 4 * e > 1024:

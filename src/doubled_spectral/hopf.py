@@ -103,7 +103,8 @@ def _scaled(a1: float, b1: float, a2: float, b2: float) -> tuple[float, int]:
     e += ea2 + eb1 - ea1 - eb2  # u / v = m 2^e, m in [1/2, 1)
     if e > 1 or (e == 1 and m > 0.5):
         return _scaled(a2, b2, a1, b1)
-    q = math.ldexp(m, e) ** 2
+    r = math.ldexp(m, e)
+    q = r * r
     w = 1.0 + q
     s = (1.0 - q) / w
     if s < SERIES_CUT:
@@ -129,7 +130,8 @@ def _scaled(a1: float, b1: float, a2: float, b2: float) -> tuple[float, int]:
     if not exps:
         return 0.0, 0
     top = max(exps)
-    t1, t2, t3, t4 = (math.ldexp(t, k - top) ** 2 for t, k in terms)
+    scaled = [math.ldexp(t, k - top) for t, k in terms]
+    t1, t2, t3, t4 = (x * x for x in scaled)
     t12, t34 = t1 + t2, t3 + t4
     correction = (2.0 * phi * (t12 + q * t34) / w + (2.0 * delta - q) * (t12 + t34)) / w
     return TWO_PI_SQ * math.fsum((t1, t2, t3, t4, correction)), 2 * top
