@@ -22,8 +22,9 @@ functions of geometry and matchings that handle arrays (no method of
 ``DiagonalMetric``); carlson, hopf, cli, _emit and the combinatorial half of
 matchings (c_coefficient, pattern_census, count_n, count_n_formula) import
 none.  Only reports, whose series inputs are normal draws, imports
-numpy.random; conjecture draws its PCG64 stream in pure Python.  Names below resolve on first access (PEP 562), and cli imports the
-numpy layers and matchings inside the subcommands using them, so ``action``,
+numpy.random; conjecture draws its PCG64 stream in pure Python.  Names
+below resolve on first access (PEP 562), and cli imports the numpy layers
+and matchings inside the subcommands using them, so ``action``,
 ``sweep``, ``potential --method closed|conjecture`` and ``moments`` never
 load numpy.  Nor do they load dataclasses, which imports inspect, ast and
 dis: the value types of geometry, hopf, matchings and conjecture are

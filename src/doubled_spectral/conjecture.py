@@ -182,10 +182,7 @@ def _mix(x: int, y: int) -> int:
 class _PCG64Stream:
     """The stream of numpy's ``default_rng(seed)``, that is
     ``Generator(PCG64(SeedSequence(seed)))``, bit for bit for the two calls
-    the suite makes: ``uniform(lo, hi, size)`` and ``permutation(n)``.
-
-    Integer arithmetic in pure Python, so the suite loads no numpy.random.
-    """
+    the suite makes: ``uniform(lo, hi, size)`` and ``permutation(n)``."""
 
     __slots__ = ("_state", "_inc", "_half")
 
@@ -246,6 +243,7 @@ class _PCG64Stream:
 
 
 def _draw_log_uniform(rng, lo, hi, size):
+    # plain floats, so a failure label reads the same on every numpy
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size)).tolist()
 
 
