@@ -150,30 +150,6 @@ _MASK128 = (1 << 128) - 1
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def _hash_constants(init: int, mult: int, count: int) -> tuple:
-    """The running hash constant of SeedSequence before and after each of
-    `count` hash steps; it does not depend on the seed."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return tuple(out)
-
-
-# the pool build of an entropy of n words takes 4 * max(4, n) hash steps;
-# seeds below 2^128 take 16, the generation of the state always 8
-_POOL_HASH_INIT = (0x43B0D7E5, 0x931E8875)
-_POOL_HASH = _hash_constants(*_POOL_HASH_INIT, 16)
-_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-# (src, dst) of the pool's cross-mixing steps, in SeedSequence's order
-_POOL_STEPS = tuple((src, dst) for src in range(4) for dst in range(4) if src != dst)
-
-
-def _hashmix(v: int, h: tuple, k: int) -> int:
-    """SeedSequence's hash of v at step k of the constants h."""
-    v = (v ^ h[k]) * h[k + 1] & _MASK32
-    return v ^ (v >> 16)
-
-
 def _mix(x: int, y: int) -> int:
     r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
     return r ^ (r >> 16)
@@ -194,17 +170,26 @@ class _PCG64Stream:
         while seed >> 32:
             seed >>= 32
             words.append(seed & _MASK32)
-        h = _POOL_HASH if len(words) <= 4 else _hash_constants(*_POOL_HASH_INIT, 4 * len(words))
-        pool = [_hashmix(w, h, k) for k, w in enumerate((words + [0, 0, 0])[:4])]
-        k = 4
-        for src, dst in _POOL_STEPS:
-            pool[dst] = _mix(pool[dst], _hashmix(pool[src], h, k))
-            k += 1
+        # SeedSequence hashes each word with a running constant h that every
+        # hash advances by a multiplier, as NEP 19 does: one walk for the
+        # pool build, one from other constants for the state words
+        h, mult = 0x43B0D7E5, 0x931E8875
+
+        def hashmix(v: int) -> int:
+            nonlocal h
+            v = (v ^ h) * (h := h * mult & _MASK32) & _MASK32
+            return v ^ (v >> 16)
+
+        pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
         for w in words[4:]:
             for dst in range(4):
-                pool[dst] = _mix(pool[dst], _hashmix(w, h, k))
-                k += 1
-        state_words = [_hashmix(pool[i % 4], _STATE_HASH, i) for i in range(8)]
+                pool[dst] = _mix(pool[dst], hashmix(w))
+        h, mult = 0x8B51F9DD, 0x58F38DED
+        state_words = [hashmix(pool[i % 4]) for i in range(8)]
         u64 = [state_words[k] | state_words[k + 1] << 32 for k in range(0, 8, 2)]
         # PCG64 seeding: inc from initseq, then step, add initstate, step
         inc = self._inc = (u64[2] << 65 | u64[3] << 1 | 1) & _MASK128

@@ -215,11 +215,9 @@ def _plane(rule: SphereRule, coeffs) -> tuple[np.ndarray, np.ndarray]:
 
 def _plane_sum(rule: SphereRule, values: np.ndarray) -> float:
     """Sum of the (K, level) values over the plane, weighted by the phi and
-    t weights, in place; one pairwise np.sum, so the result is
-    bit-identical between runs."""
-    values *= rule.t_weights
-    values *= rule.angle_weights[:, None]
-    return float(np.sum(values))
+    t weights; one pairwise np.sum, so the result is bit-identical between
+    runs."""
+    return float(np.sum(values * rule.t_weights * rule.angle_weights[:, None]))
 
 
 def _psi_potential(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -230,32 +228,15 @@ def _psi_potential(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     than sigma^2."""
     alpha, gamma = np.sqrt(x[:2])
     beta, delta = np.sqrt(y[:2])
-    sigma = alpha * delta
-    sigma += beta * gamma
+    sigma = alpha * delta + beta * gamma
     inv_p = 1.0 / (alpha * gamma)
     inv_r = 1.0 / (beta * delta)
     # C = (alpha beta + gamma delta)(1/p + 1/r)
-    c = alpha * beta
-    c += gamma * delta
-    c *= inv_p + inv_r
+    c = (alpha * beta + gamma * delta) * (inv_p + inv_r)
     # D_X (C + S_X sigma / p^2) / p + D_Y (C + S_Y sigma / r^2) / r
-    out = x[0] + x[1]
-    out *= sigma
-    out *= inv_p * inv_p
-    out += c
-    out *= inv_p
-    out *= x[2]
-    term = y[0] + y[1]
-    term *= sigma
-    term *= inv_r * inv_r
-    term += c
-    term *= inv_r
-    term *= y[2]
-    out += term
-    sigma *= sigma
-    out /= sigma
-    out *= math.pi
-    return out
+    out = ((x[0] + x[1]) * sigma * (inv_p * inv_p) + c) * inv_p * x[2]
+    out += ((y[0] + y[1]) * sigma * (inv_r * inv_r) + c) * inv_r * y[2]
+    return out / (sigma * sigma) * math.pi
 
 
 def _psi_reciprocal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
