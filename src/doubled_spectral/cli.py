@@ -241,7 +241,7 @@ def _cmd_series(args) -> None:
 
 def _cmd_moments(args) -> None:
     from .matchings import (
-        MAX_MOMENT_ORDER,
+        MAX_MATCHING_ORDER,
         c_coefficient,
         count_n,
         count_n_formula,
@@ -249,8 +249,8 @@ def _cmd_moments(args) -> None:
     )
 
     m = args.m
-    if not 1 <= m <= MAX_MOMENT_ORDER:
-        raise CliError(f"--m must be in 1..{MAX_MOMENT_ORDER}, got {m}")
+    if not 1 <= m <= MAX_MATCHING_ORDER:
+        raise CliError(f"--m must be in 1..{MAX_MATCHING_ORDER}, got {m}")
     if _config_only(args):
         return
     frac = c_coefficient(m)

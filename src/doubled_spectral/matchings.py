@@ -44,10 +44,9 @@ PI_SQ = math.pi * math.pi
 
 # Largest accepted orders, each range covered by the tests.  The census is
 # closed-form, so none of them bounds (2m-1)!! work.
-# largest m of pattern_census (cycle types: the partitions of m)
+# largest m of pattern_census, whose p(m) rows are the cycle types (the
+# partitions of m), of moment_integral (2m indices) and of `moments --m`
 MAX_MATCHING_ORDER = 10
-# largest m of moment_integral (2m indices) and of `moments --m`
-MAX_MOMENT_ORDER = 8
 # largest order of series_exact and compare_series (c_m is normal up to m ~ 150)
 MAX_SERIES_ORDER = 100
 
@@ -138,7 +137,7 @@ def pattern_census(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         raise ValueError(f"m must be >= 1, got {m}")
     if m > MAX_MATCHING_ORDER:
         raise ValueError(
-            f"m = {m} exceeds the enumeration guard {MAX_MATCHING_ORDER}"
+            f"m = {m} exceeds the census guard {MAX_MATCHING_ORDER}"
         )
     census = []
     for parts in _partitions(m):
@@ -182,8 +181,8 @@ def moment_integral(indices) -> Fraction:
     if len(idx) % 2 == 1:
         return Fraction(0)
     m = len(idx) // 2
-    if m > MAX_MOMENT_ORDER:
-        raise ValueError(f"m = {m} exceeds the moment guard {MAX_MOMENT_ORDER}")
+    if m > MAX_MATCHING_ORDER:
+        raise ValueError(f"m = {m} exceeds the moment guard {MAX_MATCHING_ORDER}")
     pairings = 1
     for label in range(4):
         n_label = idx.count(label)

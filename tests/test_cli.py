@@ -141,6 +141,41 @@ class TestPotential:
             assert repr(scale) in error
         assert "inf" not in error
 
+    @pytest.mark.parametrize(
+        "g1, g2, expect",
+        [
+            ("1.3,0.7,1.1,0.9", "0.8,1.2,0.6,1.5", """{
+  "g1": [1.3, 0.69999999999999996, 1.1000000000000001, 0.90000000000000002],
+  "g2": [0.80000000000000004, 1.2, 0.59999999999999998, 1.5],
+  "method": "both",
+  "level": 64,
+  "value_numeric": 8.2111743510953623,
+  "value_closed": 8.2111743510953641,
+  "abs_difference": 1.7763568394002505e-15
+}
+"""),
+            ("2,2,0.2,0.2", "0.9,0.9,1.1,1.1", """{
+  "g1": [2, 2, 0.20000000000000001, 0.20000000000000001],
+  "g2": [0.90000000000000002, 0.90000000000000002, 1.1000000000000001, 1.1000000000000001],
+  "method": "both",
+  "level": 64,
+  "value_numeric": 16.055940889726912,
+  "value_closed": 16.055940889989543,
+  "abs_difference": 2.6263080599164823e-10
+}
+"""),
+        ],
+        ids=["generic", "hopf-10:1"],
+    )
+    def test_record_bytes(self, capsys, g1, g2, expect):
+        # the whole record at the default level 64: every bit of the plane
+        # sum, on a generic pair and on a Hopf pair at a 10:1 scale ratio
+        code, out, err = run_cli(
+            capsys, "potential", "--g1", g1, "--g2", g2, "--method", "both"
+        )
+        assert (code, err) == (0, "")
+        assert out == expect
+
 
 class TestAction:
     def test_decoupled(self, capsys):
@@ -368,8 +403,16 @@ class TestMoments:
         rec = run_json(capsys, "moments", "--m", "3")
         assert rec["forbidden_free_count"] == 8
 
+    def test_m10(self, capsys):
+        # the guard's order: 42 cycle types whose counts sum to 19!!
+        rec = run_json(capsys, "moments", "--m", "10")
+        counts = [e["count"] for e in rec["pattern_census"]]
+        assert (len(counts), sum(counts)) == (42, 654_729_075)
+        assert rec["forbidden_free_count"] == 387_099_936
+        assert rec["forbidden_free_inclusion_exclusion"] == 387_099_936
+
     def test_guard(self, capsys):
-        code, _, err = run_cli(capsys, "moments", "--m", "9")
+        code, _, err = run_cli(capsys, "moments", "--m", "11")
         assert code == 2
 
     def test_one_census_per_request(self, capsys, monkeypatch):

@@ -122,11 +122,12 @@ class TestStream:
 
     @pytest.mark.parametrize(
         "seed",
-        [0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7, 3**180],
-        ids=["0", "2^32-1", "2^32", "2^64+5", "2^130+7", "3^180"],
+        [0, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**128 - 1, 2**128, 2**130 + 7, 3**180],
+        ids=["0", "2^32-1", "2^32", "2^64+5", "2^96", "2^128-1", "2^128", "2^130+7", "3^180"],
     )
     def test_matches_numpy_on_multi_word_seeds(self, seed):
-        # 3^180 has 9 words, past the 4-word pool of SeedSequence
+        # 2^96 and 2^128-1 have 4 words, as many as SeedSequence's pool;
+        # 2^128 is the first seed of 5 and 3^180 has 9, past the pool
         expect = _draw_sequence(np.random.default_rng(seed))
         assert _draw_sequence(_PCG64Stream(seed)) == expect
 

@@ -194,9 +194,13 @@ class TestMomentIntegral:
     def test_empty_is_area(self):
         assert moment_integral(()) == Fraction(2)
 
+    def test_at_the_guard(self):
+        # m = 10: the 20 slots of one axis pair in 19!! ways
+        assert moment_integral((0,) * 20) == c_coefficient(10) * 654_729_075
+
     def test_guards(self):
         with pytest.raises(ValueError):
-            moment_integral((0,) * 18)
+            moment_integral((0,) * 22)
         with pytest.raises(ValueError):
             moment_integral((0, 4))
 
