@@ -159,9 +159,9 @@ class TestPotential:
   "g2": [0.90000000000000002, 0.90000000000000002, 1.1000000000000001, 1.1000000000000001],
   "method": "both",
   "level": 64,
-  "value_numeric": 16.055940889726912,
+  "value_numeric": 16.055940889726955,
   "value_closed": 16.055940889989543,
-  "abs_difference": 2.6263080599164823e-10
+  "abs_difference": 2.6258817342750262e-10
 }
 """),
         ],
@@ -273,25 +273,31 @@ class TestHypothesis:
   "level": 8,
   "tol": 0,
   "rng": "numpy.random.Generator(PCG64)",
-  "max_violation": 9.0202507196991967e-05,
+  "max_violation": 9.020250719725059e-05,
   "failures": [
     {
       "g1": [0.56303571094356575, 0.69429515700436495, 1.5183968772488834, 1.1206409151361405],
       "g2": [0.56969327637964839, 0.91146166238925708, 0.97137657187309623, 0.6239394042216847],
       "transformation": "scaling[1.164736798506605, 0.757385048838886, 0.9180566071128915, 1.0015031853795322]",
-      "discrepancy": 9.0202507196991967e-05
+      "discrepancy": 9.020250719725059e-05
+    },
+    {
+      "g1": [0.56303571094356575, 0.69429515700436495, 1.5183968772488834, 1.1206409151361405],
+      "g2": [0.56969327637964839, 0.91146166238925708, 0.97137657187309623, 0.6239394042216847],
+      "transformation": "exchange",
+      "discrepancy": 2.0541145367050402e-16
     },
     {
       "g1": [1.3905692329003747, 1.8823494848020912, 0.74144024312328782, 1.2286673853820147],
       "g2": [1.3126042353573317, 0.75024905306544543, 0.50103391469117398, 1.9277534495035511],
       "transformation": "scaling[0.8608465809091967, 0.8701963249810474, 1.298762736881781, 1.050145890671998]",
-      "discrepancy": 4.8874027549014698e-05
+      "discrepancy": 4.887402754940369e-05
     },
     {
       "g1": [1.3905692329003747, 1.8823494848020912, 0.74144024312328782, 1.2286673853820147],
       "g2": [1.3126042353573317, 0.75024905306544543, 0.50103391469117398, 1.9277534495035511],
       "transformation": "exchange",
-      "discrepancy": 1.3631208879961855e-16
+      "discrepancy": 1.3631208879961862e-16
     }
   ]
 }
