@@ -725,6 +725,26 @@ def test_numpy_requests_do_not_import_numpy_random(argv):
     assert json.loads(out.stdout)
 
 
+@pytest.mark.parametrize(
+    "argv", NUMPY_RANDOM_FREE_REQUESTS.values(), ids=NUMPY_RANDOM_FREE_REQUESTS.keys()
+)
+def test_rule_requests_do_not_import_numpy_polynomial(argv):
+    # the rule's Gauss-Legendre nodes come from Newton's method; leggauss
+    # imported all six numpy.polynomial modules and ran a LAPACK eigensolve,
+    # about 2 MB of RSS
+    code = (
+        "import sys\n"
+        "from doubled_spectral.cli import main\n"
+        f"code = main({argv!r})\n"
+        "assert code == 0, code\n"
+        "assert 'doubled_spectral.s3quad' in sys.modules, 's3quad was not imported'\n"
+        "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial was imported'\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)
+
+
 class TestConfigAndDeterminism:
     def test_emit_config(self, capsys):
         rec = run_json(

@@ -15,7 +15,7 @@ from doubled_spectral import (
     rational_integral,
     s3quad,
 )
-from doubled_spectral.geometry import MAX_LEVEL
+from doubled_spectral.geometry import MAX_LEVEL, MIN_LEVEL
 from doubled_spectral.matchings import PerturbedForm
 from conftest import draw_scales, full_product_set, potential_1d, product_sum, unfolded
 
@@ -110,6 +110,113 @@ class TestRule:
         # nodes (4 floats) and weights (1 float) of the 4 L^3 product set
         product_bytes = rule.node_count * 5 * 8
         assert peak < product_bytes / 4
+
+
+# 30-digit nonnegative nodes (ascending) and their weights of the level-8
+# and level-64 Gauss-Legendre rules on [-1, 1]: Newton's method on P_n in
+# 50-digit arithmetic (mpmath 1.3), checked there against P_n(x) = 0 and
+# the weight sum 2
+GAUSS_LEGENDRE_REFERENCE = {
+    8: [
+        ("0.183434642495649804939476142360", "0.362683783378361982965150449277"),
+        ("0.525532409916328985817739049189", "0.313706645877887287337962201987"),
+        ("0.796666477413626739591553936476", "0.222381034453374470544355994426"),
+        ("0.960289856497536231683560868569", "0.101228536290376259152531354310"),
+    ],
+    64: [
+        ("0.0243502926634244325089558428537", "0.0486909570091397203833653907347"),
+        ("0.0729931217877990394495429419403", "0.0485754674415034269347990667840"),
+        ("0.121462819296120554470376463492", "0.0483447622348029571697695271580"),
+        ("0.169644420423992818037313629748", "0.0479993885964583077281261798713"),
+        ("0.217423643740007084149648748989", "0.0475401657148303086622822069442"),
+        ("0.264687162208767416373964172510", "0.0469681828162100173253262857546"),
+        ("0.311322871990210956157512698560", "0.0462847965813144172959532492323"),
+        ("0.357220158337668115950442615046", "0.0454916279274181444797709969713"),
+        ("0.402270157963991603695766771260", "0.0445905581637565630601347100309"),
+        ("0.446366017253464087984947714759", "0.0435837245293234533768278609737"),
+        ("0.489403145707052957478526307022", "0.0424735151236535890073397679088"),
+        ("0.531279464019894545658013903544", "0.0412625632426235286101562974736"),
+        ("0.571895646202634034283878116659", "0.0399537411327203413866569261283"),
+        ("0.611155355172393250248852971019", "0.0385501531786156291289624969468"),
+        ("0.648965471254657339857761231993", "0.0370551285402400460404151018096"),
+        ("0.685236313054233242563558371031", "0.0354722132568823838106931467152"),
+        ("0.719881850171610826848940217832", "0.0338051618371416093915654821107"),
+        ("0.752819907260531896611863774886", "0.0320579283548515535854675043479"),
+        ("0.783972358943341407610220525214", "0.0302346570724024788679740598195"),
+        ("0.813265315122797559741923338086", "0.0283396726142594832275113052002"),
+        ("0.840629296252580362751691544696", "0.0263774697150546586716917926252"),
+        ("0.865999398154092819760783385070", "0.0243527025687108733381775504091"),
+        ("0.889315445995114105853404038273", "0.0222701738083832541592983303842"),
+        ("0.910522137078502805756380668008", "0.0201348231535302093723403167285"),
+        ("0.929569172131939575821490154559", "0.0179517157756973430850453020011"),
+        ("0.946411374858402816062481491347", "0.0157260304760247193219659952975"),
+        ("0.961008799652053718918614121897", "0.0134630478967186425980607666860"),
+        ("0.973326827789910963741853507352", "0.0111681394601311288185904930192"),
+        ("0.983336253884625956931299302157", "0.00884675982636394772303091465973"),
+        ("0.991013371476744320739382383443", "0.00650445796897836285611736039998"),
+        ("0.996340116771955279346924500676", "0.00414703326056246763528753572855"),
+        ("0.999305041735772139456905624346", "0.00178328072169643294729607914497"),
+    ],
+}
+
+
+def exactness_error(x, w):
+    """Worst |(k+1) sum_i w_i t_i^k / 2 - 1| over k < 2 len(x), with
+    t = (1 + x)/2: the error of the rule on the monomials of [0, 1] that it
+    integrates exactly."""
+    t = 0.5 * (1.0 + x)
+    k = np.arange(2 * len(x))
+    moments = np.sum(0.5 * w * t ** k[:, None], axis=1)
+    return float(np.max(np.abs((k + 1) * moments - 1.0)))
+
+
+class TestGaussLegendre:
+    LEVELS = range(MIN_LEVEL, MAX_LEVEL + 1)
+
+    def test_matches_leggauss(self):
+        # leggauss is the eigensolve the package no longer calls; nodes are
+        # compared in ulps of max(|x|, 1/2), the ulp of the t rows (1 -+ x)/2
+        # of a node near 0, whose relative accuracy neither rule keeps
+        eps = np.finfo(float).eps
+        for level in self.LEVELS:
+            x, w = s3quad._gauss_legendre(level)
+            xr, wr = np.polynomial.legendre.leggauss(level)
+            ulp = np.spacing(np.maximum(np.abs(xr), 0.5))
+            assert np.all(np.abs(x - xr) <= 2 * ulp), level
+            assert np.all(x[1:] > x[:-1]) and np.array_equal(x, -x[::-1])
+            assert np.array_equal(w, w[::-1])
+            # against 34-digit references leggauss's weights are off by up
+            # to 1.6e-10 (level 246), the package's by 4.1e-13
+            assert float(np.max(np.abs(w - wr) / wr)) <= 2e-10, level
+            # a correctly rounded rule reads up to 11 eps here (level 22), so
+            # below 8 eps the figure measures its own rounding
+            assert exactness_error(x, w) <= 2 * max(
+                exactness_error(xr, wr), 8 * eps
+            ), level
+
+    @pytest.mark.parametrize("level", sorted(GAUSS_LEGENDRE_REFERENCE))
+    def test_thirty_digit_reference(self, level):
+        half = GAUSS_LEGENDRE_REFERENCE[level]
+        xr = np.array([float(v) for v, _ in half])
+        wr = np.array([float(v) for _, v in half])
+        xr = np.concatenate([-xr[::-1], xr])
+        wr = np.concatenate([wr[::-1], wr])
+        x, w = s3quad._gauss_legendre(level)
+        assert np.all(np.abs(x - xr) <= np.spacing(np.abs(xr)))
+        # leggauss: 8.0e-15 at level 8, 1.3e-12 at level 64
+        assert float(np.max(np.abs(w - wr) / wr)) <= 3e-14
+
+    def test_build_calls_no_linear_algebra(self, monkeypatch):
+        # the nodes used to come from numpy.polynomial's eigvalsh of the
+        # Legendre companion matrix
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        for level in (64, MAX_LEVEL):
+            assert build_rule(level).level == level
 
 
 class TestKinetic:
