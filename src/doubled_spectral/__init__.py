@@ -4,7 +4,8 @@ the two constant diagonal metrics of a doubled (two-sheeted) geometry.
 Layers:
 
 * geometry  -- diagonal-metric types, kinetic identity, 2x2 symbol algebra
-* carlson   -- Carlson's R_D and the elliptic closed form of the potential
+* carlson   -- Carlson's R_D and R_F, and the elliptic closed forms of the
+               potential and of the rational integral
 * s3quad    -- deterministic product quadrature on the 3-sphere (the oracle)
 * hopf      -- closed form for the two-parameter Hopf-symmetric family
 * matchings -- Wick-pairing combinatorics and the perturbative series
@@ -13,9 +14,10 @@ Layers:
 
 A rule stores no nodes, only their t and angle factors
 (``SphereRule.t_factor``, ``SphereRule.angle_factor`` and their weights).
-The potential and the rational integral integrate one angle in closed form
-and sum the (phi, t) plane in one pairwise numpy sum, the rule's only
-reduction, so every result is bit-identical between runs.
+The potential integrates one angle in closed form and sums the (phi, t)
+plane in one pairwise numpy sum, the rule's only reduction, so every result
+is bit-identical between runs.  The rational integral int dS / (xi^T A xi)
+is a closed form, so the series needs no rule.
 
 numpy is imported by s3quad, conjecture and reports, and inside the
 functions of geometry and matchings that handle arrays (no method of
@@ -30,7 +32,8 @@ load numpy.  Nor do they load dataclasses, which imports inspect, ast and
 dis: the value types of geometry, hopf, matchings and conjecture are
 namedtuple subclasses, which check any conditions in ``__new__``.  Only
 s3quad's ``SphereRule``, which must hash by identity for the plane memo,
-is a dataclass.
+is a dataclass, and ``series``, which loads numpy for its eigenvalues but
+builds no rule, does not load it either.
 """
 
 from importlib import import_module
@@ -42,6 +45,7 @@ _EXPORTS = {
     "active_backend": "s3quad",
     "get_threads": "s3quad",
     "potential_elliptic": "carlson",
+    "rational_integral": "carlson",
     "HypothesisReport": "conjecture",
     "check_exchange_identity": "conjecture",
     "check_permutation_invariance": "conjecture",
@@ -77,7 +81,6 @@ _EXPORTS = {
     "SphereRule": "s3quad",
     "build_rule": "s3quad",
     "potential_numeric": "s3quad",
-    "rational_integral": "s3quad",
 }
 
 __all__ = sorted(_EXPORTS)

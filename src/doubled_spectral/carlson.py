@@ -1,5 +1,6 @@
-"""Carlson's elliptic integral R_D, and from it the interaction potential of
-any pair of constant diagonal metrics in closed form.  Pure Python.
+"""Carlson's elliptic integrals R_D and R_F, and from them the interaction
+potential of any pair of constant diagonal metrics and the rational sphere
+integral int dS / (xi^T A xi), each in closed form.  Pure Python.
 
 Derivation.  The sphere identity int dS / (xi^T C xi)^2 = 2 pi^2 /
 sqrt(det C) and Feynman parameters give, with c = a^-2 per axis,
@@ -21,9 +22,21 @@ V = -d.(grad_c1 + grad_c2) J.  With dR_F/dx_k = -R_D(x_m, x_n, x_k) / 6
 where every factor is >= 0, and d_j / c1_j = ((a1_j - a2_j) / a2_j)^2,
 d_j / c2_j = ((a1_j - a2_j) / a1_j)^2.
 
+Rational integral.  At c2 = 1, Q2 = |xi|^2 = 1 on the sphere, so J with
+c1 the eigenvalues lambda of a positive definite A is int dS / (xi^T A xi)
+= 4 pi^2 R_F(U_1^2, U_2^2, U_3^2), U_k = sqrt(lambda_i lambda_j) +
+sqrt(lambda_k lambda_l).  R_F comes from R_D by DLMF 19.21.7,
+
+    R_F(x, y, z) = [(x - y) R_D(y, z, x) + (z - y) R_D(x, y, z)] / 3
+                   + sqrt(y / (x z)),
+
+with y the smallest argument, so that every term is >= 0.
+
 Numerics.  V has degree -4 in the 1/a and -1 in the U_k, so both are
 scaled by a power of two (exact) to bring their largest into [1/2, 1)
-before the U_k are squared; within MAX_SPREAD no x_k then underflows.
+before the U_k are squared; within MAX_SPREAD no x_k then underflows.  The
+rational integral has degree -1 in the lambda, which are scaled the same
+way; every U_k^2 is then at least half the smallest scaled lambda.
 R_D is summed by duplication (DLMF 19.36(i); B. C. Carlson, Numer.
 Algorithms 10 (1995) 13), then by its fifth-order series.
 """
@@ -66,6 +79,38 @@ def R_D(x: float, y: float, z: float) -> float:
     series = (1.0 - 3.0 / 14.0 * e2 + e3 / 6.0 + 9.0 / 88.0 * e2 * e2 - 3.0 / 22.0 * e4
               - 9.0 / 52.0 * e2 * e3 + 3.0 / 26.0 * e5)
     return 3.0 * tail + scale * series / (mean * math.sqrt(mean))
+
+
+def R_F(x: float, y: float, z: float) -> float:
+    """R_F(x, y, z) = 1/2 int_0^inf dt / sqrt((t+x) (t+y) (t+z)) for finite
+    x, y, z >= 0 of which at most one is 0, from R_D (module docstring)."""
+    x, y, z = sorted((x, y, z))
+    # the smallest argument goes in the middle
+    x, y = y, x
+    # sqrt(y / x) / sqrt(z): x z can under- or overflow, y / x <= 1 cannot
+    tail = math.sqrt(y / x) / math.sqrt(z)
+    return ((x - y) * R_D(y, z, x) + (z - y) * R_D(x, y, z)) / 3.0 + tail
+
+
+def rational_integral(lam) -> float:
+    """int dS / (xi^T A xi) for a symmetric A with eigenvalues `lam`, in
+    closed form (module docstring).  Raises ValueError unless every
+    eigenvalue is positive and finite, or when the integral overflows."""
+    lam = [float(v) for v in lam]
+    if math.inf in lam:
+        raise ValueError(f"quadratic form has eigenvalues {lam}: one overflows double precision")
+    # a NaN fails the comparison
+    if not all(v > 0.0 for v in lam):
+        raise ValueError(f"quadratic form has eigenvalues {lam}: it must be positive definite")
+    e = math.frexp(max(lam))[1]
+    u = [math.ldexp(v, -e) for v in lam]
+    U = [math.sqrt(u[i] * u[j]) + math.sqrt(u[k] * u[l]) for i, j, k, l in SPLITS]
+    value = 2.0 * TWO_PI_SQ * R_F(*(v * v for v in U))
+    # ldexp raises OverflowError past 2^1024: test the exponent first
+    if math.frexp(value)[1] - e > 1024:
+        raise ValueError(f"the rational integral of the form with eigenvalues {lam} "
+                         "overflows double precision")
+    return math.ldexp(value, -e)
 
 
 def potential_elliptic(g1: DiagonalMetric, g2: DiagonalMetric) -> float:

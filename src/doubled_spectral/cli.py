@@ -11,16 +11,19 @@ Invalid input, usage errors included, and a result that is not a finite
 double are one JSON error record on stderr and exit status 2, never a
 printed NaN or Infinity.
 
-The S^3 rule is the oracle: `potential --method numeric|both`,
-`hypothesis` and `series` sum on it, and `potential`, `hypothesis` and
-`series` are the subcommands with --level.  `action` and `sweep` take the
+The S^3 rule is the oracle: `potential --method numeric|both` and
+`hypothesis` sum on it, and they are the subcommands with --level besides
+`series`, which accepts it with no effect.  `action` and `sweep` take the
 potential from its elliptic closed form (`carlson.potential_elliptic`), and
 so does `potential --method closed|both` for a pair that is not
 Hopf-shaped; a Hopf-shaped pair takes the Hopf closed form (`hopf`).
-This module imports no numpy; the S^3 rule, the invariance suite and the
-Wick-pairing module are imported inside the subcommands that use them, so
-`action`, `sweep`, `potential --method closed|conjecture` and `moments` run
-without numpy or dataclasses (the types they build are namedtuples).
+`series` compares its sums with the rational integral in closed form
+(`carlson.rational_integral`).  This module imports no numpy; the S^3 rule,
+the invariance suite and the Wick-pairing module are imported inside the
+subcommands that use them, so `action`, `sweep`, `potential --method
+closed|conjecture` and `moments` run without numpy or dataclasses (the
+types they build are namedtuples), and `series` without the rule or
+dataclasses.
 """
 
 from __future__ import annotations
@@ -233,10 +236,7 @@ def _cmd_series(args) -> None:
     check_series_order(args.order)
     if _config_only(args):
         return
-    from .s3quad import build_rule
-
-    cmp_ = compare_series(pf, args.order, build_rule(args.level))
-    _emit(args, cmp_.to_dict())
+    _emit(args, compare_series(pf, args.order).to_dict())
 
 
 def _cmd_moments(args) -> None:
@@ -432,10 +432,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hypothesis)
 
     p = sub.add_parser("series", parents=record,
-                       help="per-order series comparison against quadrature",
-                       description="Exact and single-trace series against the S^3 rule; "
-                                   "the single-trace terms grow like (2 rho)^m, rho the "
-                                   "spectral radius of eps, so they diverge for rho >= 1/2.")
+                       help="per-order series comparison against the closed form",
+                       description="Exact and single-trace series against the rational "
+                                   "integral in closed form (value_quadrature); the "
+                                   "single-trace terms grow like (2 rho)^m, rho the "
+                                   "spectral radius of eps, so they diverge for rho >= 1/2. "
+                                   "--level is accepted and has no effect.")
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--eps", required=True,
                    help="10 upper-triangle entries e00,e01,e02,e03,e11,e12,e13,e22,e23,e33 "

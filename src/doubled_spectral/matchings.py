@@ -22,8 +22,9 @@ N_{2m} counts the matchings with no block pair (2l-1, 2l), i.e. no 1-cycle.
 Rational bookkeeping (fractions.Fraction, in units of pi^2) is kept exact;
 floats appear only when a series is evaluated.  The combinatorial half
 (c_coefficient, pattern_census, count_n, count_n_formula) needs no numpy;
-the series half imports numpy, and compare_series the S^3 rule, inside the
-functions that use them.
+the series half imports numpy inside the functions that use it.
+compare_series takes its reference from the closed form
+`carlson.rational_integral`, on the eigenvalues of the form.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from .carlson import rational_integral
 from .geometry import TWO_PI_SQ
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from .s3quad import SphereRule
 
 PI_SQ = math.pi * math.pi
 
@@ -264,11 +264,11 @@ def series_exact(pf: PerturbedForm, order: int) -> float:
 class SeriesComparison(
     namedtuple(
         "SeriesComparison",
-        "omega spectral_radius order level terms_exact terms_single_trace "
+        "omega spectral_radius order terms_exact terms_single_trace "
         "ratios_single_trace_vs_exact value_exact value_single_trace value_quadrature",
     )
 ):
-    """Per-order comparison of the two series against direct quadrature.
+    """Per-order comparison of the two series against the closed form.
     The terms_* and ratios_* fields are tuples over the orders 0..order, a
     ratio None where the exact term is not resolvably nonzero."""
 
@@ -278,15 +278,23 @@ class SeriesComparison(
         return self._asdict()
 
 
-def compare_series(pf: PerturbedForm, order: int, rule: SphereRule) -> SeriesComparison:
-    """Evaluate both series term by term and the quadrature oracle.
+def _eigenvalues(pf) -> list[float]:
+    """The eigenvalues omega (1 + mu) of A = omega (I + eps), mu those of the
+    symmetric part of eps, which alone enters xi^T A xi, as Python floats."""
+    import numpy as np
+
+    eps = np.asarray(pf.eps, dtype=float)
+    return [pf.omega * (1.0 + mu) for mu in np.linalg.eigvalsh(0.5 * (eps + eps.T)).tolist()]
+
+
+def compare_series(pf: PerturbedForm, order: int) -> SeriesComparison:
+    """Evaluate both series term by term and the rational integral they
+    expand, in closed form (`value_quadrature`).
 
     Per-order ratios single-trace/exact are recorded where the exact term is
     resolvably nonzero (threshold 1e-12 of the constant term), None
     elsewhere.
     """
-    from .s3quad import rational_integral
-
     order = check_series_order(order)
     traces = _trace_powers(pf.eps, order)
     terms_exact = tuple(t / pf.omega for t in _exact_terms(order, traces))
@@ -300,11 +308,10 @@ def compare_series(pf: PerturbedForm, order: int, rule: SphereRule) -> SeriesCom
         omega=pf.omega,
         spectral_radius=pf.spectral_radius,
         order=order,
-        level=rule.level,
         terms_exact=terms_exact,
         terms_single_trace=terms_single,
         ratios_single_trace_vs_exact=ratios,
         value_exact=math.fsum(terms_exact),
         value_single_trace=math.fsum(terms_single),
-        value_quadrature=rational_integral(pf, rule),
+        value_quadrature=rational_integral(_eigenvalues(pf)),
     )

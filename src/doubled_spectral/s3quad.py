@@ -22,10 +22,11 @@ every level from 4 to 256 the weights are within 4.1e-13 relative, where
 numpy's eigensolver-based leggauss is off by up to 1.6e-10, and the nodes
 within 5 ulp (leggauss: 3), the worst at nodes near 0, where that is 4e-18.
 
-Evaluators built on the rule: the interaction potential of a pair of
-diagonal metrics and the generic rational integral int dS / (xi^T A xi) for
-a positive quadratic form A.  The kinetic term is the identity of
-`geometry.kinetic_term`; the tests check it against the product rule.
+One evaluator is built on the rule: the interaction potential of a pair of
+diagonal metrics, the oracle of its closed forms.  The kinetic term is the
+identity of `geometry.kinetic_term` and the rational integral
+int dS / (xi^T A xi) the closed form `carlson.rational_integral`; the tests
+check both against the product rule.
 
 Fold.  On the angle grid phi_k = pi k / level (k = 0 .. 2 level - 1), the
 maps phi -> -phi and phi -> pi - phi send a node to a sign flip of its
@@ -44,13 +45,9 @@ representatives with their weights, which include the orbit size.
 Closed-form angle.  A quadratic form sum_j c_j z_j is X cos^2 psi +
 Y sin^2 psi, with X = P + c_2 t, Y = P + c_3 t and
 P = (1-t)(c_0 cos^2 phi + c_1 sin^2 phi): X and Y are tables over the
-(phi, t) plane.  The psi integrals of both evaluators' integrands are exact
-in X and Y:
-
-    int_0^{2pi} dpsi / (X cos^2 psi + Y sin^2 psi) = 2 pi / sqrt(X Y),
-
-and the potential's is a first derivative of the same integral for the
-pair of forms.  Its numerator form is the sum of its denominators:
+(phi, t) plane.  The psi integral of the potential's integrand is exact in
+X and Y: it is a first derivative of int dpsi / (Q_1 Q_2) for the pair of
+forms.  Its numerator form is the sum of its denominators:
 s_l = A_{1,l}^2 + A_{2,l}^2 = c1_l + c2_l, so S.z = Q_1 + Q_2 and
 
     (D.z)(S.z) / (Q_1^2 Q_2^2) = (D.z) [1 / (Q_1 Q_2^2) + 1 / (Q_1^2 Q_2)].
@@ -68,15 +65,13 @@ C = (alpha beta + gamma delta)(1/p + 1/r)
                          + D_Y (C + (Y_1 + Y_2) sigma / r^2) / r ].
 
 Every term is positive, so nothing cancels, not even where
-X_1 / Y_1 = X_2 / Y_2.  `potential_numeric` and `rational_integral`
-therefore sum the level x (level//2 + 1) plane of t nodes and phi
-representatives (2,112 points at level 64) in one np.sum; the product
-rule's 2 level psi nodes are replaced by their limit.  The pair
-of axes on psi (z_2, z_3) is integrated exactly, so which pair goes there
-matters: the potential puts there the first two axes of its canonical
-order, those with the smallest scales, and the rational integral the two
-smallest eigenvalues; the other choices measure no better than the full
-3-D rule.
+X_1 / Y_1 = X_2 / Y_2.  `potential_numeric` therefore sums the
+level x (level//2 + 1) plane of t nodes and phi representatives (2,112
+points at level 64) in one np.sum; the product rule's 2 level psi nodes are
+replaced by their limit.  The pair of axes on psi (z_2, z_3) is integrated
+exactly, so which pair goes there matters: the potential puts there the
+first two axes of its canonical order, those with the smallest scales; the
+other choices measure no better than the full 3-D rule.
 
 Memo.  The potential also puts the two sheets in a canonical order, the
 smaller coefficient row first.  The plane pairs the sheets only through
@@ -98,8 +93,10 @@ from functools import lru_cache
 
 import numpy as np
 
-# kinetic_term is unused here, but the benchmark's layer tracer wraps
-# `s3quad.kinetic_term` and looks the name up in this module; keep the binding.
+# kinetic_term and rational_integral are unused here, but the benchmark's
+# layer tracer wraps `s3quad.kinetic_term` and `s3quad.rational_integral` and
+# looks the names up in this module; keep the bindings.
+from .carlson import rational_integral  # noqa: F401
 from .geometry import (  # noqa: F401
     MAX_LEVEL,
     MIN_LEVEL,
@@ -319,21 +316,6 @@ def _psi_potential(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _psi_reciprocal(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """int_0^{2pi} dpsi / (X cos^2 psi + Y sin^2 psi) = 2 pi / sqrt(X Y),
-    elementwise; raises unless every X and Y is positive and finite, that
-    is unless the form is positive on every circle of the rule."""
-    # a NaN fails both comparisons
-    if not (
-        x.min() > 0.0 and y.min() > 0.0 and x.max() < math.inf and y.max() < math.inf
-    ):
-        raise ValueError(
-            "quadratic form nonpositive or non-finite on the quadrature "
-            "plane; the form must be positive definite"
-        )
-    return (2.0 * math.pi) / (np.sqrt(x) * np.sqrt(y))
-
-
 @lru_cache(maxsize=2)
 def _potential_sum(rule: SphereRule, coeffs) -> float:
     """The plane sum of `potential_numeric` for its scaled coefficient rows
@@ -393,36 +375,5 @@ def potential_numeric(
             f"the potential of g1 = {g1.scales} and g2 = {g2.scales} is not "
             "finite on the S^3 rule: it overflows double precision, or the "
             "scales span too wide a range"
-        )
-    return total
-
-
-def rational_integral(pf, rule: SphereRule) -> float:
-    """int dS / (xi^T A xi) for A = omega (I + eps) positive definite.
-
-    The integral does not change when xi is rotated, so it is evaluated in
-    the eigenbasis of A, where the form is sum_j lambda_j xi_j^2, on the
-    (phi, t) plane with psi in closed form.  Accepts any object with
-    `omega` and `eps` attributes (see matchings.PerturbedForm); raises
-    unless every eigenvalue is finite and positive, and when the sum is not
-    finite (1/(xi^T A xi) overflows at a node).
-    """
-    eps = np.asarray(pf.eps, dtype=float)
-    lam = pf.omega * (1.0 + np.linalg.eigvalsh(0.5 * (eps + eps.T)))
-    if not np.all(np.isfinite(lam) & (lam > 0.0)):
-        raise ValueError(
-            f"quadratic form has eigenvalues {lam.tolist()}; the form must "
-            "be positive definite"
-        )
-    # eigvalsh sorts ascending: the two smallest eigenvalues go on psi,
-    # whose integral is exact
-    with np.errstate(all="ignore"):
-        x, y = _plane(rule, lam[None, [2, 3, 0, 1]])
-        total = _plane_sum(rule, _psi_reciprocal(x[0], y[0]))
-    if not math.isfinite(total):
-        raise ValueError(
-            f"the rational integral of the form with eigenvalues {lam.tolist()} "
-            "is not finite on the S^3 rule: 1/(xi^T A xi) overflows double "
-            "precision at a node"
         )
     return total

@@ -20,7 +20,6 @@ from doubled_spectral import (
     UnitVector4,
     b2_trace_closed,
     b2_trace_matrix,
-    build_rule,
     c_coefficient,
     compare_series,
     count_n,
@@ -35,6 +34,7 @@ from doubled_spectral import (
     to_diagonal,
 )
 from doubled_spectral._emit import to_json
+from doubled_spectral.matchings import _eigenvalues
 from doubled_spectral.reports import (
     adjudicate_singular_limit,
     series_inputs,
@@ -85,9 +85,8 @@ def _closed_vs_numeric_rows(seed, count, rule):
 def test_criterion_01_sphere_area():
     # the identity form's rational integral is the area
     identity = PerturbedForm(omega=1.0, eps=np.zeros((4, 4)))
-    val = rational_integral(identity, build_rule(8))
-    rel = abs(val - TWO_PI_SQ) / TWO_PI_SQ
-    _report(1, rel <= 1e-12, f"sphere area at level 8: rel err {rel:.3e} <= 1e-12")
+    rel = abs(rational_integral(_eigenvalues(identity)) - TWO_PI_SQ) / TWO_PI_SQ
+    _report(1, rel <= 1e-12, f"sphere area in closed form: rel err {rel:.3e} <= 1e-12")
 
 
 def test_criterion_02_closed_form_vs_quadrature(rule64):
@@ -215,16 +214,16 @@ def test_criterion_09_moments_vs_quadrature():
     )
 
 
-def test_criterion_10_series_oracle(rule64):
+def test_criterion_10_series_oracle():
     worst_frac = 0.0
     for pf in series_inputs(seed=777, count=20):
-        diff = abs(series_exact(pf, 4) - rational_integral(pf, rule64))
+        diff = abs(series_exact(pf, 4) - rational_integral(_eigenvalues(pf)))
         bound = 10.0 * pf.spectral_radius**5 * TWO_PI_SQ / pf.omega
         worst_frac = max(worst_frac, diff / bound)
     _report(
         10,
         worst_frac <= 1.0,
-        f"series_exact(M=4) vs quadrature on 20 forms (rho <= 0.05): worst "
+        f"series_exact(M=4) vs closed form on 20 forms (rho <= 0.05): worst "
         f"diff/bound {worst_frac:.3e} <= 1",
     )
 
@@ -253,8 +252,8 @@ def test_criterion_11_matrix_closed_identity():
     )
 
 
-def test_criterion_12_series_adjudication(rule64):
-    comps = [compare_series(pf, 4, rule64) for pf in series_inputs(count=5)]
+def test_criterion_12_series_adjudication():
+    comps = [compare_series(pf, 4) for pf in series_inputs(count=5)]
     exact_ok = all(
         abs(c.value_exact - c.value_quadrature)
         <= 10.0 * c.spectral_radius**5 * TWO_PI_SQ / c.omega
@@ -269,7 +268,7 @@ def test_criterion_12_series_adjudication(rule64):
         12,
         exact_ok and ratios_ok,
         "per-order tables for 5 seeded inputs: exact column within tail bound "
-        "of quadrature; single-trace/exact ratio 4 recorded at m = 2",
+        "of the closed form; single-trace/exact ratio 4 recorded at m = 2",
     )
 
 
@@ -286,8 +285,8 @@ def test_criterion_13_determinism(rule64):
     rep_b = run_hypothesis_suite(trials=200, seed=42, rule=rule64, tol=1e-7)
     six_ok = to_json(rep_a.to_dict()) == to_json(rep_b.to_dict())
 
-    cmp_a = [compare_series(pf, 4, rule64).to_dict() for pf in series_inputs(count=5)]
-    cmp_b = [compare_series(pf, 4, rule64).to_dict() for pf in series_inputs(count=5)]
+    cmp_a = [compare_series(pf, 4).to_dict() for pf in series_inputs(count=5)]
+    cmp_b = [compare_series(pf, 4).to_dict() for pf in series_inputs(count=5)]
     twelve_ok = to_json(cmp_a) == to_json(cmp_b)
 
     _report(

@@ -14,8 +14,8 @@ from doubled_spectral import (
     relative_eigenvalues,
     to_diagonal,
 )
-from doubled_spectral.carlson import R_D
-from conftest import draw_scales, potential_1d
+from doubled_spectral.carlson import R_D, R_F, rational_integral
+from conftest import draw_scales, potential_1d, product_sum
 
 TWO_PI_SQ = 2.0 * math.pi**2
 
@@ -49,6 +49,73 @@ class TestRD:
     def test_outside_domain_raises(self, args):
         with pytest.raises(ValueError, match="R_D needs"):
             R_D(*args)
+
+
+class TestRF:
+    def test_published_values(self):
+        # Carlson, Numer. Algorithms 10 (1995) 13, section 3
+        assert R_F(1.0, 1.0, 1.0) == 1.0
+        assert rel(R_F(1.0, 2.0, 0.0), 1.31102877714606) <= 1e-14
+        assert rel(R_F(2.0, 3.0, 4.0), 0.584082841677152) <= 1e-14
+
+    def test_symmetric_and_homogeneous(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            x, y, z = (float(v) for v in np.exp(rng.uniform(-5.0, 5.0, 3)))
+            base = R_F(x, y, z)
+            assert R_F(z, x, y) == base and R_F(y, z, x) == base
+            for lam in (1e-200, 0.37, 4.0, 1e200):
+                assert rel(R_F(lam * x, lam * y, lam * z), base / math.sqrt(lam)) <= 1e-14
+
+
+class TestRationalIntegral:
+    """int dS / (xi^T A xi) = 4 pi^2 R_F(U_1^2, U_2^2, U_3^2) from the
+    eigenvalues of A."""
+
+    @pytest.mark.parametrize("omega", [1e-300, 0.3, 1.0, 7.0, 1e300])
+    def test_identity_form(self, omega):
+        assert rel(rational_integral([omega] * 4), TWO_PI_SQ / omega) <= 1e-15
+
+    def test_homogeneous_and_symmetric(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            lam = [float(v) for v in np.exp(rng.uniform(-5.0, 5.0, 4))]
+            base = rational_integral(lam)
+            for c in (1e-100, 0.37, 4.0, 1e100):
+                assert rel(rational_integral([c * v for v in lam]), base / c) <= 1e-15
+            # a power of two scales exactly
+            assert rational_integral([0.25 * v for v in lam]) == 4.0 * base
+            for _ in range(3):
+                assert rational_integral([lam[i] for i in rng.permutation(4)]) == base
+
+    def test_in_box_against_product_rule(self):
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            lam = np.array(draw_scales(rng))
+            expect = product_sum(64, lambda x: 1.0 / ((x * x) @ lam))
+            assert rel(rational_integral(lam.tolist()), expect) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "rho, expect", [(0.999, 32.293388068349582504), (0.9999, 32.956858915214702258)]
+    )
+    def test_near_singular_forms(self, rho, expect):
+        # omega = 1, eps = diag(rho, -rho, 0.5, -0.5); 40-digit references
+        # (mpmath elliprf), where the level-64 rule was 6.5e-5 and 2.3e-3 off
+        lam = [1.0 + rho, 1.0 - rho, 1.5, 0.5]
+        assert rel(rational_integral(lam), expect) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "lam", [[0.0, 1.0, 1.0, 1.0], [1.0, -1e-4, 1.0, 1.0], [1.0, 1.0, math.nan, 1.0],
+                [-math.inf, 1.0, 1.0, 1.0]],
+    )
+    def test_indefinite_form_rejected(self, lam):
+        with pytest.raises(ValueError, match="must be positive definite"):
+            rational_integral(lam)
+
+    @pytest.mark.parametrize("lam", [[1e-320] * 4, [math.inf, 1.0, 1.0, 1.0]])
+    def test_overflow_rejected(self, lam):
+        with pytest.raises(ValueError, match="overflows double precision"):
+            rational_integral(lam)
 
 
 class TestAgainstOracle:

@@ -344,25 +344,24 @@ class TestSeries:
   "omega": 1.5,
   "spectral_radius": 0.125,
   "order": 4,
-  "level": 16,
   "terms_exact": [13.159472534785811, -0, 0.032127618493129416, -0.00050199403895514712, 0.00018165909284689386],
   "terms_single_trace": [13.159472534785811, 0, 0.12851047397251769, -0.004015952311641177, 0.0022213236223765265],
   "ratios_single_trace_vs_exact": [1, null, 4.0000000000000009, 8, 12.227979274611402],
   "value_exact": 13.191279818332832,
   "value_single_trace": 13.286188380069063,
-  "value_quadrature": 13.191273824868052
+  "value_quadrature": 13.191273824868054
 }
 """),
-            ("csv", "omega,spectral_radius,order,level,terms_exact,terms_single_trace,"
+            ("csv", "omega,spectral_radius,order,terms_exact,terms_single_trace,"
                     "ratios_single_trace_vs_exact,value_exact,value_single_trace,"
                     "value_quadrature\n"
-                    "1.5,0.125,4,16,"
+                    "1.5,0.125,4,"
                     "13.159472534785811;-0;0.032127618493129416;"
                     "-0.00050199403895514712;0.00018165909284689386,"
                     "13.159472534785811;0;0.12851047397251769;"
                     "-0.004015952311641177;0.0022213236223765265,"
                     "1;;4.0000000000000009;8;12.227979274611402,"
-                    "13.191279818332832,13.286188380069063,13.191273824868052\n"),
+                    "13.191279818332832,13.286188380069063,13.191273824868054\n"),
         ],
     )
     def test_record_bytes(self, capsys, fmt, expect):
@@ -386,8 +385,7 @@ class TestSeries:
         assert out == ""
         assert json.loads(err)["error"] == (
             "the rational integral of the form with eigenvalues [1e-320, 1e-320, "
-            "1e-320, 1e-320] is not finite on the S^3 rule: 1/(xi^T A xi) "
-            "overflows double precision at a node"
+            "1e-320, 1e-320] overflows double precision"
         )
 
 
@@ -645,6 +643,10 @@ OVERFLOWING_REQUESTS = {
               "--sweep", "b:1e100:1e100:1"],
     "series": ["series", "--omega", "1e-320", "--eps=0,0,0,0,0,0,0,0,0,0",
                "--order", "2", "--level", "8"],
+    # the eigenvalue 1.9e308 of omega (I + eps) overflows, though the form is
+    # positive definite
+    "series-eigenvalues": ["series", "--omega", "1e308", "--eps=0.9,0,0,0,-0.9,0,0,0,0,0",
+                           "--order", "3"],
 }
 
 
@@ -697,6 +699,24 @@ def test_closed_form_and_census_requests_do_not_import_numpy(argv):
     else:
         key = {"potential": "value", "action": "potential", "moments": "m"}[argv[0]]
         assert json.loads(out.stdout)[key]
+
+
+def test_series_request_builds_no_rule():
+    # the rational integral is a closed form: a series request loads numpy
+    # for its eigenvalues, but neither the S^3 rule nor dataclasses
+    argv = ["series", "--omega", "1.5", "--eps=0.125,0,0,0,-0.0625,0,0,0.03125,0,-0.09375",
+            "--order", "4"]
+    code = (
+        "import sys\n"
+        "from doubled_spectral.cli import main\n"
+        f"code = main({argv!r})\n"
+        "assert code == 0, code\n"
+        "assert 'doubled_spectral.s3quad' not in sys.modules, 's3quad was imported'\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["value_quadrature"]
 
 
 NUMPY_RANDOM_FREE_REQUESTS = {

@@ -1,30 +1,22 @@
 """The rule's one reduction, the (phi, t) plane with psi in closed form,
-and the evaluators built on it, potential_numeric and rational_integral:
-bit-for-bit repeatability, a per-node reference, the product-set fsum and
-the potential's memo."""
+and the evaluator built on it, potential_numeric: bit-for-bit
+repeatability, a per-node reference, the product-set fsum and the memo."""
 
 import dataclasses
 import math
 
 import numpy as np
-import pytest
 
 import doubled_spectral
 from doubled_spectral import (
     DiagonalMetric,
     build_rule,
     potential_numeric,
-    rational_integral,
     run_hypothesis_suite,
 )
-from doubled_spectral.matchings import PerturbedForm
-from doubled_spectral.geometry import TWO_PI_SQ
 from doubled_spectral.s3quad import (
     _canonical_axis_order,
-    _plane,
-    _plane_sum,
     _potential_sum,
-    _psi_reciprocal,
     active_backend,
     get_threads,
 )
@@ -57,10 +49,9 @@ class TestDeterminism:
         assert potential_numeric(g1, g2, rule16) == first
 
     def test_plane_repeatable_and_matches_fsum(self, rule64):
-        # the in-box potential and rational integral, summed on the plane
-        # with psi in closed form, repeat bit for bit and match a one-pass
-        # fsum of the same rule, folded and unfolded, in which psi has
-        # converged
+        # the in-box potential, summed on the plane with psi in closed form,
+        # repeats bit for bit and matches a one-pass fsum of the same rule,
+        # folded and unfolded, in which psi has converged
         rng = np.random.default_rng(223)
         a1 = np.array(draw_scales(rng))
         a2 = np.array(draw_scales(rng))
@@ -68,11 +59,6 @@ class TestDeterminism:
         c1, c2 = 1.0 / a1**2, 1.0 / a2**2
         d = (1.0 / a2 - 1.0 / a1) ** 2
         s = c1 + c2
-        raw = rng.standard_normal((4, 4))
-        eps = 0.05 * (raw + raw.T)
-        eps -= np.eye(4) * (np.trace(eps) / 4)
-        pf = PerturbedForm(omega=1.3, eps=eps)
-        lam = pf.omega * (1.0 + np.linalg.eigvalsh(eps))
 
         xi_full, w_full = full_product_set(64)
         for rule, (z, w) in (
@@ -93,41 +79,15 @@ class TestDeterminism:
                 for j in range(4)
                 for l in range(4)
             )
-            cases = (
-                (lambda: potential_numeric(g1, g2, rule), potential),
-                (lambda: rational_integral(pf, rule), math.fsum((w / (z @ lam)).tolist())),
-            )
-            for call, reference in cases:
-                first = call()
-                _potential_sum.cache_clear()
-                assert call() == first
-                assert abs(first - reference) <= 1e-13 * abs(reference)
-
-    def test_rational_node_guard(self, rule8):
-        # the guard behind rational_integral's eigenvalue check, on the
-        # plane tables of the one form it reads; the identity form
-        # integrates to the area, so the guard does see every table entry
-        x, y = _plane(rule8, np.ones((1, 4)))
-        area = _plane_sum(rule8, _psi_reciprocal(x[0], y[0]))
-        assert abs(area - TWO_PI_SQ) <= 1e-13 * TWO_PI_SQ
-        # a bad coefficient on phi reaches both tables, one on psi only X
-        # or only Y
-        for lam in (
-            [-1.0, 1.0, 1.0, 1.0],
-            [np.nan, 1.0, 1.0, 1.0],
-            [1.0, 1.0, -1.0, 1.0],
-            [1.0, 1.0, 1.0, -1.0],
-            [1.0, 1.0, np.inf, 1.0],
-            [1.0, 1.0, 1.0, np.nan],
-        ):
-            x, y = _plane(rule8, np.array([lam]))
-            with pytest.raises(ValueError, match="positive definite"):
-                _psi_reciprocal(x[0], y[0])
+            first = potential_numeric(g1, g2, rule)
+            _potential_sum.cache_clear()
+            assert potential_numeric(g1, g2, rule) == first
+            assert abs(first - potential) <= 1e-13 * abs(potential)
 
     def test_squared_path_equals_per_node_reference(self, rule64):
-        # potential_numeric and rational_integral sum the psi closed forms
-        # over the (phi, t) plane; they must equal, bit for bit, the same
-        # formulas on flat per-(phi, t) arrays in the same order.  The
+        # potential_numeric sums the psi closed form over the (phi, t)
+        # plane; it must equal, bit for bit, the same
+        # formula on flat per-(phi, t) arrays in the same order.  The
         # reference leaves out the power-of-two scaling of
         # potential_numeric, which changes no rounding in range.
         def reference(rule, coeffs, integrand):
@@ -158,9 +118,6 @@ class TestDeterminism:
             v += ((ys[0] + ys[1]) * sigma * (inv_r * inv_r) + c) * inv_r * ys[2]
             return v / (sigma * sigma) * math.pi
 
-        def reciprocal(xs, ys):
-            return 2.0 * math.pi / (np.sqrt(xs[0]) * np.sqrt(ys[0]))
-
         def coefficients(s1, s2):
             # canonical order, its first two axes on psi
             a1, a2 = np.array(s1), np.array(s2)
@@ -177,26 +134,11 @@ class TestDeterminism:
             ((10.0, 1.3, 0.7, 2.2), (1.0, 0.9, 7.0, 1.1)),
             ((100.0, 1.0, 0.5, 1.0), (1.0, 1.0, 1.0, 1.0)),
         ]
-        forms = []
-        for omega, scale in ((1.3, 0.05), (0.7, 0.15)):
-            raw = rng.standard_normal((4, 4))
-            eps = scale * (raw + raw.T)
-            eps -= np.eye(4) * (np.trace(eps) / 4)
-            forms.append(PerturbedForm(omega=omega, eps=eps))
-
-        def eigenvalues(pf):
-            # ascending, the two smallest on psi
-            lam = pf.omega * (1.0 + np.linalg.eigvalsh(0.5 * (pf.eps + pf.eps.T)))
-            return lam[[2, 3, 0, 1]]
-
         # level 48 has 25 phi representatives, an odd count
         for rule in (rule64, build_rule(48)):
             for s1, s2 in pairs:
                 got = potential_numeric(DiagonalMetric(s1), DiagonalMetric(s2), rule)
                 assert got == reference(rule, coefficients(s1, s2), potential)
-            for pf in forms:
-                got = rational_integral(pf, rule)
-                assert got == reference(rule, (eigenvalues(pf),), reciprocal)
 
         # in-box, the 3-D product rule has converged in psi, so the two
         # agree to rounding against the independent product set
@@ -211,13 +153,6 @@ class TestDeterminism:
 
             got = potential_numeric(DiagonalMetric(s1), DiagonalMetric(s2), rule64)
             expect = product_sum(64, lambda x: field(x * x))
-            assert abs(got - expect) <= 1e-14 * expect
-        # the second form, eigenvalues 0.029 .. 1.09, is beyond it: there the
-        # 3-D rule is 7.7e-14 off the Carlson R_F value, the plane 1.6e-15
-        for pf in forms[:1]:
-            lam = pf.omega * (1.0 + np.linalg.eigvalsh(0.5 * (pf.eps + pf.eps.T)))
-            got = rational_integral(pf, rule64)
-            expect = product_sum(64, lambda x: 1.0 / ((x * x) @ lam))
             assert abs(got - expect) <= 1e-14 * expect
 
         # the factors reproduce the squares of the first-quadrant nodes of

@@ -254,10 +254,10 @@ class TestPerturbedForm:
 
 
 class TestSeries:
-    def test_zero_perturbation(self, rule8):
+    def test_zero_perturbation(self):
         pf = PerturbedForm(omega=2.0, eps=np.zeros((4, 4)))
         assert series_exact(pf, 4) == TWO_PI_SQ / 2.0
-        assert compare_series(pf, 4, rule8).value_single_trace == TWO_PI_SQ / 2.0
+        assert compare_series(pf, 4).value_single_trace == TWO_PI_SQ / 2.0
 
     def test_exact_quadratic_coefficient(self):
         rng = np.random.default_rng(103)
@@ -267,20 +267,20 @@ class TestSeries:
         expect = (TWO_PI_SQ + PI_SQ / 6.0 * tr2) / 1.3
         assert abs(series_exact(pf, 2) - expect) <= 1e-13 * abs(expect)
 
-    def test_single_trace_quadratic_coefficient(self, rule8):
+    def test_single_trace_quadratic_coefficient(self):
         rng = np.random.default_rng(107)
         eps = random_traceless(rng, 0.2)
         pf = PerturbedForm(omega=1.0, eps=eps)
         tr2 = float(np.trace(eps @ eps))
         expect = TWO_PI_SQ + TWO_PI_SQ / 3.0 * tr2
-        got = compare_series(pf, 2, rule8).value_single_trace
+        got = compare_series(pf, 2).value_single_trace
         assert abs(got - expect) <= 1e-13 * abs(expect)
 
-    def test_odd_traces_drop_for_balanced_diagonal(self, rule8):
+    def test_odd_traces_drop_for_balanced_diagonal(self):
         eta = 0.05
         pf = PerturbedForm(omega=1.0, eps=np.diag([eta, eta, -eta, -eta]))
         expect = TWO_PI_SQ + TWO_PI_SQ / 3.0 * 4 * eta**2
-        got = compare_series(pf, 3, rule8).value_single_trace
+        got = compare_series(pf, 3).value_single_trace
         assert abs(got - expect) <= 1e-13 * expect
 
     def test_permutation_conjugation_invariance(self):
@@ -294,7 +294,7 @@ class TestSeries:
             conj = PerturbedForm(omega=1.0, eps=pmat.T @ eps @ pmat)
             assert abs(series_exact(conj, 5) - base) <= 1e-13 * abs(base)
 
-    def test_truncation_tail_bound(self, rule32):
+    def test_truncation_tail_bound(self):
         rng = np.random.default_rng(113)
         for order in (3, 4, 5):
             for _ in range(4):
@@ -303,19 +303,19 @@ class TestSeries:
                     omega=float(rng.uniform(0.5, 2.0)),
                     eps=random_traceless(rng, rho),
                 )
-                quad = rational_integral(pf, rule32)
+                quad = rational_integral(matchings._eigenvalues(pf))
                 trunc = series_exact(pf, order)
                 bound = 10.0 * rho ** (order + 1) * TWO_PI_SQ / pf.omega
                 assert abs(trunc - quad) <= bound
 
-    def test_order_guards(self, rule8):
+    def test_order_guards(self):
         pf = PerturbedForm(omega=1.0, eps=np.zeros((4, 4)))
         with pytest.raises(ValueError, match="exceeds the guard 100"):
             series_exact(pf, 101)
         with pytest.raises(ValueError, match="exceeds the guard 100"):
-            compare_series(pf, 101, rule8)
+            compare_series(pf, 101)
         with pytest.raises(ValueError):
-            compare_series(pf, 1, rule8)
+            compare_series(pf, 1)
 
 
 class TestExponentialFormula:
@@ -337,7 +337,7 @@ class TestExponentialFormula:
                 if abs(expect) > 1e-14 * TWO_PI_SQ:
                     assert abs(terms[m] - expect) <= 1e-15 * abs(expect)
 
-    def test_series_path_never_reads_census(self, monkeypatch, rule16):
+    def test_series_path_never_reads_census(self, monkeypatch):
         def refuse(m):
             raise AssertionError("pattern_census called on the series path")
 
@@ -345,23 +345,24 @@ class TestExponentialFormula:
         rng = np.random.default_rng(149)
         pf = PerturbedForm(omega=1.3, eps=random_traceless(rng, 0.5))
         assert math.isfinite(series_exact(pf, 100))
-        assert math.isfinite(compare_series(pf, 8, rule16).value_exact)
+        assert math.isfinite(compare_series(pf, 8).value_exact)
 
     @pytest.mark.parametrize("rho, bound", [(0.05, 1e-15), (0.5, 4e-15)])
-    def test_order_40_matches_rule(self, rule64, rho, bound):
-        # the series converges geometrically at the rate rho: at order 40
-        # the last term is 1e-55 of the sum at rho = 0.05, 1e-15 at 0.5
+    def test_order_40_matches_rule(self, rho, bound):
+        # against the closed form; the series converges geometrically at the
+        # rate rho: at order 40 the last term is 1e-55 of the sum at
+        # rho = 0.05, 1e-15 at 0.5
         rng = np.random.default_rng(151)
         for _ in range(5):
             pf = PerturbedForm(omega=1.3, eps=random_traceless(rng, rho))
-            cmp_ = compare_series(pf, 40, rule64)
+            cmp_ = compare_series(pf, 40)
             quad = cmp_.value_quadrature
             assert abs(cmp_.value_exact - quad) <= bound * quad
 
-    def test_highest_order_terms_finite(self, rule8):
+    def test_highest_order_terms_finite(self):
         rng = np.random.default_rng(157)
         pf = PerturbedForm(omega=1.0, eps=random_traceless(rng, 0.99))
-        cmp_ = compare_series(pf, MAX_SERIES_ORDER, rule8)
+        cmp_ = compare_series(pf, MAX_SERIES_ORDER)
         assert MAX_SERIES_ORDER == 100
         for term in cmp_.terms_exact + cmp_.terms_single_trace:
             assert math.isfinite(term)
@@ -369,25 +370,25 @@ class TestExponentialFormula:
 
 
 class TestCompareSeries:
-    def test_zero_perturbation_all_agree(self, rule16):
+    def test_zero_perturbation_all_agree(self):
         pf = PerturbedForm(omega=1.7, eps=np.zeros((4, 4)))
-        cmp_ = compare_series(pf, 3, rule16)
+        cmp_ = compare_series(pf, 3)
         expect = TWO_PI_SQ / 1.7
         for val in (cmp_.value_exact, cmp_.value_single_trace, cmp_.value_quadrature):
             assert abs(val - expect) <= 1e-12 * expect
 
-    def test_quadratic_ratio_is_four(self, rule16):
+    def test_quadratic_ratio_is_four(self):
         rng = np.random.default_rng(127)
         pf = PerturbedForm(omega=1.0, eps=random_traceless(rng, 0.1))
-        cmp_ = compare_series(pf, 4, rule16)
+        cmp_ = compare_series(pf, 4)
         assert cmp_.ratios_single_trace_vs_exact[2] == pytest.approx(4.0, rel=1e-12)
 
-    def test_multi_cycle_pattern_breaks_single_trace_form(self, rule32):
+    def test_multi_cycle_pattern_breaks_single_trace_form(self):
         # tr(eps^3) = 0 but tr(eps^4) != 0: at order 4 the exact expansion
         # keeps the tr(eps^2)^2 pattern the single-trace form cannot express
         eta = 0.05
         pf = PerturbedForm(omega=1.0, eps=np.diag([eta, -eta, eta, -eta]))
-        cmp_ = compare_series(pf, 4, rule32)
+        cmp_ = compare_series(pf, 4)
         tr2 = 4 * eta**2
         tr4 = 4 * eta**4
         c4 = float(c_coefficient(4)) * PI_SQ
@@ -399,7 +400,7 @@ class TestCompareSeries:
         assert abs(cmp_.value_exact - cmp_.value_quadrature) <= tail
         assert cmp_.terms_single_trace[4] != pytest.approx(expect_exact, rel=1e-3)
 
-    def test_value_exact_is_series_exact(self, rule8):
+    def test_value_exact_is_series_exact(self):
         # both sum the same per-order terms, so they agree to the bit
         rng = np.random.default_rng(131)
         for _ in range(200):
@@ -408,12 +409,12 @@ class TestCompareSeries:
                 eps=random_traceless(rng, float(rng.uniform(0.01, 0.9))),
             )
             order = int(rng.integers(2, 9))
-            cmp_ = compare_series(pf, order, rule8)
+            cmp_ = compare_series(pf, order)
             assert series_exact(pf, order) == cmp_.value_exact
 
-    def test_dict_round_trip(self, rule16):
+    def test_dict_round_trip(self):
         pf = PerturbedForm(omega=1.0, eps=np.zeros((4, 4)))
-        d = compare_series(pf, 2, rule16).to_dict()
+        d = compare_series(pf, 2).to_dict()
         assert set(d) >= {
             "value_exact",
             "value_single_trace",

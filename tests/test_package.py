@@ -62,6 +62,7 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
         checked.append((module, func))
     # bindings no subcommand calls, which a cleanup could otherwise drop
     assert ("s3quad", "kinetic_term") in checked
+    assert ("s3quad", "rational_integral") in checked
     assert ("matchings", "series_exact") in checked
 
 
@@ -84,10 +85,10 @@ VALUE_TYPES = {
         (2, 3, 8, 0.0, "numpy.random.Generator(PCG64)", 3e-16, ()),
     ),
     "SeriesComparison": (
-        ("omega", "spectral_radius", "order", "level", "terms_exact",
+        ("omega", "spectral_radius", "order", "terms_exact",
          "terms_single_trace", "ratios_single_trace_vs_exact", "value_exact",
          "value_single_trace", "value_quadrature"),
-        (1.5, 0.1, 2, 8, (1.0, 0.0, 0.5), (1.0, 0.0, 0.25), (1.0, None, 0.5),
+        (1.5, 0.1, 2, (1.0, 0.0, 0.5), (1.0, 0.0, 0.25), (1.0, None, 0.5),
          1.5, 1.25, 1.5),
     ),
 }

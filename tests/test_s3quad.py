@@ -16,7 +16,7 @@ from doubled_spectral import (
     s3quad,
 )
 from doubled_spectral.geometry import MAX_LEVEL, MIN_LEVEL
-from doubled_spectral.matchings import PerturbedForm
+from doubled_spectral.matchings import PerturbedForm, _eigenvalues
 from conftest import draw_scales, full_product_set, potential_1d, product_sum, unfolded
 
 TWO_PI_SQ = 2.0 * math.pi**2
@@ -77,15 +77,13 @@ class TestRule:
             rule8.angle_weights[0] = 0.0
 
     def test_evaluator_and_build_memory(self):
-        # the rule stores no node array, and the evaluators sum a plane
+        # the rule stores no node array, and the evaluator sums a plane
         g1 = DiagonalMetric((0.7, 1.3, 1.1, 0.9))
         g2 = DiagonalMetric((1.2, 0.8, 0.6, 1.5))
-        pf = PerturbedForm(omega=1.0, eps=np.diag([0.3, -0.1, -0.4, 0.2]))
         rule = s3quad._factors(64)
         tracemalloc.start()
         try:
             potential_numeric(g1, g2, rule)
-            rational_integral(pf, rule)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             s3quad._factors(MAX_LEVEL)
@@ -98,12 +96,10 @@ class TestRule:
     def test_no_evaluator_allocates_the_product_set(self):
         g1 = DiagonalMetric((0.7, 1.3, 1.1, 0.9))
         g2 = DiagonalMetric((1.2, 0.8, 0.6, 1.5))
-        pf = PerturbedForm(omega=1.0, eps=np.diag([0.3, -0.1, -0.4, 0.2]))
         rule = build_rule(36)  # a new rule, so the plane sum is not memoized
         tracemalloc.start()
         try:
             potential_numeric(g1, g2, rule)
-            rational_integral(pf, rule)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -390,31 +386,35 @@ class TestPotential:
 
 
 class TestRationalIntegral:
-    def test_identity_form(self, rule8):
+    """int dS / (xi^T A xi) for A = omega (I + eps): the closed form
+    `rational_integral` on the eigenvalues of a form, against the product
+    rule and on its edges."""
+
+    @staticmethod
+    def closed(pf):
+        return rational_integral(_eigenvalues(pf))
+
+    def test_identity_form(self):
         pf = PerturbedForm(omega=1.0, eps=np.zeros((4, 4)))
-        val = rational_integral(pf, rule8)
-        assert abs(val - TWO_PI_SQ) <= 1e-13 * TWO_PI_SQ
+        assert abs(self.closed(pf) - TWO_PI_SQ) <= 1e-15 * TWO_PI_SQ
 
-    def test_omega_scaling_constant(self, rule8):
+    def test_omega_scaling_constant(self):
         pf = PerturbedForm(omega=3.0, eps=np.zeros((4, 4)))
-        val = rational_integral(pf, rule8)
-        assert abs(val - TWO_PI_SQ / 3) <= 1e-13 * TWO_PI_SQ
+        assert abs(self.closed(pf) - TWO_PI_SQ / 3) <= 1e-15 * TWO_PI_SQ
 
-    def test_omega_scaling_generic(self, rule16):
+    def test_omega_scaling_generic(self):
         rng = np.random.default_rng(41)
         raw = rng.standard_normal((4, 4))
         eps = 0.1 * (raw + raw.T)
         eps -= np.eye(4) * (np.trace(eps) / 4)
-        one = rational_integral(PerturbedForm(omega=1.0, eps=eps), rule16)
-        scaled = rational_integral(PerturbedForm(omega=2.5, eps=eps), rule16)
-        assert abs(scaled - one / 2.5) <= 1e-13 * abs(one)
+        one = self.closed(PerturbedForm(omega=1.0, eps=eps))
+        scaled = self.closed(PerturbedForm(omega=2.5, eps=eps))
+        assert abs(scaled - one / 2.5) <= 1e-15 * abs(one)
 
     @pytest.mark.parametrize("rho", [0.05, 0.5])
     @pytest.mark.parametrize("level", [32, 64])
     def test_eigenbasis_matches_general_form(self, level, rho):
-        # the level-64 product rule applied to xi^T A xi, with no rotation;
-        # with psi in closed form a level-32 value is no longer the level-32
-        # product rule regrouped, and the level-64 one is the closer reference
+        # the product rule of `level` applied to xi^T A xi, with no rotation
         rng = np.random.default_rng(59)
         raw = rng.standard_normal((4, 4))
         eps = raw + raw.T
@@ -422,34 +422,33 @@ class TestRationalIntegral:
         eps *= rho / np.abs(np.linalg.eigvalsh(eps)).max()
         pf = PerturbedForm(omega=1.7, eps=eps)
         amat = pf.omega * (np.eye(4) + eps)
-        xi, w = full_product_set(64)
+        xi, w = full_product_set(level)
         q = np.einsum("ni,ij,nj->n", xi, amat, xi)
         reference = math.fsum((w / q).tolist())
-        val = rational_integral(pf, build_rule(level))
-        assert abs(val - reference) <= 1e-14 * reference
+        assert abs(self.closed(pf) - reference) <= 1e-14 * reference
 
-    def test_asymmetric_eps_uses_symmetric_part(self, rule16):
+    def test_asymmetric_eps_uses_symmetric_part(self):
         # xi^T A xi sees only the symmetric part of A
         rng = np.random.default_rng(61)
         raw = 0.1 * rng.standard_normal((4, 4))
         sym = SimpleNamespace(omega=1.2, eps=0.5 * (raw + raw.T))
         asym = SimpleNamespace(omega=1.2, eps=raw)
-        assert rational_integral(asym, rule16) == rational_integral(sym, rule16)
+        assert self.closed(asym) == self.closed(sym)
 
-    def test_indefinite_form_rejected(self, rule8, rule64):
-        # bypasses PerturbedForm validation.  The second form has the
-        # eigenvalue -1e-4, yet xi^T A xi > 0 at every node of either rule.
+    def test_indefinite_form_rejected(self):
+        # bypasses PerturbedForm validation; the second form has the
+        # eigenvalue -1e-4
         for eps in (np.diag([-3.0, 1.0, 1.0, 1.0]), np.diag([-1.0001, 0.0, 0.0, 0.0])):
             bad = SimpleNamespace(omega=1.0, eps=eps)
-            for rule in (rule8, rule64):
-                with pytest.raises(ValueError, match="positive definite"):
-                    rational_integral(bad, rule)
+            with pytest.raises(ValueError, match="positive definite"):
+                self.closed(bad)
 
-    def test_overflowing_sum_rejected(self, rule8):
-        # the form is positive at every node, but 1/(xi^T A xi) overflows
-        tiny = PerturbedForm(omega=1e-320, eps=np.zeros((4, 4)))
-        with pytest.raises(ValueError, match="rational integral .* is not finite"):
-            rational_integral(tiny, rule8)
+    def test_overflowing_sum_rejected(self):
+        # 2 pi^2 / omega overflows; so do the eigenvalues of omega (I + eps)
+        # at omega = 1e308, which are positive but not all below 2^1024
+        for omega, eps in ((1e-320, np.zeros((4, 4))), (1e308, np.diag([0.9, -0.9, 0, 0]))):
+            with pytest.raises(ValueError, match="overflows double precision"):
+                self.closed(PerturbedForm(omega=omega, eps=eps))
 
 
 class TestPsiClosedForms:
@@ -526,11 +525,3 @@ class TestPsiClosedForms:
         expect = self.three_terms([x1, x2, d_x, x1 + x2], [y1, y2, d_y, y1 + y2])
         got = s3quad._psi_potential(x, y)
         assert float(np.abs(got / expect - 1.0).max()) <= 2e-15
-
-    def test_reciprocal(self):
-        rng = np.random.default_rng(79)
-        for _ in range(30):
-            x, y = self.draw(rng)
-            expect = self.trapezoid(lambda c, s: 1.0 / (x * c + y * s))
-            got = float(s3quad._psi_reciprocal(np.array(x), np.array(y)))
-            assert abs(got - expect) <= 1e-14 * expect
