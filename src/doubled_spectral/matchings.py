@@ -12,12 +12,16 @@ Contracting m copies of eps along a matching produces a product of traces,
 one tr(eps^k) per cycle of the block graph (blocks are the slot pairs
 (2l-1, 2l) of each eps factor).  pattern_census counts each cycle type in
 closed form for `moments`, and the tests check it against a census built
-matching by matching.  The series sums these products over all matchings by
-the exponential formula's recurrence in the traces (docs/derivation.md,
-section 3), which the tests check against the census.  compare_series
-evaluates the exact series next to its single-trace variant, which keeps
-only a tr(eps^m) term with coefficient (-2)^m N_{2m} c_m per order.
-N_{2m} counts the matchings with no block pair (2l-1, 2l), i.e. no 1-cycle.
+matching by matching.  By the exponential formula these products sum to
+m! 2^m a_m over all matchings, so the m-th term of the series is
+(-1)^m (2 pi^2 / Omega) a_m / (m+1), with a_0 = 1 and
+a_n = (1/2n) sum_k tr(eps^k) a_{n-k} (docs/derivation.md, section 3); the
+tests check the recurrence against the census, exactly on Fraction traces.
+compare_series evaluates the exact series next to its single-trace variant,
+which keeps only the term (-1)^m (2 pi^2 / Omega) N_{2m} tr(eps^m) / (m+1)!
+per order.  N_{2m} counts the matchings with no block pair (2l-1, 2l), i.e.
+no 1-cycle.  Both series are summed in units of 2 pi^2 / Omega and scaled
+once.
 
 Rational bookkeeping (fractions.Fraction, in units of pi^2) is kept exact;
 floats appear only when a series is evaluated.  The combinatorial half
@@ -40,14 +44,14 @@ from .geometry import TWO_PI_SQ
 if TYPE_CHECKING:
     import numpy as np
 
-PI_SQ = math.pi * math.pi
-
 # Largest accepted orders, each range covered by the tests.  The census is
 # closed-form, so none of them bounds (2m-1)!! work.
 # largest m of pattern_census, whose p(m) rows are the cycle types (the
 # partitions of m), of moment_integral (2m indices) and of `moments --m`
 MAX_MATCHING_ORDER = 10
-# largest order of series_exact and compare_series (c_m is normal up to m ~ 150)
+# largest order of series_exact and compare_series, whose recurrence takes
+# O(order^2) steps; in units of 2 pi^2 / Omega the exact terms stay below
+# rho^m and the single-trace ones below 4 (2 rho)^m, so no order overflows
 MAX_SERIES_ORDER = 100
 
 EPS_SYMMETRY_TOL = 1e-15
@@ -58,12 +62,7 @@ def double_factorial(n: int) -> int:
     """n!! with the convention (-1)!! = 0!! = 1."""
     if n < -1:
         raise ValueError(f"double factorial undefined for {n}")
-    out = 1
-    k = n
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    return math.prod(range(n, 0, -2))
 
 
 def c_coefficient(m: int) -> Fraction:
@@ -196,24 +195,29 @@ def _trace_powers(eps: np.ndarray, kmax: int) -> list[float]:
     """[unused, tr(eps), tr(eps^2), ..., tr(eps^kmax)]."""
     import numpy as np
 
-    traces = [0.0] * (kmax + 1)
-    power = np.eye(4)
-    for k in range(1, kmax + 1):
+    traces, power = [0.0], np.eye(4)
+    for _ in range(kmax):
         power = power @ eps
-        traces[k] = float(np.trace(power))
+        traces.append(float(np.trace(power)))
     return traces
 
 
-def _exact_terms(order: int, traces) -> list[float]:
-    """(-1)^m c_m b_m, without the 1/Omega, for m = 0..order.  The sum b_m of
-    prod tr(eps^k) over the matchings follows the exponential formula's
-    recurrence b_n = sum_k 2^(k-1) (n-1)!/(n-k)! tr(eps^k) b_{n-k}
-    (docs/derivation.md, section 3)."""
-    b = [1.0]
+def _wick_coefficients(order: int, traces) -> list:
+    """a_0..a_order of sum_m a_m t^m = prod_i (1 - t lambda_i)^(-1/2), over
+    the eigenvalues lambda_i of eps, from traces[k] = tr(eps^k): a_0 = 1 and
+    a_n = (1/2n) sum_{k=1..n} tr(eps^k) a_{n-k} (docs/derivation.md,
+    section 3).  Plain sums, so Fraction traces give exact Fractions."""
+    a = [1]
     for n in range(1, order + 1):
-        b.append(math.fsum(2 ** (k - 1) * math.perm(n - 1, k - 1) * traces[k] * b[n - k]
-                           for k in range(1, n + 1)))
-    return [(-1.0) ** m * float(c_coefficient(m)) * PI_SQ * b[m] for m in range(order + 1)]
+        a.append(sum(traces[k] * a[n - k] for k in range(1, n + 1)) / (2 * n))
+    return a
+
+
+def _exact_terms(order: int, traces) -> list:
+    """Terms of the exact series in units of 2 pi^2 / Omega, for
+    m = 0..order: (-1)^m a_m / (m+1), each at most rho^m in size."""
+    return [(-c if m % 2 else c) / (m + 1)
+            for m, c in enumerate(_wick_coefficients(order, traces))]
 
 
 def _count_n_recurrence(order: int) -> list[int]:
@@ -227,14 +231,13 @@ def _count_n_recurrence(order: int) -> list[int]:
 
 
 def _single_trace_terms(order: int, traces) -> list[float]:
-    """Terms of the single-trace series variant, without the 1/Omega, for
-    m = 0..order (order >= 2): the constant 2 pi^2, 0 at order 1,
-    (2 pi^2 / 3) tr(eps^2) at order 2, then (-2)^m c_m N_{2m} tr(eps^m)."""
+    """Terms of the single-trace series variant in units of 2 pi^2 / Omega,
+    for m = 0..order: 1, then (-1)^m (N_{2m} / (m+1)!) tr(eps^m), below
+    4 (2 rho)^m in size.  The integer ratio is correctly rounded; N_2 = 0,
+    and adding 0.0 keeps the order-1 term +0 whatever the sign of tr(eps)."""
     counts = _count_n_recurrence(order)
-    return [TWO_PI_SQ, 0.0, (TWO_PI_SQ / 3.0) * traces[2]] + [
-        (-2.0) ** m * float(c_coefficient(m)) * PI_SQ * counts[m] * traces[m]
-        for m in range(3, order + 1)
-    ]
+    return [1.0] + [(-1) ** m * counts[m] / math.factorial(m + 1) * traces[m] + 0.0
+                    for m in range(1, order + 1)]
 
 
 def check_series_order(order: int, minimum: int = 2) -> int:
@@ -251,14 +254,16 @@ def check_series_order(order: int, minimum: int = 2) -> int:
 def series_exact(pf: PerturbedForm, order: int) -> float:
     """Exact truncated expansion of the rational integral:
 
-        (1/Omega) sum_{m=0}^{order} (-1)^m c_m
-                  sum_{matchings} prod_cycles tr(eps^k),
+        (2 pi^2 / Omega) sum_{m=0}^{order} (-1)^m a_m / (m+1),
 
-    from the per-order terms of compare_series, so it is its value_exact.
+    from the terms of compare_series, so it is its value_exact.  Raises
+    ValueError when the sum is not a finite double.
     """
     order = check_series_order(order, 0)
-    traces = _trace_powers(pf.eps, order)
-    return math.fsum(t / pf.omega for t in _exact_terms(order, traces))
+    value = TWO_PI_SQ / pf.omega * math.fsum(_exact_terms(order, _trace_powers(pf.eps, order)))
+    if not math.isfinite(value):
+        raise ValueError(f"the series at omega = {pf.omega!r} overflows double precision")
+    return value
 
 
 class SeriesComparison(
@@ -280,38 +285,44 @@ class SeriesComparison(
 
 def _eigenvalues(pf) -> list[float]:
     """The eigenvalues omega (1 + mu) of A = omega (I + eps), mu those of the
-    symmetric part of eps, which alone enters xi^T A xi, as Python floats."""
+    symmetric part of eps, which alone enters xi^T A xi, as Python floats.
+    Raises ValueError on a non-finite eps, and when an eigenvalue of a
+    positive definite A underflows to 0."""
     import numpy as np
 
     eps = np.asarray(pf.eps, dtype=float)
-    return [pf.omega * (1.0 + mu) for mu in np.linalg.eigvalsh(0.5 * (eps + eps.T)).tolist()]
+    # eigvalsh reads a NaN as 0
+    if not np.all(np.isfinite(eps)):
+        raise ValueError("eps has non-finite entries")
+    mu = np.linalg.eigvalsh(0.5 * (eps + eps.T)).tolist()
+    lam = [pf.omega * (1.0 + v) for v in mu]
+    if min(mu) > -1.0 and 0.0 in lam:
+        raise ValueError(f"quadratic form has eigenvalues {lam}: one underflows double precision")
+    return lam
 
 
 def compare_series(pf: PerturbedForm, order: int) -> SeriesComparison:
     """Evaluate both series term by term and the rational integral they
-    expand, in closed form (`value_quadrature`).
+    expand, in closed form (`value_quadrature`).  The terms are summed in
+    units of 2 pi^2 / Omega, then scaled once.
 
     Per-order ratios single-trace/exact are recorded where the exact term is
-    resolvably nonzero (threshold 1e-12 of the constant term), None
-    elsewhere.
+    resolvably nonzero (above 1e-12 of the constant term), None elsewhere.
     """
     order = check_series_order(order)
+    value_quadrature = rational_integral(_eigenvalues(pf))
     traces = _trace_powers(pf.eps, order)
-    terms_exact = tuple(t / pf.omega for t in _exact_terms(order, traces))
-    terms_single = tuple(t / pf.omega for t in _single_trace_terms(order, traces))
-    floor = 1e-12 * (TWO_PI_SQ / pf.omega)
-    ratios = tuple(
-        (ts / te) if abs(te) > floor else None
-        for te, ts in zip(terms_exact, terms_single)
-    )
+    exact, single = _exact_terms(order, traces), _single_trace_terms(order, traces)
+    scale = TWO_PI_SQ / pf.omega
     return SeriesComparison(
         omega=pf.omega,
         spectral_radius=pf.spectral_radius,
         order=order,
-        terms_exact=terms_exact,
-        terms_single_trace=terms_single,
-        ratios_single_trace_vs_exact=ratios,
-        value_exact=math.fsum(terms_exact),
-        value_single_trace=math.fsum(terms_single),
-        value_quadrature=rational_integral(_eigenvalues(pf)),
+        terms_exact=tuple(scale * t for t in exact),
+        terms_single_trace=tuple(scale * t for t in single),
+        ratios_single_trace_vs_exact=tuple(s / e if abs(e) > 1e-12 else None
+                                           for e, s in zip(exact, single)),
+        value_exact=scale * math.fsum(exact),
+        value_single_trace=scale * math.fsum(single),
+        value_quadrature=value_quadrature,
     )

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from doubled_spectral import (
     to_diagonal,
 )
 from doubled_spectral.carlson import R_D, R_F, rational_integral
+from doubled_spectral.matchings import _eigenvalues
 from conftest import draw_scales, potential_1d, product_sum
 
 TWO_PI_SQ = 2.0 * math.pi**2
@@ -111,6 +113,13 @@ class TestRationalIntegral:
     def test_indefinite_form_rejected(self, lam):
         with pytest.raises(ValueError, match="must be positive definite"):
             rational_integral(lam)
+
+    def test_non_finite_eps_rejected(self):
+        # a duck-typed form bypasses PerturbedForm's checks, and eigvalsh
+        # reads a NaN as 0: the identity form's eigenvalues
+        pf = SimpleNamespace(omega=1.0, eps=np.diag([math.nan, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="eps has non-finite entries"):
+            rational_integral(_eigenvalues(pf))
 
     @pytest.mark.parametrize("lam", [[1e-320] * 4, [math.inf, 1.0, 1.0, 1.0]])
     def test_overflow_rejected(self, lam):

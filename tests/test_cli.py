@@ -344,10 +344,10 @@ class TestSeries:
   "omega": 1.5,
   "spectral_radius": 0.125,
   "order": 4,
-  "terms_exact": [13.159472534785811, -0, 0.032127618493129416, -0.00050199403895514712, 0.00018165909284689386],
-  "terms_single_trace": [13.159472534785811, 0, 0.12851047397251769, -0.004015952311641177, 0.0022213236223765265],
-  "ratios_single_trace_vs_exact": [1, null, 4.0000000000000009, 8, 12.227979274611402],
-  "value_exact": 13.191279818332832,
+  "terms_exact": [13.159472534785811, -0, 0.032127618493129423, -0.00050199403895514723, 0.00018165909284689389],
+  "terms_single_trace": [13.159472534785811, 0, 0.12851047397251769, -0.0040159523116411779, 0.0022213236223765265],
+  "ratios_single_trace_vs_exact": [1, null, 4, 8, 12.2279792746114],
+  "value_exact": 13.191279818332834,
   "value_single_trace": 13.286188380069063,
   "value_quadrature": 13.191273824868054
 }
@@ -356,12 +356,12 @@ class TestSeries:
                     "ratios_single_trace_vs_exact,value_exact,value_single_trace,"
                     "value_quadrature\n"
                     "1.5,0.125,4,"
-                    "13.159472534785811;-0;0.032127618493129416;"
-                    "-0.00050199403895514712;0.00018165909284689386,"
+                    "13.159472534785811;-0;0.032127618493129423;"
+                    "-0.00050199403895514723;0.00018165909284689389,"
                     "13.159472534785811;0;0.12851047397251769;"
-                    "-0.004015952311641177;0.0022213236223765265,"
-                    "1;;4.0000000000000009;8;12.227979274611402,"
-                    "13.191279818332832,13.286188380069063,13.191273824868054\n"),
+                    "-0.0040159523116411779;0.0022213236223765265,"
+                    "1;;4;8;12.2279792746114,"
+                    "13.191279818332834,13.286188380069063,13.191273824868054\n"),
         ],
     )
     def test_record_bytes(self, capsys, fmt, expect):
@@ -386,6 +386,18 @@ class TestSeries:
         assert json.loads(err)["error"] == (
             "the rational integral of the form with eigenvalues [1e-320, 1e-320, "
             "1e-320, 1e-320] overflows double precision"
+        )
+
+    def test_underflowing_eigenvalue_named(self, capsys):
+        # omega (1 - 0.5) rounds to 0 although the form is positive definite
+        code, out, err = run_cli(
+            capsys, "series", "--omega", "5e-324",
+            "--eps=0.5,0,0,0,-0.5,0,0,0,0,0", "--order", "4",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == (
+            "quadratic form has eigenvalues [0.0, 5e-324, 5e-324, 1e-323]: "
+            "one underflows double precision"
         )
 
 
@@ -647,6 +659,12 @@ OVERFLOWING_REQUESTS = {
     # positive definite
     "series-eigenvalues": ["series", "--omega", "1e308", "--eps=0.9,0,0,0,-0.9,0,0,0,0,0",
                            "--order", "3"],
+    # the closed form overflows, and is evaluated before the series sums
+    "series-closed-form": ["series", "--omega", "2e-308", "--eps=0.5,0,0,0,-0.5,0,0,0,0,0",
+                           "--order", "4"],
+    # the closed form is finite, but the single-trace sum is not
+    "series-single-trace": ["series", "--omega", "1e-280",
+                            "--eps=0.999,0,0,0,-0.999,0,0,0.5,0,-0.5", "--order", "100"],
 }
 
 

@@ -308,6 +308,13 @@ class TestSeries:
                 bound = 10.0 * rho ** (order + 1) * TWO_PI_SQ / pf.omega
                 assert abs(trunc - quad) <= bound
 
+    @pytest.mark.parametrize("omega", [2e-308, 1e-320, 5e-324])
+    def test_overflow_raises_value_error(self, omega):
+        # 2 pi^2 / Omega overflows: no OverflowError and no Infinity
+        pf = PerturbedForm(omega=omega, eps=np.diag([0.5, 0.0, 0.0, -0.5]))
+        with pytest.raises(ValueError, match="overflows double precision"):
+            series_exact(pf, 4)
+
     def test_order_guards(self):
         pf = PerturbedForm(omega=1.0, eps=np.zeros((4, 4)))
         with pytest.raises(ValueError, match="exceeds the guard 100"):
@@ -320,22 +327,42 @@ class TestSeries:
 
 class TestExponentialFormula:
     def test_recurrence_matches_census(self):
-        # the census is the recurrence's independent check: each exact term
-        # against (-1)^m c_m pi^2 sum over cycle types of count * prod tr
+        # the census is the recurrence's independent check: each term, in
+        # units of 2 pi^2 / Omega, against (-1)^m / (m! 2^m (m+1)) times the
+        # sum over cycle types of count * prod tr
         rng = np.random.default_rng(139)
         for _ in range(200):
             eps = random_traceless(rng, float(rng.uniform(0.01, 0.9)))
             traces = matchings._trace_powers(eps, MAX_MATCHING_ORDER)
             terms = matchings._exact_terms(MAX_MATCHING_ORDER, traces)
-            assert terms[0] == TWO_PI_SQ
+            assert terms[0] == 1.0
             for m in range(1, MAX_MATCHING_ORDER + 1):
                 census_sum = math.fsum(
                     count * math.prod(traces[k] for k in pat)
                     for pat, count in pattern_census(m)
                 )
-                expect = (-1) ** m * float(c_coefficient(m)) * PI_SQ * census_sum
-                if abs(expect) > 1e-14 * TWO_PI_SQ:
+                expect = (-1) ** m * census_sum / (math.factorial(m) * 2**m * (m + 1))
+                if abs(expect) > 1e-14:
                     assert abs(terms[m] - expect) <= 1e-15 * abs(expect)
+
+    def test_recurrence_matches_census_exactly(self):
+        # on Fraction traces of an integer eps the recurrence is exact:
+        # m! 2^m a_m is the census sum of count * prod tr(eps^k)
+        rng = np.random.default_rng(163)
+        for _ in range(20):
+            eps = rng.integers(-3, 4, (4, 4)).tolist()
+            eps = [[eps[i][j] + eps[j][i] for j in range(4)] for i in range(4)]
+            eps[3][3] -= sum(eps[i][i] for i in range(4))
+            traces, power = [None], [[int(i == j) for j in range(4)] for i in range(4)]
+            for _ in range(MAX_MATCHING_ORDER):
+                power = [[sum(power[i][k] * eps[k][j] for k in range(4)) for j in range(4)]
+                         for i in range(4)]
+                traces.append(Fraction(sum(power[i][i] for i in range(4))))
+            a = matchings._wick_coefficients(MAX_MATCHING_ORDER, traces)
+            for m in range(1, MAX_MATCHING_ORDER + 1):
+                census_sum = sum(count * math.prod(traces[k] for k in pat)
+                                 for pat, count in pattern_census(m))
+                assert math.factorial(m) * 2**m * a[m] == census_sum
 
     def test_series_path_never_reads_census(self, monkeypatch):
         def refuse(m):
@@ -348,7 +375,7 @@ class TestExponentialFormula:
         assert math.isfinite(compare_series(pf, 8).value_exact)
 
     @pytest.mark.parametrize("rho, bound", [(0.05, 1e-15), (0.5, 4e-15)])
-    def test_order_40_matches_rule(self, rho, bound):
+    def test_order_40_matches_closed_form(self, rho, bound):
         # against the closed form; the series converges geometrically at the
         # rate rho: at order 40 the last term is 1e-55 of the sum at
         # rho = 0.05, 1e-15 at 0.5
@@ -382,6 +409,13 @@ class TestCompareSeries:
         pf = PerturbedForm(omega=1.0, eps=random_traceless(rng, 0.1))
         cmp_ = compare_series(pf, 4)
         assert cmp_.ratios_single_trace_vs_exact[2] == pytest.approx(4.0, rel=1e-12)
+
+    def test_order_one_single_trace_term_is_positive_zero(self):
+        # N_2 = 0: the term is +0 whatever the sign of the rounded tr(eps)
+        for last in (-1e-17, 0.0, 1e-17):
+            pf = PerturbedForm(omega=1.0, eps=np.diag([0.1, -0.05, -0.05, last]))
+            term = compare_series(pf, 2).terms_single_trace[1]
+            assert term == 0.0 and math.copysign(1.0, term) == 1.0
 
     def test_multi_cycle_pattern_breaks_single_trace_form(self):
         # tr(eps^3) = 0 but tr(eps^4) != 0: at order 4 the exact expansion
