@@ -20,20 +20,18 @@ is bit-identical between runs.  The rational integral int dS / (xi^T A xi)
 is a closed form, so the series needs no rule.
 
 numpy is imported by s3quad, conjecture and reports, and inside the
-functions of geometry and matchings that handle arrays (no method of
-``DiagonalMetric``); carlson, hopf, cli, _emit and the combinatorial half of
-matchings (c_coefficient, pattern_census, count_n, count_n_formula) import
-none.  Only reports, whose series inputs are normal draws, imports
-numpy.random; conjecture draws its PCG64 stream in pure Python.  Names
-below resolve on first access (PEP 562), and cli imports the numpy layers
-and matchings inside the subcommands using them, so ``action``,
-``sweep``, ``potential --method closed|conjecture`` and ``moments`` never
-load numpy.  Nor do they load dataclasses, which imports inspect, ast and
-dis: the value types of geometry, hopf, matchings and conjecture are
-namedtuple subclasses, which check any conditions in ``__new__``.  Only
-s3quad's ``SphereRule``, which must hash by identity for the plane memo,
-is a dataclass, and ``series``, which loads numpy for its eigenvalues but
-builds no rule, does not load it either.
+functions of geometry that handle arrays (no method of ``DiagonalMetric``);
+carlson, hopf, matchings, cli and _emit import none.  matchings solves
+for the eigenvalues of its 4x4 forms in pure Python.  Only reports, whose
+series inputs are normal draws, imports numpy.random; conjecture draws its
+PCG64 stream in pure Python.  Names below resolve on first access (PEP
+562), and cli imports the numpy layers and matchings inside the
+subcommands using them, so ``action``, ``sweep``, ``potential --method
+closed|conjecture``, ``moments`` and ``series`` never load numpy.  Nor do
+they load dataclasses, which imports inspect, ast and dis: the value types
+of geometry, hopf, matchings and conjecture are namedtuple subclasses,
+which check any conditions in ``__new__``.  Only s3quad's ``SphereRule``,
+which must hash by identity for the plane memo, is a dataclass.
 """
 
 from importlib import import_module

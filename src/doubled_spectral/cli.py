@@ -21,9 +21,8 @@ Hopf-shaped; a Hopf-shaped pair takes the Hopf closed form (`hopf`).
 (`carlson.rational_integral`).  This module imports no numpy; the S^3 rule,
 the invariance suite and the Wick-pairing module are imported inside the
 subcommands that use them, so `action`, `sweep`, `potential --method
-closed|conjecture` and `moments` run without numpy or dataclasses (the
-types they build are namedtuples), and `series` without the rule or
-dataclasses.
+closed|conjecture`, `moments` and `series` run without numpy or
+dataclasses (the types they build are namedtuples).
 """
 
 from __future__ import annotations

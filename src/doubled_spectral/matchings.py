@@ -24,9 +24,11 @@ no 1-cycle.  Both series are summed in units of 2 pi^2 / Omega and scaled
 once.
 
 Rational bookkeeping (fractions.Fraction, in units of pi^2) is kept exact;
-floats appear only when a series is evaluated.  The combinatorial half
-(c_coefficient, pattern_census, count_n, count_n_formula) needs no numpy;
-the series half imports numpy inside the functions that use it.
+floats appear only when a series is evaluated.  The module imports no
+numpy, and fractions (which loads decimal) only inside c_coefficient and
+moment_integral, which return Fractions.  The series half works on eps as
+4 rows of Python floats: tr(eps^k) by repeated 4x4 products, and the
+eigenvalues of the symmetric part of eps by cyclic Jacobi rotations.
 compare_series takes its reference from the closed form
 `carlson.rational_integral`, on the eigenvalues of the form.
 """
@@ -35,14 +37,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .carlson import rational_integral
 from .geometry import TWO_PI_SQ
 
 if TYPE_CHECKING:
-    import numpy as np
+    from fractions import Fraction
 
 # Largest accepted orders, each range covered by the tests.  The census is
 # closed-form, so none of them bounds (2m-1)!! work.
@@ -57,6 +58,14 @@ MAX_SERIES_ORDER = 100
 EPS_SYMMETRY_TOL = 1e-15
 EPS_TRACE_TOL = 1e-15
 
+# the off-diagonal pairs of a 4x4 matrix, in the order one Jacobi sweep
+# rotates them
+_JACOBI_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# cyclic Jacobi converges quadratically in the end: none of 10,000 seeded
+# draws, half with repeated eigenvalues, kept an off-diagonal entry past 6
+# sweeps
+_JACOBI_SWEEPS = 50
+
 
 def double_factorial(n: int) -> int:
     """n!! with the convention (-1)!! = 0!! = 1."""
@@ -67,39 +76,116 @@ def double_factorial(n: int) -> int:
 
 def c_coefficient(m: int) -> Fraction:
     """Moment normalization c_m = 4 / (2m+2)!!, as a coefficient of pi^2."""
+    from fractions import Fraction
+
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     return Fraction(4, double_factorial(2 * m + 2))
 
 
+def _shape(x) -> tuple[int, ...]:
+    """The shape numpy gives the nested sequence x, read along first
+    elements."""
+    shape = []
+    while hasattr(x, "__len__") and not isinstance(x, str):
+        shape.append(len(x))
+        if not shape[-1]:
+            break
+        x = x[0]
+    return tuple(shape)
+
+
+def _symmetric_eigenvalues(a) -> list[float]:
+    """Ascending eigenvalues of the symmetric 4x4 matrix `a`, 4 rows of 4
+    finite floats, by cyclic Jacobi rotations (Golub and Van Loan, Matrix
+    Computations, section 8.5).  A diagonal matrix comes back exactly, with
+    no rotation.  Otherwise the matrix is scaled by a power of two to a
+    largest entry in [1/2, 1), so no step under- or overflows, and an
+    eigenvalue that leaves double range on scaling back is infinite."""
+    if not any(a[p][q] for p, q in _JACOBI_PAIRS):
+        return sorted(a[i][i] for i in range(4))
+    e = math.frexp(max(abs(x) for row in a for x in row))[1]
+    a = [[math.ldexp(x, -e) for x in row] for row in a]
+    for _ in range(_JACOBI_SWEEPS):
+        if not any(a[p][q] for p, q in _JACOBI_PAIRS):
+            break
+        for p, q in _JACOBI_PAIRS:
+            apq, app, aqq = a[p][q], a[p][p], a[q][q]
+            g = 100.0 * abs(apq)
+            if abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
+                # a rotation would move neither diagonal entry, and dropping
+                # the pair moves no eigenvalue by more than |apq|
+                a[p][q] = a[q][p] = 0.0
+                continue
+            # t = tan of the angle that zeroes a[p][q], the smaller root of
+            # t^2 + 2 theta t - 1 = 0; beyond 1e150 theta^2 would overflow,
+            # and 1 / (2 theta) is that root to rounding
+            theta = (aqq - app) / (2.0 * apq)
+            if abs(theta) > 1e150:
+                t = 0.5 / theta
+            else:
+                t = math.copysign(1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0)), theta)
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            a[p][p], a[q][q] = app - t * apq, aqq + t * apq
+            a[p][q] = a[q][p] = 0.0
+            for r in range(4):
+                if r != p and r != q:
+                    arp, arq = a[r][p], a[r][q]
+                    a[r][p] = a[p][r] = c * arp - s * arq
+                    a[r][q] = a[q][r] = s * arp + c * arq
+    else:
+        raise AssertionError(f"Jacobi rotations left off-diagonal entries in {a}")
+    # by two normal powers of two: the product rounds once, and overflows to
+    # inf where math.ldexp would raise
+    f1, f2 = math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)
+    return sorted(a[i][i] * f1 * f2 for i in range(4))
+
+
+def _finite_rows(eps) -> tuple[tuple[float, ...], ...]:
+    """The rows of eps as tuples of Python floats; raises ValueError if any
+    entry is not finite."""
+    eps = tuple(tuple(float(x) for x in row) for row in eps)
+    if not all(math.isfinite(x) for row in eps for x in row):
+        raise ValueError("eps has non-finite entries")
+    return eps
+
+
+def _spectrum(eps) -> list[float]:
+    """Ascending eigenvalues of the symmetric part of the finite 4x4 eps,
+    which alone enters xi^T eps xi.  A symmetric pair of entries is kept as
+    it is, and halving each entry before the sum cannot overflow."""
+    return _symmetric_eigenvalues([[x if x == y else 0.5 * x + 0.5 * y
+                                    for x, y in zip(row, col)]
+                                   for row, col in zip(eps, zip(*eps))])
+
+
 class PerturbedForm(namedtuple("PerturbedForm", "omega eps spectral_radius")):
     """Positive quadratic form A = omega (I + eps), eps a symmetric traceless
-    4x4 array with spectral radius < 1, which the constructor solves for and
+    4x4 matrix with spectral radius < 1, which the constructor solves for and
     keeps as `spectral_radius`.  Immutable, as geometry.DiagonalMetric; eps
-    is a read-only copy."""
+    (a numpy array or nested sequences) is kept as 4 tuples of 4 floats."""
 
     __slots__ = ()
 
     def __new__(cls, omega, eps):
-        import numpy as np
-
         if not (math.isfinite(omega) and omega > 0.0):
             raise ValueError(f"omega must be positive, got {omega}")
-        eps = np.array(eps, dtype=float)
-        if eps.shape != (4, 4):
-            raise ValueError(f"eps must be 4x4, got shape {eps.shape}")
-        if not np.all(np.isfinite(eps)):
-            raise ValueError("eps has non-finite entries")
-        if float(np.abs(eps - eps.T).max()) > EPS_SYMMETRY_TOL:
+        shape = _shape(eps)
+        if shape != (4, 4) or any(_shape(row) != (4,) for row in eps):
+            raise ValueError(f"eps must be 4x4, got shape {shape}")
+        eps = _finite_rows(eps)
+        if max(abs(x - y) for row, col in zip(eps, zip(*eps))
+               for x, y in zip(row, col)) > EPS_SYMMETRY_TOL:
             raise ValueError("eps is not symmetric")
-        if abs(float(np.trace(eps))) > EPS_TRACE_TOL:
-            raise ValueError(f"eps is not traceless: trace = {float(np.trace(eps))!r}")
-        rho = float(np.abs(np.linalg.eigvalsh(eps)).max()) if eps.any() else 0.0
+        trace = eps[0][0] + eps[1][1] + eps[2][2] + eps[3][3]
+        if abs(trace) > EPS_TRACE_TOL:
+            raise ValueError(f"eps is not traceless: trace = {trace!r}")
+        rho = max(abs(v) for v in _spectrum(eps))
         if rho >= 1.0:
             raise ValueError(
                 f"spectral radius of eps must be < 1 for positivity, got {rho}"
             )
-        eps.flags.writeable = False
         return tuple.__new__(cls, (omega, eps, rho))
 
     def __getnewargs__(self):
@@ -174,6 +260,8 @@ def moment_integral(indices) -> Fraction:
     odd multiplicity).  An odd number of indices integrates to zero by
     parity.
     """
+    from fractions import Fraction
+
     idx = tuple(int(i) for i in indices)
     if any(i not in (0, 1, 2, 3) for i in idx):
         raise ValueError(f"axis labels must be in 0..3, got {idx}")
@@ -191,14 +279,16 @@ def moment_integral(indices) -> Fraction:
     return c_coefficient(m) * pairings
 
 
-def _trace_powers(eps: np.ndarray, kmax: int) -> list[float]:
-    """[unused, tr(eps), tr(eps^2), ..., tr(eps^kmax)]."""
-    import numpy as np
-
-    traces, power = [0.0], np.eye(4)
+def _trace_powers(eps, kmax: int) -> list[float]:
+    """[unused, tr(eps), tr(eps^2), ..., tr(eps^kmax)] of the 4x4 eps, each
+    power the product of the last with eps, its entries and trace summed in
+    index order."""
+    cols = [[float(row[j]) for row in eps] for j in range(4)]
+    traces, power = [0.0], [[float(i == j) for j in range(4)] for i in range(4)]
     for _ in range(kmax):
-        power = power @ eps
-        traces.append(float(np.trace(power)))
+        power = [[r[0] * c[0] + r[1] * c[1] + r[2] * c[2] + r[3] * c[3] for c in cols]
+                 for r in power]
+        traces.append(power[0][0] + power[1][1] + power[2][2] + power[3][3])
     return traces
 
 
@@ -288,13 +378,7 @@ def _eigenvalues(pf) -> list[float]:
     symmetric part of eps, which alone enters xi^T A xi, as Python floats.
     Raises ValueError on a non-finite eps, and when an eigenvalue of a
     positive definite A underflows to 0."""
-    import numpy as np
-
-    eps = np.asarray(pf.eps, dtype=float)
-    # eigvalsh reads a NaN as 0
-    if not np.all(np.isfinite(eps)):
-        raise ValueError("eps has non-finite entries")
-    mu = np.linalg.eigvalsh(0.5 * (eps + eps.T)).tolist()
+    mu = _spectrum(_finite_rows(pf.eps))
     lam = [pf.omega * (1.0 + v) for v in mu]
     if min(mu) > -1.0 and 0.0 in lam:
         raise ValueError(f"quadratic form has eigenvalues {lam}: one underflows double precision")

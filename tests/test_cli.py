@@ -679,6 +679,47 @@ def test_overflow_error_is_one_json_record(argv):
     assert set(json.loads(out.stderr)) == {"error"}
 
 
+EXTREME_EPS_REQUESTS = {
+    # off-diagonal entries of 1e300, or of 1.7e308, whose largest eigenvalue
+    # leaves double range: the spectral radius is at least 1, so exit 2
+    "eps-1e300": (["series", "--omega", "1", "--eps=0,1e300,0,0,0,0,0,0,0,0"], 2),
+    "eps-3e300": (["series", "--omega", "1e-300",
+                   "--eps=0,1e300,1e300,1e300,0,1e300,1e300,0,1e300,0"], 2),
+    "eps-1.7e308": (["series", "--omega", "1",
+                     "--eps=0,1.7e308,1.7e308,0,0,1.7e308,1.7e308,0,1.7e308,0"], 2),
+    "eps-1e300-and-1e-300": (["series", "--omega", "1",
+                              "--eps=0,1e-300,1e300,0,0,0,0,0,0,0"], 2),
+    # off-diagonal entries of 1e-300 and 5e-324 leave only the constant term
+    "eps-1e-300": (["series", "--omega", "1e300",
+                    "--eps=0,1e-300,1e-300,1e-300,0,1e-300,1e-300,0,1e-300,0"], 0),
+    "eps-5e-324": (["series", "--omega", "1e-300",
+                    "--eps=0,5e-324,0,5e-324,0,5e-324,0,0,5e-324,0", "--order", "100"], 0),
+    "eps-1e-300-beside-0.5": (["series", "--omega", "1",
+                               "--eps=0.5,1e-300,0,0,-0.5,1e-300,0,0,0,0"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, expect", EXTREME_EPS_REQUESTS.values(),
+                         ids=EXTREME_EPS_REQUESTS.keys())
+def test_extreme_eps_entries_exit_cleanly(argv, expect):
+    # the eigensolve scales eps to entries below 1 and never forms theta^2
+    # of a huge rotation angle: no OverflowError or ZeroDivisionError
+    out = subprocess.run([sys.executable, "-m", "doubled_spectral", *argv],
+                         capture_output=True, text=True)
+    assert "Traceback" not in out.stderr
+    assert out.returncode == expect
+    if expect == 2:
+        assert out.stdout == ""
+        assert set(json.loads(out.stderr)) == {"error"}
+    else:
+        assert out.stderr == ""
+        rec = json.loads(out.stdout)
+        if rec["spectral_radius"] < 1e-200:
+            expect = TWO_PI_SQ / rec["omega"]
+            assert rec["value_quadrature"] == pytest.approx(expect, rel=1e-15)
+            assert rec["value_exact"] == rec["value_single_trace"] == rec["terms_exact"][0]
+
+
 NUMPY_FREE_REQUESTS = {
     "closed": ["potential", "--g1", "2,2,1,1", "--g2", "1,1,1,1", "--method", "closed"],
     # a2 b1 = a1 b2: the surface where the paper's form is 0/0
@@ -719,18 +760,19 @@ def test_closed_form_and_census_requests_do_not_import_numpy(argv):
         assert json.loads(out.stdout)[key]
 
 
-def test_series_request_builds_no_rule():
-    # the rational integral is a closed form: a series request loads numpy
-    # for its eigenvalues, but neither the S^3 rule nor dataclasses
-    argv = ["series", "--omega", "1.5", "--eps=0.125,0,0,0,-0.0625,0,0,0.03125,0,-0.09375",
+def test_series_request_loads_no_numpy():
+    # the rational integral is a closed form and the eigensolve pure
+    # Python: a series request loads neither numpy nor the S^3 rule, and
+    # neither decimal (through fractions) nor dataclasses
+    argv = ["series", "--omega", "1.5", "--eps=0.125,0.01,0,0,-0.0625,0.02,0,0.03125,0,-0.09375",
             "--order", "4"]
     code = (
         "import sys\n"
         "from doubled_spectral.cli import main\n"
         f"code = main({argv!r})\n"
         "assert code == 0, code\n"
-        "assert 'doubled_spectral.s3quad' not in sys.modules, 's3quad was imported'\n"
-        "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
+        "for name in ('numpy', 'decimal', 'doubled_spectral.s3quad', 'dataclasses'):\n"
+        "    assert name not in sys.modules, f'{name} was imported'\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

@@ -252,6 +252,103 @@ class TestPerturbedForm:
         pf = PerturbedForm(omega=1.0, eps=np.diag([0.3, 0.3, -0.3, -0.3]))
         assert abs(pf.spectral_radius - 0.3) <= 1e-15
 
+    def test_accepts_nested_lists_and_arrays_alike(self):
+        eps = random_traceless(np.random.default_rng(3), 0.4)
+        a, b = PerturbedForm(1.0, eps), PerturbedForm(1.0, eps.tolist())
+        assert a == b
+        assert all(type(x) is float for row in a.eps for x in row)
+
+    @pytest.mark.parametrize("eps", [np.zeros((3, 3)), [0.0] * 16, np.zeros((4, 4, 1)),
+                                     [[0.0] * 4] * 3 + [[0.0] * 5]])
+    def test_rejects_wrong_shape(self, eps):
+        with pytest.raises(ValueError, match="eps must be 4x4, got shape"):
+            PerturbedForm(omega=1.0, eps=eps)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="eps has non-finite entries"):
+            PerturbedForm(omega=1.0, eps=np.diag([math.inf, 0.0, 0.0, 0.0]))
+
+
+def givens(n_rotations, rng, mat):
+    """mat conjugated by n_rotations seeded Givens rotations."""
+    for _ in range(n_rotations):
+        p, q = rng.choice(4, 2, replace=False)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        g = np.eye(4)
+        g[p, p] = g[q, q] = np.cos(angle)
+        g[p, q], g[q, p] = np.sin(angle), -np.sin(angle)
+        mat = g @ mat @ g.T
+    return 0.5 * (mat + mat.T)
+
+
+class TestJacobi:
+    """The pure-Python eigensolve of a symmetric 4x4, with numpy's LAPACK
+    eigvalsh as the reference.  Against 50-digit eigenvalues of 1,500 draws
+    like those below, the Jacobi values were within 4 ulp of rho and
+    eigvalsh's within 10, so the two may differ by 14."""
+
+    def test_matches_eigvalsh(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(1000):
+            rho = math.exp(rng.uniform(math.log(1e-8), math.log(0.999)))
+            eps = random_traceless(rng, rho)
+            ref = np.linalg.eigvalsh(eps).tolist()
+            got = matchings._spectrum(eps.tolist())
+            assert got == sorted(got)
+            ulp = math.ulp(max(map(abs, ref)))
+            assert max(abs(g - r) for g, r in zip(got, ref)) <= 16 * ulp
+            pf = PerturbedForm(omega=1.0, eps=eps)
+            assert pf.spectral_radius == max(map(abs, got))
+
+    @pytest.mark.parametrize("diag", [(0.125, -0.0625, 0.03125, -0.09375),
+                                      (0.0, -0.0, 0.0, -0.0),
+                                      (1e-300, -3e-310, 0.75, -0.75),
+                                      (1e300, 5e-324, -1e300, 0.1)])
+    def test_diagonal_is_exact_with_no_rotation(self, monkeypatch, diag):
+        # with no sweep allowed, only a matrix that needs no rotation passes
+        monkeypatch.setattr(matchings, "_JACOBI_SWEEPS", 0)
+        got = matchings._symmetric_eigenvalues(np.diag(diag).tolist())
+        assert got == sorted(got)
+        signed = sorted((v, math.copysign(1.0, v)) for v in got)
+        assert signed == sorted((v, math.copysign(1.0, v)) for v in diag)
+
+    def test_sweeps_are_capped(self, monkeypatch):
+        monkeypatch.setattr(matchings, "_JACOBI_SWEEPS", 2)
+        mat = random_traceless(np.random.default_rng(7), 0.5).tolist()
+        with pytest.raises(AssertionError, match="Jacobi rotations"):
+            matchings._symmetric_eigenvalues(mat)
+
+    def test_repeated_eigenvalues_converge(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            mat = givens(6, rng, np.diag(rng.permutation([0.3, 0.3, -0.3, -0.3])))
+            got = matchings._spectrum(mat.tolist())
+            assert max(abs(g - r) for g, r in zip(got, [-0.3, -0.3, 0.3, 0.3])) \
+                <= 8 * math.ulp(0.3)
+
+    def test_power_of_two_scaling_is_exact(self):
+        # the solve runs on the matrix scaled to a largest entry in
+        # [1/2, 1): any power of two in the data scales the values exactly
+        eps = random_traceless(np.random.default_rng(5), 0.7).tolist()
+        base = matchings._spectrum(eps)
+        for k in (-990, -500, -1, 1, 500, 1000):
+            scaled = [[math.ldexp(x, k) for x in row] for row in eps]
+            assert matchings._spectrum(scaled) == [math.ldexp(v, k) for v in base]
+
+    @pytest.mark.parametrize("size", [1e300, 1.7e308, 1e-300, 5e-324])
+    def test_extreme_off_diagonal_entries(self, size):
+        # eigenvalues 2.56, -1.56, -1 and 0 times size, beyond double range
+        # at 1.7e308: the largest comes back infinite, with no exception
+        a = [[0.0, size, size, 0.0], [size, 0.0, size, size],
+             [size, size, 0.0, size], [0.0, size, size, 0.0]]
+        got = matchings._spectrum(a)
+        ref = [(1 - math.sqrt(17)) / 2, -1.0, 0.0, (1 + math.sqrt(17)) / 2]
+        for g, r in zip(got, ref):
+            if abs(r * size) > 1.7976931348623157e308:
+                assert g == math.copysign(math.inf, r)
+            else:
+                assert abs(g - r * size) <= 1e-15 * 2.6 * size + 2 * 5e-324
+
 
 class TestSeries:
     def test_zero_perturbation(self):
@@ -363,6 +460,26 @@ class TestExponentialFormula:
                 census_sum = sum(count * math.prod(traces[k] for k in pat)
                                  for pat, count in pattern_census(m))
                 assert math.factorial(m) * 2**m * a[m] == census_sum
+
+    def test_trace_powers_from_entries(self):
+        # integer entries keep every product below 2^53, so each trace is
+        # exact; a traceless eps keeps tr(eps) = +0, so the order-1 exact
+        # term prints -0
+        rng = np.random.default_rng(167)
+        for _ in range(20):
+            eps = rng.integers(-3, 4, (4, 4))
+            eps = eps + eps.T
+            eps[3, 3] -= np.trace(eps)
+            exact = [0] + [int(np.trace(np.linalg.matrix_power(eps, k))) for k in range(1, 7)]
+            assert matchings._trace_powers(eps.astype(float), 6) == exact
+        for diag in ([0.125, -0.0625, 0.03125, -0.09375], [0.5, 0.25, -0.25, -0.5]):
+            traces = matchings._trace_powers(np.diag(diag).tolist(), 3)
+            assert math.copysign(1.0, traces[1]) == 1.0 and traces[1] == 0.0
+        eps = random_traceless(np.random.default_rng(173), 0.9)
+        got = matchings._trace_powers(eps.tolist(), 20)
+        for k in range(1, 21):
+            ref = float(np.trace(np.linalg.matrix_power(eps, k)))
+            assert abs(got[k] - ref) <= 1e-14 * 0.9**k
 
     def test_series_path_never_reads_census(self, monkeypatch):
         def refuse(m):

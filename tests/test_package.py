@@ -125,7 +125,12 @@ def test_perturbed_form_keeps_its_spectral_radius_through_copies():
     eps = np.diag([0.3, -0.1, -0.1, -0.1])
     pf = doubled_spectral.PerturbedForm(omega=1.5, eps=eps)
     assert pf.spectral_radius == pytest.approx(0.3, rel=1e-15)
-    assert not pf.eps.flags.writeable
+    assert isinstance(pf.eps, tuple) and len(pf.eps) == 4
+    assert all(isinstance(row, tuple) and len(row) == 4 for row in pf.eps)
+    with pytest.raises(TypeError):
+        pf.eps[0] = (1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(TypeError):
+        pf.eps[0][0] = 1.0
     with pytest.raises(TypeError):
         doubled_spectral.PerturbedForm(1.5, eps, 0.3)
     for clone in (copy.copy(pf), pickle.loads(pickle.dumps(pf))):
