@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import TWO_PI_SQ, DiagonalMetric, check_inverse_squares
+from .geometry import TWO_PI_SQ, DiagonalMetric, check_inverse_squares, scale_back
 
 # the series after duplication leaves a relative error of order DUP_TOL^6
 DUP_TOL = 1e-3
@@ -105,12 +105,9 @@ def rational_integral(lam) -> float:
     e = math.frexp(max(lam))[1]
     u = [math.ldexp(v, -e) for v in lam]
     U = [math.sqrt(u[i] * u[j]) + math.sqrt(u[k] * u[l]) for i, j, k, l in SPLITS]
-    value = 2.0 * TWO_PI_SQ * R_F(*(v * v for v in U))
-    # ldexp raises OverflowError past 2^1024: test the exponent first
-    if math.frexp(value)[1] - e > 1024:
-        raise ValueError(f"the rational integral of the form with eigenvalues {lam} "
-                         "overflows double precision")
-    return math.ldexp(value, -e)
+    return scale_back(2.0 * TWO_PI_SQ * R_F(*(v * v for v in U)), -e,
+                      "the rational integral of the form with eigenvalues {} "
+                      "overflows double precision", lam)
 
 
 def potential_elliptic(g1: DiagonalMetric, g2: DiagonalMetric) -> float:
@@ -144,8 +141,5 @@ def potential_elliptic(g1: DiagonalMetric, g2: DiagonalMetric) -> float:
     for n, (i, j, k, l) in enumerate(SPLITS):
         dU = A[n] * (p[i] + p[j] + q[k] + q[l]) + B[n] * (q[i] + q[j] + p[k] + p[l])
         total += R_D(U2[n - 1], U2[n - 2], U2[n]) * U[n] * dU
-    value = TWO_PI_SQ / 3.0 * total
-    # ldexp raises OverflowError past 2^1024: test the exponent first
-    if math.frexp(value)[1] - s - 4 * e > 1024:
-        raise ValueError(f"the potential overflows double precision for g1 = {a1}, g2 = {a2}")
-    return math.ldexp(value, -s - 4 * e)
+    return scale_back(TWO_PI_SQ / 3.0 * total, -s - 4 * e,
+                      "the potential overflows double precision for g1 = {}, g2 = {}", a1, a2)

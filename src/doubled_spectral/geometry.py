@@ -123,6 +123,18 @@ def check_inverse_squares(g: DiagonalMetric, c, name: str) -> None:
         )
 
 
+def scale_back(value: float, exp: int, message: str, *args) -> float:
+    """value 2^exp, the double of an evaluator's result held as a value and
+    a power of two: 0.0 for a zero value at any exp, rounded to a subnormal
+    or 0 where it underflows.  Raises ValueError(message.format(*args))
+    where value is not finite or value 2^exp overflows; the exponent is
+    tested first, so math.ldexp never raises OverflowError, and the message
+    is formatted only on failure."""
+    if value == 0.0 or (math.isfinite(value) and math.frexp(value)[1] + exp <= 1024):
+        return math.ldexp(value, exp)
+    raise ValueError(message.format(*args))
+
+
 def sqrt_det(g: DiagonalMetric) -> float:
     """sqrt(det g) = prod_j a_j for a diagonal metric."""
     return math.prod(g.scales)

@@ -22,9 +22,11 @@ The paper's ratio form W(x, y) of x = b1/b2 and y = a1/a2 is the same
 function at a unit second metric, V at a1 = y, b1 = x, a2 = b2 = 1 over
 2 pi^2: the potential is invariant under a joint per-axis rescaling of
 both metrics (docs/derivation.md), so `script_v` and
-`potential_via_conjecture` call the same evaluator, the latter at a second
-metric of equal scales near sqrt(a2 b2), a power of two, so that neither W
-nor a2^2 b2^2 has to be representable on its own.
+`potential_via_conjecture` evaluate the same `_scaled` at the unit second
+metric.  The latter keeps W as a value and a power of two and multiplies in
+a2^2 b2^2 from the frexp mantissas and exponents of a2 and b2, so that
+neither W nor a2^2 b2^2 has to be representable on its own;
+`geometry.scale_back` applies the power of two last.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .geometry import TWO_PI_SQ, DiagonalMetric
+from .geometry import TWO_PI_SQ, DiagonalMetric, scale_back
 
 LOG2 = math.log(2.0)
 # below SERIES_CUT, phi and psi are summed from their series in t = s^2 <
@@ -70,17 +72,14 @@ def from_diagonal(g: DiagonalMetric) -> HopfMetric | None:
 
 def _closed(a1: float, b1: float, a2: float, b2: float) -> float:
     """V of the Hopf pair (b1, b1, a1, a1), (b2, b2, a2, a2).  Raises
-    ValueError where a scale is 0 (an underflowed ratio of
-    potential_via_conjecture) or infinite, and where V overflows."""
-    if not (min(a1, b1, a2, b2) > 0.0 and max(a1, b1, a2, b2) < math.inf):
-        problem = "a scale factor is 0 or infinite"
-    else:
-        value, exp = _scaled(a1, b1, a2, b2)
-        # ldexp raises OverflowError past 2^1024: test the exponent first
-        if math.frexp(value)[1] + exp <= 1024:
-            return math.ldexp(value, exp)
-        problem = "the closed-form potential overflows double precision"
-    raise ValueError(f"{problem} for a1={a1!r}, b1={b1!r}, a2={a2!r}, b2={b2!r}")
+    ValueError where a scale is 0 or infinite (an overflowed ratio of
+    script_v), and where V overflows."""
+    scales = a1, b1, a2, b2
+    if not (min(scales) > 0.0 and max(scales) < math.inf):
+        raise ValueError(f"a scale factor is 0 or infinite for a1={a1!r}, b1={b1!r}, "
+                         f"a2={a2!r}, b2={b2!r}")
+    return scale_back(*_scaled(*scales), "the closed-form potential overflows double "
+                      "precision for a1={!r}, b1={!r}, a2={!r}, b2={!r}", *scales)
 
 
 def _scaled(a1: float, b1: float, a2: float, b2: float) -> tuple[float, int]:
@@ -156,25 +155,21 @@ def script_v(x: float, y: float) -> float:
 
 
 def potential_via_conjecture(h1: HopfMetric, h2: HopfMetric) -> float:
-    """Bimetric factorized form 2 pi^2 W(b1/b2, a1/a2) sqrt(det g2), with
-    sqrt(det g2) = a2^2 b2^2 for a Hopf metric.
+    """Bimetric factorized form 2 pi^2 W(x, y) sqrt(det g2) of the ratio
+    variables x = b1/b2 and y = a1/a2, with sqrt(det g2) = a2^2 b2^2 for a
+    Hopf metric.
 
-    By degree-4 homogeneity this is _closed(2^j y, 2^j x, 2^j, 2^j) times
-    (a2 b2 / 2^(2j))^2 in [1, 64), where 2^(2j) <= a2 b2 (exact in _closed's
-    exponents), so neither W nor sqrt(det g2) has to be representable, and
-    this returns wherever the closed form does at scale ratios up to 1e80.
-    Raises ValueError, naming h1 and h2, where 2^j y or 2^j x leaves double
-    range and where the product overflows."""
-    (ma, ea), (mb, eb) = math.frexp(h2.a), math.frexp(h2.b)
-    j = (ea + eb - 2) // 2
-    s, rest = math.ldexp(1.0, j), math.ldexp(ma * mb, ea + eb - 2 * j)
-    y, x = s * (h1.a / h2.a), s * (h1.b / h2.b)
+    W comes from `_scaled` at the unit second metric as a value and a power
+    of two, and a2 b2 = m 2^(ea + eb) from the frexp mantissas and
+    exponents of a2 and b2, so neither W nor sqrt(det g2) has to be
+    representable on its own: V = value m^2 2^(exp + 2 (ea + eb)), with the
+    power of two applied last by `scale_back`.  Raises ValueError, naming
+    h1 and h2, where x or y leaves double range and where V overflows."""
+    y, x = h1.a / h2.a, h1.b / h2.b
     if not (min(x, y) > 0.0 and max(x, y) < math.inf):
         raise ValueError(f"a scale ratio of {h1} and {h2} leaves double range")
-    try:
-        value = _closed(y, x, s, s) * rest * rest
-    except ValueError:  # _closed's part of the product overflows
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"the factorized potential overflows double precision for {h1}, {h2}")
-    return value
+    (ma, ea), (mb, eb) = math.frexp(h2.a), math.frexp(h2.b)
+    value, exp = _scaled(y, x, 1.0, 1.0)
+    m = ma * mb
+    return scale_back(value * m * m, exp + 2 * (ea + eb),
+                      "the factorized potential overflows double precision for {}, {}", h1, h2)

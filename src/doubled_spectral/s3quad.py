@@ -104,6 +104,7 @@ from .geometry import (  # noqa: F401
     DiagonalMetric,
     check_inverse_squares,
     kinetic_term,
+    scale_back,
 )
 
 
@@ -319,9 +320,12 @@ def _psi_potential(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=2)
 def _potential_sum(rule: SphereRule, coeffs) -> float:
     """The plane sum of `potential_numeric` for its scaled coefficient rows
-    (c1, c2, d), memoized (see Memo in the module docstring)."""
-    x, y = _plane(rule, coeffs)
-    return _plane_sum(rule, _psi_potential(x, y))
+    (c1, c2, d), memoized (see Memo in the module docstring).  numpy's
+    floating-point warnings are off: a plane that leaves double range sums
+    to inf or NaN, which the caller turns into one ValueError."""
+    with np.errstate(all="ignore"):
+        x, y = _plane(rule, coeffs)
+        return _plane_sum(rule, _psi_potential(x, y))
 
 
 def potential_numeric(
@@ -368,12 +372,7 @@ def potential_numeric(
     # exchanged pair's key the same as the pair's
     if c2 < c1:
         c1, c2 = c2, c1
-    with np.errstate(all="ignore"):
-        total = float(np.ldexp(_potential_sum(rule, (c1, c2, d)), -2 * e))
-    if not math.isfinite(total):
-        raise ValueError(
-            f"the potential of g1 = {g1.scales} and g2 = {g2.scales} is not "
-            "finite on the S^3 rule: it overflows double precision, or the "
-            "scales span too wide a range"
-        )
-    return total
+    return scale_back(_potential_sum(rule, (c1, c2, d)), -2 * e,
+                      "the potential of g1 = {} and g2 = {} is not finite on the S^3 rule: "
+                      "it overflows double precision, or the scales span too wide a range",
+                      g1.scales, g2.scales)

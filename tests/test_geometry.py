@@ -16,6 +16,7 @@ from doubled_spectral import (
     quadratic_form,
     relative_eigenvalues,
 )
+from doubled_spectral.geometry import scale_back
 from conftest import draw_scales
 
 
@@ -110,6 +111,38 @@ class TestRelativeEigenvalues:
         g1 = DiagonalMetric((2, 1, 1, 1))
         g2 = DiagonalMetric((1, 1, 1, 1))
         assert relative_eigenvalues(g1, g2) == (2, 1, 1, 1)
+
+
+class _Unformattable:
+    def __format__(self, spec):
+        raise AssertionError("the message was formatted on success")
+
+
+class TestScaleBack:
+    def test_zero_at_any_exponent(self):
+        assert scale_back(0.0, 2000, "unused") == 0.0
+        assert scale_back(0.0, -2000, "unused") == 0.0
+
+    @pytest.mark.parametrize("value, exp", [(1.0, 1024), (math.inf, 0), (math.nan, 0),
+                                            (0.5, 1025), (-1.5, 1024)])
+    def test_overflow_and_non_finite_raise_value_error(self, value, exp):
+        # a ValueError naming the case, never ldexp's OverflowError
+        with pytest.raises(ValueError, match="^too big: 3$"):
+            scale_back(value, exp, "too big: {}", 3)
+
+    def test_largest_exponent_returns(self):
+        top = math.nextafter(1.0, 0.0)
+        assert scale_back(top, 1024, "unused") == math.ldexp(top, 1024) == 1.7976931348623157e308
+
+    @pytest.mark.parametrize("value, exp", [(0.75, -1073), (0.6180339887498949, -1060),
+                                            (1.0, -1075), (0.9, -1200)])
+    def test_subnormal_result_equals_ldexp(self, value, exp):
+        assert scale_back(value, exp, "unused") == math.ldexp(value, exp)
+
+    def test_message_formatted_only_on_failure(self):
+        assert scale_back(1.5, 3, "{}", _Unformattable()) == 12.0
+        with pytest.raises(ValueError, match=r"^g1 = \(1\.0, 2\.0\) and 1e-05$"):
+            scale_back(math.inf, 0, "g1 = {} and {!r}", (1.0, 2.0), 1e-05)
 
 
 class TestEffectiveParams:

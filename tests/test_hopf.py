@@ -280,6 +280,65 @@ class TestConjectureForm:
         with pytest.raises(ValueError, match="factorized potential overflows"):
             potential_via_conjecture(HopfMetric(a=8e76, b=4e76), HopfMetric(a=1.9, b=1.9))
 
+    def test_wide_scales_against_reference(self):
+        # scales spanning 1e294: prescaling the ratio variables by a power of
+        # two near sqrt(a2 b2) would underflow inside the closed form and
+        # lose 1.3e-5 of V; 50-digit mpmath value of the paper's W at these
+        # doubles (the decimal strings give 1.2335122334033752643e-137)
+        h1 = HopfMetric(a=3.1403115478447215e+110, b=2.517295061136218e-180)
+        h2 = HopfMetric(a=2.2246375514913755e-184, b=8.112980726567328e+93)
+        ref = 1.2335122334033754179704460450072013230731206507188e-137
+        assert abs(potential_via_conjecture(h1, h2) - ref) <= 1e-15 * ref
+
+    def test_ratios_past_the_prescaled_range(self):
+        # x = 2.6e303 and y = 8.8e-265 are doubles, but x times a power of
+        # two near sqrt(a2 b2) = 4.4e5 is not
+        h1 = HopfMetric(a=4.891348603995538e-109, b=8.965626689083645e+158)
+        h2 = HopfMetric(a=5.54261625327156e+155, b=3.4410607150707915e-145)
+        closed = potential_closed(h1, h2)
+        assert closed == 3.7961929324492556e+102
+        assert abs(potential_via_conjecture(h1, h2) - closed) <= 1e-15 * closed
+
+    @pytest.mark.parametrize(
+        "h1, h2",
+        [
+            ((1.2525133549642113e-14, 8.975877551344322e-150),
+             (1.9937951637333827e-54, 5.397127792722228e-109)),
+            ((1.0276465438140967e-39, 7.65886720121669e-123),
+             (8.607755728085502e-99, 1.2754259150940466e-98)),
+        ],
+        ids=["5-ulp", "247-ulp"],
+    )
+    def test_subnormal_value_equals_closed_form(self, h1, h2):
+        # V is subnormal: rounded once from value and exponent, the
+        # factorized form keeps every bit the closed form has
+        h1, h2 = HopfMetric(*h1), HopfMetric(*h2)
+        closed = potential_closed(h1, h2)
+        assert 0.0 < closed < sys.float_info.min
+        assert potential_via_conjecture(h1, h2) == closed
+
+    def test_agrees_with_closed_form_across_double_range(self):
+        # log-uniform scales in 10^+-200: wherever x and y are positive
+        # doubles the factorized form overflows exactly where the closed form
+        # does, and otherwise is within 1e-15 of it (of 1e-300 below that)
+        rng = random.Random(11)
+        for _ in range(5000):
+            a1, b1, a2, b2 = (10.0 ** rng.uniform(-200, 200) for _ in range(4))
+            h1, h2 = HopfMetric(a=a1, b=b1), HopfMetric(a=a2, b=b2)
+            x, y = b1 / b2, a1 / a2
+            if not (min(x, y) > 0.0 and max(x, y) < math.inf):
+                with pytest.raises(ValueError, match="leaves double range"):
+                    potential_via_conjecture(h1, h2)
+                continue
+            try:
+                vc = potential_closed(h1, h2)
+            except ValueError:
+                with pytest.raises(ValueError, match="factorized potential overflows"):
+                    potential_via_conjecture(h1, h2)
+                continue
+            vj = potential_via_conjecture(h1, h2)
+            assert abs(vj - vc) <= 1e-15 * max(vc, 1e-300)
+
     @pytest.mark.parametrize("span", [60, 80])
     def test_returns_wherever_closed_form_does(self, span):
         # log-uniform scales in 10^+-span; a subnormal value is compared
