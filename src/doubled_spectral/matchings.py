@@ -296,10 +296,15 @@ def _wick_coefficients(order: int, traces) -> list:
     """a_0..a_order of sum_m a_m t^m = prod_i (1 - t lambda_i)^(-1/2), over
     the eigenvalues lambda_i of eps, from traces[k] = tr(eps^k): a_0 = 1 and
     a_n = (1/2n) sum_{k=1..n} tr(eps^k) a_{n-k} (docs/derivation.md,
-    section 3).  Plain sums, so Fraction traces give exact Fractions."""
+    section 3).  Plain left-to-right sums from int 0, so Fraction traces
+    give exact Fractions and floats round alike on every Python version
+    (the builtin sum compensates float sums from Python 3.12 on)."""
     a = [1]
     for n in range(1, order + 1):
-        a.append(sum(traces[k] * a[n - k] for k in range(1, n + 1)) / (2 * n))
+        total = 0
+        for k in range(1, n + 1):
+            total += traces[k] * a[n - k]
+        a.append(total / (2 * n))
     return a
 
 

@@ -375,6 +375,28 @@ class TestSeries:
         assert (code, err) == (0, "")
         assert out == expect
 
+    def test_off_diagonal_record_bytes(self, capsys):
+        # the a_n recurrence adds left to right from int 0, so these bytes
+        # hold on every supported Python (the builtin sum compensates float
+        # sums from 3.12 on and moved the last digits of terms_exact)
+        code, out, err = run_cli(
+            capsys, "series", "--omega", "1.3",
+            "--eps=0.3,0.1,0.05,0.02,-0.1,0.07,0.03,0.05,0.04,-0.25", "--order", "12",
+        )
+        assert (code, err) == (0, "")
+        assert out == """{
+  "omega": 1.3,
+  "spectral_radius": 0.34062675845493184,
+  "order": 12,
+  "terms_exact": [15.184006770906704, -0, 0.26015264934153487, -0.012494539571609859, 0.010960074215355567, -0.0012844386679614936, 0.00065329921733038501, -0.00011715589367462094, 4.7053682279785652e-05, -1.0648874901667222e-05, 3.8032666971452326e-06, -9.8473289205705208e-07, 3.3122886746054854e-07],
+  "terms_single_trace": [15.184006770906704, 0, 1.0406105973661395, -0.099956316572878873, 0.13897040725018195, -0.038818590853947364, 0.033959422371479628, -0.013518903548759601, 0.010022541425588501, -0.0048111639532297792, 0.003291108510797267, -0.0017618748099800052, 0.0011574596831686523],
+  "ratios_single_trace_vs_exact": [1, null, 4, 8, 12.679695823179559, 30.222222222222221, 51.981422096677242, 115.39243246529178, 213.0022761235459, 451.8002134175253, 865.33729366589091, 1789.1905756286328, 3494.4408440079969],
+  "value_exact": 15.441916214117731,
+  "value_single_trace": 16.253151457775264,
+  "value_quadrature": 15.441916144791508
+}
+"""
+
     def test_non_finite_result_rejected(self, capsys):
         # 2 pi^2 / omega overflows; this used to print Infinity and NaN
         code, out, err = run_cli(
@@ -650,6 +672,9 @@ def test_wide_hopf_pairs_exit_cleanly_and_agree(a1, b1, a2, b2):
 
 
 OVERFLOWING_REQUESTS = {
+    # the 1/a^2 span 1e300 and the rule's plane overflows: numpy's
+    # floating-point warnings stay off while it sums
+    "numeric": ["potential", "--g1", "1e-150,1,1,1", "--g2", "1,1,1,1", "--method", "numeric"],
     # V ~ 1e280 * 1e60 overflows the elliptic form's final scaling
     "sweep": ["sweep", "--g2", "1e70,1e70,1e70,1e70", "--base", "1e70,1e70,1e70,1e70",
               "--sweep", "b:1e100:1e100:1"],
