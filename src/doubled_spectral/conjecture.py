@@ -51,14 +51,11 @@ PARAM_RANGE = (0.5, 2.0)
 # from default_rng(0); the median is 2.5e-16).  Over the first 50,000 trials of each
 # perfbench suite seed 1-5 (250,000 in all) the worst violation is that of
 # the trial of seed 2831489971 (seed 4, trial index 5,893), 2.04e-10 at
-# level 64, 490x below 1e-7.  Next come 1.82e-10 (seed 3, index 34,679)
-# and 1.39e-10 and 1.17e-10 (seed 5); no other trial exceeds 1e-10.  The
-# tail is rare but not bounded by these: suite seed 26 reaches 1.7e-9 at
-# trial index 10,989 (seed 2317020048), a rescaled pair near the box bound.
-# The ranking was made when the rule's nodes came from an eigensolve.  On
-# the Newton-built rule the worst pair and the trials of seeds
-# 2831489971, 3367618124 (seed 3, index 34,679) and 2317020048 keep the
-# figures quoted; only the median moved, from 1.2e-15.
+# level 64, 490x below 1e-7.  Next come 1.82e-10 (seed 3367618124: seed 3,
+# index 34,679) and 1.39e-10 and 1.17e-10 (seed 5); no other trial exceeds
+# 1e-10.  The tail is rare but not bounded by these: suite seed 26 reaches
+# 1.7e-9 at trial index 10,989 (seed 2317020048), a rescaled pair near the
+# box bound.
 SCALE_RANGE = (0.7, 1.4)
 
 RNG_ALGORITHM = "numpy.random.Generator(PCG64)"

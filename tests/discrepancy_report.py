@@ -195,7 +195,7 @@ def render_markdown() -> str:
     lines += [
         "",
         "Per-order ratios single-trace/exact for input 0 (None where the",
-        "exact term vanishes):",
+        "exact term is below 1e-12 of the constant term):",
         "",
     ]
     cmp0 = comps[0]

@@ -761,6 +761,15 @@ NUMPY_FREE_REQUESTS = {
                "--kappa", "-1", "--lambda", "2", "--c", "0.7"],
     "sweep": ["sweep", "--g2", "1,1,1.5,1.5", "--base", "1,1,2,2",
               "--sweep", "b:0.5:2:3", "--sweep", "a:1:100:2"],
+    # requests whose unscaled products under- or overflow: a sweep point at
+    # scales near 1e-60, the ratio form where (x - y)(x + y)^2 underflows,
+    # and an action (with its derived columns) whose 1/a^2 spread 1e140
+    "sweep-tiny": ["sweep", "--g2", "1e-64,1e-64,1e-56,1e-56",
+                   "--base", "1e-55,1e-55,1e-66,1e-66", "--sweep", "b:1e-55:1e-55:1"],
+    "conjecture-tiny-against-huge": ["potential", "--g1", "1e-55,1e-55,2e-55,2e-55",
+                                     "--g2", "1e55,1e55,1e55,1e55", "--method", "conjecture"],
+    "action-1e-70": ["action", "--g1", "1e-70,1,1,1", "--g2", "1,1,1,1", "--phi", "0.5",
+                     "--kappa", "1", "--lambda", "1", "--c", "1"],
 }
 
 
@@ -777,9 +786,11 @@ def test_closed_form_and_census_requests_do_not_import_numpy(argv):
         "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
+    assert (out.returncode, out.stderr) == (0, "")
     if argv[0] == "sweep":
-        assert len(out.stdout.strip().split("\n")) == 1 + 3 * 2
+        points = math.prod(int(spec.rsplit(":", 1)[1])
+                           for flag, spec in zip(argv, argv[1:]) if flag == "--sweep")
+        assert len(out.stdout.strip().split("\n")) == 1 + points
     else:
         key = {"potential": "value", "action": "potential", "moments": "m"}[argv[0]]
         assert json.loads(out.stdout)[key]
@@ -902,7 +913,11 @@ class TestConfigAndDeterminism:
         assert json.loads(err) == {
             "error": f"argument --level: must be <= {MAX_LEVEL}, got '2000000'"
         }
-        assert cli._level(str(MAX_LEVEL)) == MAX_LEVEL
+        # the largest level accepted builds its rule and sums it
+        monkeypatch.undo()
+        code, out, err = run_cli(capsys, *argv, "--level", str(MAX_LEVEL), *flags)
+        assert (code, err) == (0, "")
+        assert json.loads(out)
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     @pytest.mark.parametrize(

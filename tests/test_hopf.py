@@ -378,9 +378,12 @@ def test_products_beyond_double_range_at_the_mean_scaling(evaluate):
     "method, h1, h2, ref, tol",
     [
         # near-identical metrics, where V is second order in the offset;
-        # 2.2e-9 of it is the rounding of x = b1 / b2
+        # 2.2e-9 of it is the rounding of x = b1 / b2, which the closed form
+        # never rounds
         (potential_via_conjecture, (1.0, 1.0), (1.0, 1.00000001),
-         1.9739208562249781e-15, 1e-8),
+         1.9739208562249781e-15, 5e-9),
+        (potential_closed, (1.0, 1.0), (1.0, 1.00000001),
+         1.9739208562249780998e-15, 4e-15),
         # scale ratios near 1e80: x^2 y^2 of the ratio variables overflows
         # unless the scales are brought near 1
         (potential_via_conjecture, (1.42e43, 7.9e19), (1.8e-38, 6.19e-14),
@@ -392,9 +395,17 @@ def test_products_beyond_double_range_at_the_mean_scaling(evaluate):
         # sqrt(det g2) = 1e-400 alone underflows to 0
         (potential_via_conjecture, (1e-75, 3e-75), (1e-100, 1e-100),
          1.7765287921960843e-298, 1e-14),
+        (potential_closed, (1e-75, 3e-75), (1e-100, 1e-100),
+         1.7765287921960842504e-298, 4e-15),
         # W(x, y) alone overflows at scale ratios near 1e92 and 1e96
         (potential_via_conjecture, (1.6923442730168229e34, 2.4221124116965457e22),
          (9.761608991445863e-63, 4.199128033893202e-70), 3.316620367857809e114, 1e-14),
+        (potential_closed, (1.6923442730168229e34, 2.4221124116965457e22),
+         (9.761608991445863e-63, 4.199128033893202e-70), 3.316620367857808978e114, 4e-15),
+        # the pair of TestConjectureForm::test_wide_scales_against_reference,
+        # scales spanning 1e294
+        (potential_closed, (3.1403115478447215e110, 2.517295061136218e-180),
+         (2.2246375514913755e-184, 8.112980726567328e93), 1.233512233403375418e-137, 4e-15),
         # scale ratios near 1e104: 2 pi^2 (F + G) overflows although V is
         # 2.7e-3
         (potential_closed, (2.6e-50, 4.5e47), (1.5e48, 8.7e-57),
@@ -431,12 +442,13 @@ def test_products_beyond_double_range_at_the_mean_scaling(evaluate):
         (potential_closed, (0.6573276455193837, 0.3800818689684565),
          (1.2209082276247711, 0.7059570430552863), 4.030352547111488266, 4e-15),
         # the scales span 2^1400 and a2 b1 = 1.6e-495 leaves double range,
-        # yet V is a normal double
+        # yet V is a normal double; the closed form returns it exactly
         (potential_closed, (6.7e-200, 1.8e-230), (2.4e-265, 8.7e160),
-         8.6057897140045841405e-207, 4e-15),
+         8.6057897140045841405e-207, 1e-15),
     ],
-    ids=["conjecture-near-identical", "conjecture-wide", "conjecture-cancelling",
-         "conjecture-det-underflows", "conjecture-ratio-form-overflows",
+    ids=["conjecture-near-identical", "closed-near-identical", "conjecture-wide",
+         "conjecture-cancelling", "conjecture-det-underflows", "closed-det-underflows",
+         "conjecture-ratio-form-overflows", "closed-ratio-form-overflows", "closed-wide-1e294",
          "closed-false-overflow", "closed-subnormal", "closed-exact-fallback",
          "closed-box-1", "closed-box-2", "closed-1e20-1", "closed-1e20-2",
          "closed-1e300-1", "closed-1e300-2", "closed-near-1e-2", "closed-near-1e-8",

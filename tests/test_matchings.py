@@ -131,7 +131,7 @@ class TestCensus:
     def test_closed_form_cross_check(self):
         # independent count per cycle type: partition the m blocks into
         # cycles, times 2^(k-1) (k-1)! single-cycle matchings per k-cycle
-        for m in (2, 3, 4, 5, 6, 7):
+        for m in range(2, 11):
             for pat, count in pattern_census(m):
                 mult = Counter(pat)
                 ways = math.factorial(m)
@@ -491,14 +491,22 @@ class TestExponentialFormula:
         assert math.isfinite(series_exact(pf, 100))
         assert math.isfinite(compare_series(pf, 8).value_exact)
 
-    @pytest.mark.parametrize("rho, bound", [(0.05, 1e-15), (0.5, 4e-15)])
-    def test_order_40_matches_closed_form(self, rho, bound):
+    @pytest.mark.parametrize(
+        "rho, bound, diagonal",
+        [(0.05, 1e-15, None), (0.5, 4e-15, None), (0.5, 4e-15, (0.5, 0.25, -0.25, -0.5))],
+        ids=["0.05-1e-15", "0.5-4e-15", "diagonal-0.5"],
+    )
+    def test_order_40_matches_closed_form(self, rho, bound, diagonal):
         # against the closed form; the series converges geometrically at the
         # rate rho: at order 40 the last term is 1e-55 of the sum at
-        # rho = 0.05, 1e-15 at 0.5
-        rng = np.random.default_rng(151)
-        for _ in range(5):
-            pf = PerturbedForm(omega=1.3, eps=random_traceless(rng, rho))
+        # rho = 0.05, 1e-15 at 0.5; five random forms, or one diagonal form
+        # whose eigenvalues are exact
+        if diagonal:
+            forms = [PerturbedForm(omega=1.0, eps=np.diag(diagonal))]
+        else:
+            rng = np.random.default_rng(151)
+            forms = [PerturbedForm(omega=1.3, eps=random_traceless(rng, rho)) for _ in range(5)]
+        for pf in forms:
             cmp_ = compare_series(pf, 40)
             quad = cmp_.value_quadrature
             assert abs(cmp_.value_exact - quad) <= bound * quad
@@ -511,6 +519,16 @@ class TestExponentialFormula:
         for term in cmp_.terms_exact + cmp_.terms_single_trace:
             assert math.isfinite(term)
         assert math.isfinite(series_exact(pf, MAX_SERIES_ORDER))
+        # below rho = 1/2 both sums converge: the single-trace one to its
+        # resummed value 1 + sum_i (G(-lambda_i) - 1) in units of 2 pi^2 /
+        # Omega, G(y) = (1/y) int_0^y e^-u (1 - 2u)^(-1/2) du (mpmath, 30
+        # digits), the exact one to the closed form
+        pf = PerturbedForm(omega=1.0, eps=np.diag([0.4, -0.4, 0.1, -0.1]))
+        cmp_ = compare_series(pf, MAX_SERIES_ORDER)
+        resummed = 22.844928272527375
+        assert abs(cmp_.value_single_trace - resummed) <= 1e-12 * resummed
+        quad = cmp_.value_quadrature
+        assert abs(cmp_.value_exact - quad) <= 1e-14 * quad
 
 
 class TestCompareSeries:
