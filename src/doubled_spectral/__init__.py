@@ -19,8 +19,8 @@ plane in one pairwise numpy sum, the rule's only reduction, so every result
 is bit-identical between runs.  The rational integral int dS / (xi^T A xi)
 is a closed form, so the series needs no rule.
 
-numpy is imported by s3quad and conjecture, and inside the functions of
-geometry that handle arrays (no method of ``DiagonalMetric``); carlson,
+numpy is imported by s3quad and conjecture, and inside
+``geometry.b2_trace_matrix``, the explicit 2x2-matrix reference; carlson,
 hopf, matchings, cli and _emit import none.  matchings solves for the
 eigenvalues of its 4x4 forms in pure Python.  No module uses
 numpy.random: conjecture draws its PCG64 stream in pure Python.  Names
@@ -30,8 +30,9 @@ and matchings inside the subcommands using them, so ``action``,
 ``series`` never load numpy.  Nor do they load dataclasses, which imports
 inspect, ast and dis: the value types of geometry, hopf, matchings and
 conjecture are namedtuple subclasses, which check any conditions in
-``__new__``.  Only s3quad's ``SphereRule``, which must hash by identity
-for the plane memo, is a dataclass.
+``__new__``, and their ``_make`` and ``_replace`` go through it.  Only
+s3quad's ``SphereRule``, which must hash by identity for the plane memo,
+is a dataclass.
 """
 
 from importlib import import_module

@@ -58,35 +58,43 @@ SPLITS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 
 def R_D(x: float, y: float, z: float) -> float:
     """R_D(x, y, z) = 3/2 int_0^inf dt / sqrt((t+x) (t+y) (t+z)^3) for
-    finite x, y >= 0 with x + y > 0 and z > 0."""
+    finite x, y >= 0 with x + y > 0 and z > 0.  Raises ValueError where a
+    duplication step underflows to 0, as at x, y, z near 1e-300; values
+    there wait for scaled arguments (ROADMAP.md, item 13)."""
+    args = x, y, z
     if not (min(x, y) >= 0.0 and x + y > 0.0 and 0.0 < z < math.inf and max(x, y) < math.inf):
         raise ValueError(f"R_D needs finite x, y >= 0, x + y > 0, z > 0; got {x}, {y}, {z}")
-    tail, scale = 0.0, 1.0
-    while True:
-        mean = (x + y + 3.0 * z) / 5.0
-        if max(abs(mean - x), abs(mean - y), abs(mean - z)) <= DUP_TOL * mean:
-            break
-        rx, ry, rz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = rx * ry + ry * rz + rz * rx
-        tail += scale / (rz * (z + lam))
-        scale *= 0.25
-        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-    dx, dy = 1.0 - x / mean, 1.0 - y / mean
-    dz = -(dx + dy) / 3.0
-    xy, zz = dx * dy, dz * dz
-    e2 = xy - 6.0 * zz
-    e3 = (3.0 * xy - 8.0 * zz) * dz
-    e4 = 3.0 * (xy - zz) * zz
-    e5 = xy * zz * dz
-    series = (1.0 - 3.0 / 14.0 * e2 + e3 / 6.0 + 9.0 / 88.0 * e2 * e2 - 3.0 / 22.0 * e4
-              - 9.0 / 52.0 * e2 * e3 + 3.0 / 26.0 * e5)
-    return 3.0 * tail + scale * series / (mean * math.sqrt(mean))
+    try:
+        tail, scale = 0.0, 1.0
+        while True:
+            mean = (x + y + 3.0 * z) / 5.0
+            if max(abs(mean - x), abs(mean - y), abs(mean - z)) <= DUP_TOL * mean:
+                break
+            rx, ry, rz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+            lam = rx * ry + ry * rz + rz * rx
+            tail += scale / (rz * (z + lam))
+            scale *= 0.25
+            x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+        dx, dy = 1.0 - x / mean, 1.0 - y / mean
+        dz = -(dx + dy) / 3.0
+        xy, zz = dx * dy, dz * dz
+        e2 = xy - 6.0 * zz
+        e3 = (3.0 * xy - 8.0 * zz) * dz
+        e4 = 3.0 * (xy - zz) * zz
+        e5 = xy * zz * dz
+        series = (1.0 - 3.0 / 14.0 * e2 + e3 / 6.0 + 9.0 / 88.0 * e2 * e2 - 3.0 / 22.0 * e4
+                  - 9.0 / 52.0 * e2 * e3 + 3.0 / 26.0 * e5)
+        return 3.0 * tail + scale * series / (mean * math.sqrt(mean))
+    except ZeroDivisionError:
+        raise ValueError(f"R_D{args}: a duplication step underflows to 0") from None
 
 
 def R_F(x: float, y: float, z: float) -> float:
     """R_F(x, y, z) = 1/2 int_0^inf dt / sqrt((t+x) (t+y) (t+z)) for finite
     x, y, z >= 0 of which at most one is 0, from R_D (module docstring).
-    Raises ValueError when two arguments are 0."""
+    Raises ValueError when two arguments are 0, or where a step of R_D
+    underflows: R_F(1e-300, 1e-300, 1e-300) is 1e150, but its value waits
+    for scaled arguments, as R_D's does."""
     args = x, y, z
     x, y, z = sorted(args)
     # the smallest argument goes in the middle
@@ -114,8 +122,8 @@ def rational_integral(lam) -> float:
     U = [math.sqrt(u[i] * u[j]) + math.sqrt(u[k] * u[l]) for i, j, k, l in SPLITS]
     try:
         rf = R_F(*(v * v for v in U))
-    except (ValueError, ZeroDivisionError):
-        # two U_k^2 underflow to 0, or a step of R_D divides by an underflowed 0
+    except ValueError:
+        # two U_k^2 underflow to 0, or a step of R_D underflows
         rf = math.nan
     # a NaN fails the comparison
     if not rf < math.inf:

@@ -2,13 +2,14 @@
 from a pair of them, and the 2x2 symbol algebra of the squared coupled Dirac
 operator (everything here is post-Clifford-trace scalar/2x2 algebra).
 
-The module imports numpy only inside the functions that use it, so the
-closed-form and census paths of the CLI load without it.  The types are
-namedtuple subclasses, not dataclasses: importing dataclasses loads inspect,
-ast and dis, which costs a numpy-free CLI request about 10 ms.  Each type
-is immutable, compares and hashes by value as the tuple of its fields,
-prints as ``Type(field=value, ...)``, and checks any conditions on its
-inputs in __new__."""
+The module imports numpy only inside b2_trace_matrix, the explicit
+2x2-matrix reference, so the closed-form and census paths of the CLI load
+without it.  The types are namedtuple subclasses, not dataclasses:
+importing dataclasses loads inspect, ast and dis, which costs a numpy-free
+CLI request about 10 ms.  Each type is immutable, compares and hashes by
+value as the tuple of its fields, prints as ``Type(field=value, ...)``,
+and checks any conditions on its inputs in __new__, which its _make and
+_replace go through too."""
 
 from __future__ import annotations
 
@@ -32,6 +33,12 @@ DEFAULT_LEVEL = 64
 UNIT_NORM_TOL = 1e-14
 
 
+def checked_make(cls, fields):
+    """namedtuple's _make, which _replace calls, builds the tuple without
+    __new__; a type that checks its inputs there binds this as its _make."""
+    return cls(*fields)
+
+
 class DiagonalMetric(namedtuple("DiagonalMetric", "scales")):
     """Metric ds^2 = sum_j scales[j]^2 (dx^j)^2 with constant scales a_j > 0;
     scales is a tuple of 4 floats."""
@@ -45,6 +52,8 @@ class DiagonalMetric(namedtuple("DiagonalMetric", "scales")):
         if not all(math.isfinite(v) and v > 0.0 for v in vals):
             raise ValueError(f"scale factors must be positive and finite, got {vals}")
         return tuple.__new__(cls, (vals,))
+
+    _make = classmethod(checked_make)
 
 
 class UnitVector4(namedtuple("UnitVector4", "xi")):
@@ -62,15 +71,15 @@ class UnitVector4(namedtuple("UnitVector4", "xi")):
             raise ValueError(f"not a unit vector: |xi|^2 = {norm_sq!r}")
         return tuple.__new__(cls, (vals,))
 
+    _make = classmethod(checked_make)
+
     @classmethod
     def normalized(cls, components) -> "UnitVector4":
-        import numpy as np
-
-        v = np.asarray(components, dtype=float)
-        norm = math.sqrt(float(v @ v))
+        v = [float(c) for c in components]
+        norm = math.hypot(*v)
         if norm == 0.0 or not math.isfinite(norm):
             raise ValueError("cannot normalize a zero or non-finite vector")
-        return cls(tuple(v / norm))
+        return cls(c / norm for c in v)
 
 
 class DoubledGeometry(
@@ -97,6 +106,8 @@ class DoubledGeometry(
         if not math.isfinite(moment_coeff) or moment_coeff == 0.0:
             raise ValueError(f"moment_coeff must be finite and nonzero, got {moment_coeff}")
         return tuple.__new__(cls, (g1, g2, coupling, kappa, cutoff, moment_coeff))
+
+    _make = classmethod(checked_make)
 
 
 class EffectiveParams(namedtuple("EffectiveParams", "lambda_e_sq alpha")):
@@ -198,19 +209,12 @@ def b2_trace_closed(dg: DoubledGeometry, xi: UnitVector4) -> float:
 
         4 kappa |Phi|^2 sum_{j,k} (A_{2,j}-A_{1,j})^2 (A_{1,k}^2+A_{2,k}^2)
                          xi_j^2 xi_k^2 / (Q_1^2 Q_2^2)
-    """
-    import numpy as np
 
-    a1 = np.array(dg.g1.scales)
-    a2 = np.array(dg.g2.scales)
-    x = np.asarray(xi.xi)
-    z = x * x
-    inv1 = 1.0 / a1
-    inv2 = 1.0 / a2
-    q1 = float(z @ (inv1 * inv1))
-    q2 = float(z @ (inv2 * inv2))
-    d2 = (inv2 - inv1) ** 2
-    s = inv1 * inv1 + inv2 * inv2
-    double_sum = float(np.sum(np.outer(d2 * z, s * z)))
+    The double sum is (D.z)(S.z) with z_j = xi_j^2, and S.z = Q_1 + Q_2.
+    """
+    q1 = quadratic_form(dg.g1, xi)
+    q2 = quadratic_form(dg.g2, xi)
+    d_z = math.fsum((1.0 / a2 - 1.0 / a1) ** 2 * (x * x)
+                    for a1, a2, x in zip(dg.g1.scales, dg.g2.scales, xi.xi))
     phi_sq = dg.coupling * dg.coupling
-    return 4.0 * dg.kappa * phi_sq * double_sum / ((q1 * q1) * (q2 * q2))
+    return 4.0 * dg.kappa * phi_sq * d_z * (q1 + q2) / ((q1 * q1) * (q2 * q2))

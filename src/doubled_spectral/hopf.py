@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .geometry import TWO_PI_SQ, DiagonalMetric, scale_back
+from .geometry import TWO_PI_SQ, DiagonalMetric, checked_make, scale_back
 
 LOG2 = math.log(2.0)
 # below SERIES_CUT, phi and psi are summed from their series in t = s^2 <
@@ -55,6 +55,8 @@ class HopfMetric(namedtuple("HopfMetric", "a b")):
         if not (math.isfinite(b) and b > 0.0):
             raise ValueError(f"b must be positive, got {b}")
         return tuple.__new__(cls, (a, b))
+
+    _make = classmethod(checked_make)
 
 
 def to_diagonal(h: HopfMetric) -> DiagonalMetric:

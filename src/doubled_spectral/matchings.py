@@ -192,6 +192,12 @@ class PerturbedForm(namedtuple("PerturbedForm", "omega eps spectral_radius")):
         # copy and pickle call __new__ with these, not with all three fields
         return self.omega, self.eps
 
+    @classmethod
+    def _make(cls, fields):
+        # _replace calls _make: through __new__, which solves for the radius
+        omega, eps, _ = fields
+        return cls(omega, eps)
+
 
 def _partitions(m: int) -> list[tuple[int, ...]]:
     def gen(remaining, max_part):

@@ -52,6 +52,17 @@ class TestRD:
         with pytest.raises(ValueError, match="R_D needs"):
             R_D(*args)
 
+    @pytest.mark.parametrize(
+        "f, args", [(R_D, (1e-300, 1e-300, 1e-300)), (R_D, (0.0, 1e-300, 1e-300)),
+                    (R_F, (1e-300, 1e-300, 1e-300))],
+        ids=["R_D", "R_D-x-zero", "R_F"],
+    )
+    def test_underflowing_step_raises_value_error(self, f, args):
+        # a step's product underflows to 0, though R_F of these arguments is
+        # 1e150: one ValueError, not ZeroDivisionError
+        with pytest.raises(ValueError, match="a duplication step underflows to 0"):
+            f(*args)
+
 
 class TestRF:
     def test_published_values(self):
@@ -138,7 +149,7 @@ class TestRationalIntegral:
     def test_unresolved_spread_rejected(self, lam):
         # the integrals are normal doubles (3.9478417604357433439e-149,
         # 39.478417604357432944 and 14544.386759080170180, 30 digits), but two
-        # U_k^2 underflow to 0, a step of R_D divides by an underflowed 0, or
+        # U_k^2 underflow to 0, a step of R_D underflows to 0, or
         # R_F returns inf: one ValueError, not ZeroDivisionError or "overflows"
         with pytest.raises(ValueError, match="span more than the closed form resolves"):
             rational_integral(lam)

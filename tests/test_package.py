@@ -139,6 +139,15 @@ VALUE_TYPES = {
 }
 
 
+# a field value that the type's __new__ rejects
+REJECTED_FIELDS = {
+    "DiagonalMetric": {"scales": (0.0, -1.0, 2.0, 3.0)},
+    "UnitVector4": {"xi": (0.6, 0.6, 0.0, 0.8)},
+    "DoubledGeometry": {"kappa": 2},
+    "HopfMetric": {"a": -5.0},
+}
+
+
 @pytest.mark.parametrize("name", VALUE_TYPES)
 def test_value_types_are_immutable_values(name):
     # the types of the numpy-free paths are namedtuples, not dataclasses:
@@ -159,6 +168,12 @@ def test_value_types_are_immutable_values(name):
     if name == "SeriesComparison":
         assert value.to_dict() == dict(zip(fields, args))
         assert list(value.to_dict()) == list(fields)
+    # namedtuple's _make, which _replace calls, is tuple.__new__ unless the
+    # type rebinds it to go through __new__'s checks
+    assert value._replace() == value == cls._make(args)
+    if name in REJECTED_FIELDS:
+        with pytest.raises(ValueError):
+            value._replace(**REJECTED_FIELDS[name])
 
 
 def test_perturbed_form_keeps_its_spectral_radius_through_copies():
@@ -178,7 +193,11 @@ def test_perturbed_form_keeps_its_spectral_radius_through_copies():
         pf.eps[0][0] = 1.0
     with pytest.raises(TypeError):
         doubled_spectral.PerturbedForm(1.5, eps, 0.3)
-    for clone in (copy.copy(pf), pickle.loads(pickle.dumps(pf))):
+    # _replace solves for the radius of the new eps
+    assert pf._replace(eps=np.diag([0.99, -0.99, 0.0, 0.0])).spectral_radius == 0.99
+    with pytest.raises(ValueError, match="spectral radius"):
+        pf._replace(eps=np.diag([1.0, -1.0, 0.0, 0.0]))
+    for clone in (copy.copy(pf), pf._replace(), pickle.loads(pickle.dumps(pf))):
         assert clone.omega == pf.omega
         assert clone.spectral_radius == pf.spectral_radius
         assert np.array_equal(clone.eps, pf.eps)
