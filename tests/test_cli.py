@@ -784,8 +784,10 @@ IMPORT_TABLE = {
                     "--method", "numeric"],
     }),
 }
+# the rule contract's two halves keep tests of their own, below
 IMPORT_ROWS = [(contract, name) for contract, (_, _, rows) in IMPORT_TABLE.items()
-               for name in rows]
+               if contract != "rule" for name in rows]
+RULE_REQUESTS = list(IMPORT_TABLE["rule"][2])
 
 # runs the JSON list of requests in argv[1] in order and prints a JSON line
 # for each: its exit code, stdout, stderr and the modules loaded after it
@@ -812,14 +814,14 @@ def _contract_reports(contract):
     return dict(zip(rows, map(json.loads, out.stdout.splitlines())))
 
 
-@pytest.mark.parametrize("contract, name", IMPORT_ROWS, ids=[name for _, name in IMPORT_ROWS])
-def test_request_keeps_its_import_contract(contract, name):
-    need, never, rows = IMPORT_TABLE[contract]
+def _assert_request_loads(contract, name, need, never):
+    """The request `name` of `contract` succeeds with its record on stdout,
+    has loaded every module of `need` and none of `never`."""
     code, out, err, loaded = _contract_reports(contract)[name]
     assert (code, err) == (0, "")
     assert need <= set(loaded), f"{sorted(need - set(loaded))} not loaded"
     assert not never & set(loaded), f"{sorted(never & set(loaded))} loaded"
-    argv = rows[name]
+    argv = IMPORT_TABLE[contract][2][name]
     if argv[0] == "sweep":
         points = math.prod(int(spec.rsplit(":", 1)[1])
                            for flag, spec in zip(argv, argv[1:]) if flag == "--sweep")
@@ -828,6 +830,22 @@ def test_request_keeps_its_import_contract(contract, name):
         key = {"potential": "value", "action": "potential", "moments": "m",
                "series": "value_quadrature", "hypothesis": "trials"}[argv[0]]
         assert json.loads(out)[key]
+
+
+@pytest.mark.parametrize("contract, name", IMPORT_ROWS, ids=[name for _, name in IMPORT_ROWS])
+def test_request_keeps_its_import_contract(contract, name):
+    need, never, _ = IMPORT_TABLE[contract]
+    _assert_request_loads(contract, name, need, never)
+
+
+@pytest.mark.parametrize("name", RULE_REQUESTS)
+def test_numpy_requests_do_not_import_numpy_random(name):
+    _assert_request_loads("rule", name, {"numpy"}, {"numpy.random"})
+
+
+@pytest.mark.parametrize("name", RULE_REQUESTS)
+def test_rule_requests_do_not_import_numpy_polynomial(name):
+    _assert_request_loads("rule", name, {"doubled_spectral.s3quad"}, {"numpy.polynomial"})
 
 
 def test_every_subcommand_has_an_import_contract():
