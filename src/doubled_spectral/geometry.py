@@ -97,6 +97,11 @@ class DoubledGeometry(
     __slots__ = ()
 
     def __new__(cls, g1, g2, coupling, kappa, cutoff, moment_coeff):
+        if not (isinstance(g1, DiagonalMetric) and isinstance(g2, DiagonalMetric)):
+            raise ValueError(
+                f"g1 and g2 must be DiagonalMetric, got {type(g1).__name__} and "
+                f"{type(g2).__name__}"
+            )
         if kappa not in (1, -1):
             raise ValueError(f"kappa must be +1 or -1, got {kappa}")
         if not (math.isfinite(coupling) and coupling >= 0.0):
@@ -172,8 +177,6 @@ def relative_eigenvalues(g1: DiagonalMetric, g2: DiagonalMetric) -> tuple[float,
 def effective_params(dg: DoubledGeometry) -> EffectiveParams:
     """lambda_e^2 = (12/c)(Lambda^2 - c kappa |Phi|^2) and alpha = 12 kappa |Phi|^2."""
     c = dg.moment_coeff
-    if c == 0.0:
-        raise ValueError("moment coefficient c must be nonzero")
     phi_sq = dg.coupling * dg.coupling
     lambda_e_sq = 12.0 / c * (dg.cutoff * dg.cutoff - c * dg.kappa * phi_sq)
     alpha = 12.0 * dg.kappa * phi_sq

@@ -69,20 +69,45 @@ X_1 / Y_1 = X_2 / Y_2.  `potential_numeric` therefore sums the
 level x (level//2 + 1) plane of t nodes and phi representatives (2,112
 points at level 64) in one np.sum; the product rule's 2 level psi nodes are
 replaced by their limit.  The pair of axes on psi (z_2, z_3) is integrated
-exactly, so which pair goes there matters: the potential puts there the
-first two axes of its canonical order, those with the smallest scales; the
-other choices measure no better than the full 3-D rule.
+exactly, so which pair goes there matters: the potential puts there the two
+axes of largest ratio max(a1_j, a2_j) / min(a1_j, a2_j).
 
-Memo.  The potential also puts the two sheets in a canonical order, the
-smaller coefficient row first.  The plane pairs the sheets only through
-commutative sums and products, so the order changes no bit, and it makes
-exchange invariance structural: V(g1, g2) and V(g2, g1) are one sum, as
-are a pair and its joint axis permutations.  `_potential_sum` memoizes the
-plane sum on the rule and the power-of-two scaled rows, with the scale
-applied outside, in a bounded two-entry lru_cache, which is thread-safe.
-A hypothesis trial sums two distinct planes, the pair's and the rescaled
-pair's; its permuted and exchanged pairs reuse the pair's.  Rules hash by
-identity, so a rule with other arrays never shares an entry.
+Normalization.  By the lemma of docs/derivation.md section 1 with
+L = diag(1/m_j), V(g1, g2) = (prod m_j) V(a1/m, a2/m) for any m_j > 0, so
+the plane sums a normalized pair.  The integrand has a spike where a
+sheet's Q is small, as narrow as the sheet's coefficients are spread.  Axis
+j of ratio rho_j is divided by the geometric mean m_j = sqrt(a1_j a2_j)
+while rho_j <= 100, which spreads each sheet's 1/a^2 by rho_j on that axis
+instead of rho_j^2 in one sheet, and by the larger scale beyond it, which
+leaves one sheet at 1 there.  At level 64, against the exact values of
+docs/derivation.md section 4, the geometric mean's error rises with
+rho_j and the larger scale's falls, like 6.7e-3 / rho_j on one wide axis;
+they cross near rho = 400 with one wide axis, 300 with two and 65 with
+three, of which only two go on psi.  The limit 100 keeps the worst of these
+patterns at 5e-5, two wide axes just beyond it; 300 would let three wide
+axes reach 1.5e-3.  Two wide axes the opposite way, (s, 1/s, 1, 1), are
+the weak case: 2e-4 off at s = 150 and 6.7e-3 from s = 1,000 on, where
+dividing both axes by one sheet's scales is 0.2 to 0.5 off.  The pair (1e10, 1, 1, 1), (1, 1, 1, 1) is 6.7e-13 off,
+(100, 100, 1, 1) 4.6e-10 and (30, 30, 1, 1) 1.1e-15, where the rule summed
+unnormalized was 1.0, 0.47 and 4.6e-3 off.  m_j comes from the frexp
+mantissas with the exponent halved, so that 2^k g1, 2^k g2 give exactly
+2^k m_j, for odd k too, and the normalized rows do not change; prod m_j is
+carried as a mantissa and a power of two, taken in canonical axis order,
+and applied to the sum as the scale of the rows is.
+
+Memo.  The potential puts the axes in a canonical order, ascending ratio
+with ties to the smaller scale and then to the first sheet's, and the two
+sheets too, the smaller coefficient row first.  The plane pairs the sheets
+only through commutative sums and products, so the sheet order changes no
+bit, and it makes exchange invariance structural: V(g1, g2) and V(g2, g1)
+are one sum, as are a pair and its joint axis permutations.
+`_potential_sum` memoizes the plane sum on the rule and the normalized,
+power-of-two scaled rows, with prod m_j and the scale applied outside, in
+a bounded two-entry lru_cache, which is thread-safe.  A hypothesis trial
+sums two planes, the pair's and the rescaled pair's, whose rows differ from
+the pair's only in rounding; its permuted and exchanged pairs reuse the
+pair's.  Rules hash by identity, so a rule with other arrays never shares
+an entry.
 """
 
 from __future__ import annotations
@@ -112,6 +137,11 @@ from .geometry import (  # noqa: F401
 # _NEWTON_TOL; from Tricomi's guesses levels 4 to 256 take 3 or 4 steps
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 4.0 * np.finfo(float).eps
+
+# potential_numeric scales an axis by the geometric mean of its two scales
+# while their ratio is at most this, and by the larger scale beyond it (see
+# Normalization in the module docstring for the calibration)
+_GEOMETRIC_LIMIT = 100.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,16 +280,6 @@ def get_threads() -> int:
     return 1
 
 
-def _canonical_axis_order(a1, a2) -> list[int]:
-    # Canonical relabeling of the four axes.  The exact integral does not
-    # depend on a joint relabeling, but the rule is not symmetric under
-    # every axis permutation; sorting by the unordered scale pair
-    # (tie-broken by the first sheet) makes the computed value exactly
-    # invariant under joint permutations and under swapping the two
-    # metrics.  sorted is stable, so equal keys keep their axis order.
-    return sorted(range(4), key=lambda j: (min(a1[j], a2[j]), max(a1[j], a2[j]), a1[j]))
-
-
 def _plane(rule: SphereRule, coeffs) -> tuple[np.ndarray, np.ndarray]:
     """The (r, K, level) tables X and Y of the forms sum_j c_j z_j, rows of
     the (r, 4) coeffs, over the phi representatives and t nodes: each form
@@ -328,6 +348,48 @@ def _potential_sum(rule: SphereRule, coeffs) -> float:
         return _plane_sum(rule, _psi_potential(x, y))
 
 
+def _normalized_rows(a1, a2) -> tuple[list, list, list, float, int]:
+    """The coefficient rows (c1, c2, d) of the pair (a1/m, a2/m), in
+    canonical axis order, and the factor prod m_j as a mantissa and a power
+    of two (see Normalization in the module docstring)."""
+    # ascending ratio, so that the two widest axes come last, on psi; ties
+    # go to the smaller scale, then to the first sheet's
+    axes = []
+    for x, y in zip(a1, a2):
+        lo, hi = (x, y) if x <= y else (y, x)
+        axes.append((hi / lo, lo, hi, x, y))
+    axes.sort()
+    c1, c2, d = [], [], []
+    mant, exp = 1.0, 0
+    for rho, lo, hi, x, y in axes:
+        if rho <= _GEOMETRIC_LIMIT:
+            # sqrt(lo hi) from the mantissas, the exponent halved: 2^k lo and
+            # 2^k hi give 2^k times this m, bit for bit, for odd k too
+            f1, e1 = math.frexp(lo)
+            f2, e2 = math.frexp(hi)
+            e = e1 + e2
+            f = math.sqrt(math.ldexp(f1 * f2, e & 1))
+            e >>= 1
+        else:
+            f, e = math.frexp(hi)
+        m = math.ldexp(f, e)
+        mant *= f
+        exp += e
+        v = m / x
+        w = m / y
+        c1.append(v * v)
+        c2.append(w * w)
+        # d_j = (m/lo - m/hi)^2 from hi - lo, not from the difference of the
+        # quotients, which cancels for nearly equal metrics; in hi and lo it
+        # is the same for the exchanged pair, bit for bit.  Squared by a
+        # product, as c1 and c2: float ** 2 calls the C library's pow,
+        # which need not round correctly
+        v = (hi - lo) * (m / hi) / lo
+        d.append(v * v)
+    mant, e = math.frexp(mant)
+    return c1, c2, d, mant, exp + e
+
+
 def potential_numeric(
     g1: DiagonalMetric, g2: DiagonalMetric, rule: SphereRule
 ) -> float:
@@ -337,33 +399,21 @@ def potential_numeric(
         d_j = (A_{2,j} - A_{1,j})^2,   s_l = A_{1,l}^2 + A_{2,l}^2,
 
     with A_{i,j} = 1 / a_{i,j} and Q_i = sum_j A_{i,j}^2 xi_j^2, summed on
-    the (phi, t) plane with psi in closed form.  Raises ValueError when a
-    1/a^2 is 0 or inf in double precision, or when the sum is not finite.
+    the (phi, t) plane with psi in closed form, for the pair normalized per
+    axis (see Normalization in the module docstring).  Raises ValueError
+    when a 1/a^2 is 0 or inf in double precision, or when the sum is not
+    finite.
     """
-    a1 = g1.scales
-    a2 = g2.scales
-    # the first two axes of the canonical order go on psi, whose integral
-    # is exact
-    order = _canonical_axis_order(a1, a2)
-    order = order[2:] + order[:2]
-    inv1 = [1.0 / a1[j] for j in order]
-    inv2 = [1.0 / a2[j] for j in order]
-    c1 = [v * v for v in inv1]
-    c2 = [v * v for v in inv2]
-    check_inverse_squares(g1, c1, "g1")
-    check_inverse_squares(g2, c2, "g2")
-    # d_j = ((a1_j - a2_j) / (a1_j a2_j))^2, not (1/a2_j - 1/a1_j)^2, which
-    # cancels for nearly equal metrics; the grouping is the same for the
-    # exchanged pair, so its row keeps every bit.  Squared by a product, as
-    # c1 and c2: float ** 2 calls the C library's pow, which need not round
-    # correctly
-    diff = [(a1[j] - a2[j]) * (v * w) for j, v, w in zip(order, inv1, inv2)]
-    d = [v * v for v in diff]
+    for g, name in ((g1, "g1"), (g2, "g2")):
+        # 1/a^2 falls as a rises, so the extreme scales give its extremes
+        inv = [1.0 / v for v in (min(g.scales), max(g.scales))]
+        check_inverse_squares(g, [v * v for v in inv], name)
+    c1, c2, d, mant, exp = _normalized_rows(g1.scales, g2.scales)
     # V is homogeneous of degree -2 in the coefficients.  Scaled by an even
     # power of two, so that every product, quotient and square root rounds
-    # as before, the largest 1/a^2 falls below 1, and the plane stays finite
-    # at any overall scale that check_inverse_squares admits; only 1/a^2
-    # that span more than about 1e150 can overflow it.
+    # as before, the largest coefficient falls below 1, and the plane stays
+    # finite; only coefficients that span more than about 1e150 can
+    # overflow it.
     _, e = math.frexp(max(c1 + c2))
     e += e & 1
     c1, c2, d = (tuple(math.ldexp(v, -e) for v in row) for row in (c1, c2, d))
@@ -372,7 +422,8 @@ def potential_numeric(
     # exchanged pair's key the same as the pair's
     if c2 < c1:
         c1, c2 = c2, c1
-    return scale_back(_potential_sum(rule, (c1, c2, d)), -2 * e,
+    # 1/2 <= mant < 1, so a finite sum stays finite
+    return scale_back(_potential_sum(rule, (c1, c2, d)) * mant, exp - 2 * e,
                       "the potential of g1 = {} and g2 = {} is not finite on the S^3 rule: "
                       "it overflows double precision, or the scales span too wide a range",
                       g1.scales, g2.scales)

@@ -60,6 +60,17 @@ class TestPotential:
         )
         assert rec["value"] == 0.0
 
+    def test_numeric_at_ratio_1e10(self, capsys):
+        # 2 pi^2 (s - 1)^2 / (s + 1) at s = 1e10; the rule printed 2967.33
+        # here before each axis was normalized
+        rec = run_json(
+            capsys, "potential", "--g1", "1e10,1,1,1", "--g2", "1,1,1,1",
+            "--method", "numeric",
+        )
+        s = 1e10
+        expect = TWO_PI_SQ * (s - 1) ** 2 / (s + 1)
+        assert abs(rec["value"] - expect) <= 1e-12 * expect
+
     def test_numeric_swap_symmetry(self, capsys):
         rec_a = run_json(
             capsys, "potential", "--g1", "1.3,0.7,1.1,0.9", "--g2", "0.8,1.6,0.6,1.2",
@@ -162,9 +173,9 @@ class TestPotential:
   "g2": [0.90000000000000002, 0.90000000000000002, 1.1000000000000001, 1.1000000000000001],
   "method": "both",
   "level": 64,
-  "value_numeric": 16.055940889726955,
+  "value_numeric": 16.055940889989536,
   "value_closed": 16.055940889989543,
-  "abs_difference": 2.6258817342750262e-10
+  "abs_difference": 7.1054273576010019e-15
 }
 """),
         ],
@@ -255,9 +266,9 @@ class TestHypothesis:
         assert out_a == out_b
 
     def test_failure_label_is_plain_floats(self, capsys):
-        # level 8 is too coarse for tol 1e-7; the label must not depend on
-        # how the installed numpy prints its scalars
-        rec = run_json(capsys, "hypothesis", "--trials", "1", "--level", "8")
+        # at tol 0 the rounding of the rescaled pair is a failure; the label
+        # must not depend on how the installed numpy prints its scalars
+        rec = run_json(capsys, "hypothesis", "--trials", "1", "--level", "8", "--tol", "0")
         labels = [f["transformation"] for f in rec["failures"]]
         assert "scaling[0.765004669954624, 0.9564840162335098, " \
                "0.9051475237623232, 1.330705955635411]" in labels
@@ -276,31 +287,25 @@ class TestHypothesis:
   "level": 8,
   "tol": 0,
   "rng": "numpy.random.Generator(PCG64)",
-  "max_violation": 9.020250719725059e-05,
+  "max_violation": 9.0553352952450669e-16,
   "failures": [
     {
       "g1": [0.56303571094356575, 0.69429515700436495, 1.5183968772488834, 1.1206409151361405],
       "g2": [0.56969327637964839, 0.91146166238925708, 0.97137657187309623, 0.6239394042216847],
       "transformation": "scaling[1.164736798506605, 0.757385048838886, 0.9180566071128915, 1.0015031853795322]",
-      "discrepancy": 9.020250719725059e-05
-    },
-    {
-      "g1": [0.56303571094356575, 0.69429515700436495, 1.5183968772488834, 1.1206409151361405],
-      "g2": [0.56969327637964839, 0.91146166238925708, 0.97137657187309623, 0.6239394042216847],
-      "transformation": "exchange",
-      "discrepancy": 2.0541145367050402e-16
+      "discrepancy": 9.0553352952450669e-16
     },
     {
       "g1": [1.3905692329003747, 1.8823494848020912, 0.74144024312328782, 1.2286673853820147],
       "g2": [1.3126042353573317, 0.75024905306544543, 0.50103391469117398, 1.9277534495035511],
       "transformation": "scaling[0.8608465809091967, 0.8701963249810474, 1.298762736881781, 1.050145890671998]",
-      "discrepancy": 4.887402754940369e-05
+      "discrepancy": 5.1860670238084292e-16
     },
     {
       "g1": [1.3905692329003747, 1.8823494848020912, 0.74144024312328782, 1.2286673853820147],
       "g2": [1.3126042353573317, 0.75024905306544543, 0.50103391469117398, 1.9277534495035511],
       "transformation": "exchange",
-      "discrepancy": 1.3631208879961862e-16
+      "discrepancy": 1.3630766045720075e-16
     }
   ]
 }

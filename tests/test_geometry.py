@@ -71,6 +71,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             make_dg(g, g, c=0.0)
 
+    def test_doubled_geometry_needs_diagonal_metrics(self):
+        # a tuple of scales skips DiagonalMetric's checks, and b2_trace_matrix
+        # and quadratic_form would read its .scales
+        g = DiagonalMetric((1.0, 1.0, 1.0, 1.0))
+        fields = dict(coupling=1.0, kappa=1, cutoff=1.0, moment_coeff=1.0)
+        for g1, g2 in ((g.scales, g), (g, g.scales), (g.scales, g.scales)):
+            with pytest.raises(ValueError, match="DiagonalMetric"):
+                DoubledGeometry(g1=g1, g2=g2, **fields)
+        dg = DoubledGeometry(g1=g, g2=g, **fields)
+        with pytest.raises(ValueError, match="DiagonalMetric"):
+            dg._replace(g2=(2.0, 1.0, 1.0, 1.0))
+
 
 class TestQuadraticForm:
     def test_euclidean(self):

@@ -15,7 +15,7 @@ from doubled_spectral import (
     run_hypothesis_suite,
 )
 from doubled_spectral.s3quad import (
-    _canonical_axis_order,
+    _GEOMETRIC_LIMIT,
     _potential_sum,
     active_backend,
     get_threads,
@@ -87,9 +87,10 @@ class TestDeterminism:
     def test_squared_path_equals_per_node_reference(self, rule64):
         # potential_numeric sums the psi closed form over the (phi, t)
         # plane; it must equal, bit for bit, the same
-        # formula on flat per-(phi, t) arrays in the same order.  The
-        # reference leaves out the power-of-two scaling of
-        # potential_numeric, which changes no rounding in range.
+        # formula on flat per-(phi, t) arrays in the same order, times the
+        # factor prod m_j of the per-axis normalization.  The reference
+        # leaves out the power-of-two scaling of potential_numeric, which
+        # changes no rounding in range.
         def reference(rule, coeffs, integrand):
             u, t = rule.t_factor
             cos2, sin2 = rule.angle_factor
@@ -119,26 +120,40 @@ class TestDeterminism:
             return v / (sigma * sigma) * math.pi
 
         def coefficients(s1, s2):
-            # canonical order, its first two axes on psi
+            # axes in ascending ratio, the two widest on psi; each divided
+            # by m_j, the geometric mean of its scales (from the mantissas,
+            # the exponent halved) up to the limit and the larger scale
+            # beyond; prod m_j as a mantissa and an exponent
             a1, a2 = np.array(s1), np.array(s2)
-            order = _canonical_axis_order(s1, s2)
-            order = order[2:] + order[:2]
-            inv1, inv2 = 1.0 / a1[order], 1.0 / a2[order]
-            c1, c2 = inv1 * inv1, inv2 * inv2
-            diff = (a1[order] - a2[order]) * (inv1 * inv2)
-            return c1, c2, diff * diff
+            lo, hi = np.minimum(a1, a2), np.maximum(a1, a2)
+            order = np.lexsort((a1, hi, lo, hi / lo))
+            a1, a2, lo, hi = a1[order], a2[order], lo[order], hi[order]
+            (f1, e1), (f2, e2) = np.frexp(lo), np.frexp(hi)
+            e = e1 + e2
+            geometric = hi / lo <= _GEOMETRIC_LIMIT
+            f = np.where(geometric, np.sqrt(np.ldexp(f1 * f2, e & 1)), f2)
+            e = np.where(geometric, e >> 1, e2)
+            m = np.ldexp(f, e)
+            inv1, inv2 = m / a1, m / a2
+            diff = (hi - lo) * (m / hi) / lo
+            mant, mant_exp = math.frexp(math.prod(f.tolist()))
+            rows = inv1 * inv1, inv2 * inv2, diff * diff
+            return rows, mant, int(e.sum()) + mant_exp
 
         rng = np.random.default_rng(229)
         in_box = [(draw_scales(rng), draw_scales(rng)) for _ in range(3)]
         pairs = in_box + [
             ((10.0, 1.3, 0.7, 2.2), (1.0, 0.9, 7.0, 1.1)),
             ((100.0, 1.0, 0.5, 1.0), (1.0, 1.0, 1.0, 1.0)),
+            # one axis beyond the limit, one at ratio 100 on psi beside it
+            ((1e4, 0.01, 1.3, 0.7), (1.0, 1.0, 1.1, 2.0)),
         ]
         # level 48 has 25 phi representatives, an odd count
         for rule in (rule64, build_rule(48)):
             for s1, s2 in pairs:
                 got = potential_numeric(DiagonalMetric(s1), DiagonalMetric(s2), rule)
-                assert got == reference(rule, coefficients(s1, s2), potential)
+                rows, mant, exp = coefficients(s1, s2)
+                assert got == math.ldexp(reference(rule, rows, potential) * mant, exp)
 
         # in-box, the 3-D product rule has converged in psi, so the two
         # agree to rounding against the independent product set

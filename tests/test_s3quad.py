@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -334,6 +335,33 @@ class TestPotential:
         g1, g2 = DiagonalMetric(scales), DiagonalMetric((1, 1, 1, 1))
         expect = potential_1d(g1, g2)
         assert abs(potential_numeric(g1, g2, rule64) - expect) <= 1e-11 * expect
+
+    @pytest.mark.parametrize(
+        "scales, bound",
+        [
+            ((1e10, 1, 1, 1), 1e-12),
+            ((1e4, 1, 1, 1), 1e-6),
+            ((100, 1, 1, 1), 1e-10),
+            ((100, 100, 1, 1), 1e-9),
+            ((30, 30, 1, 1), 4e-15),
+            ((10, 1, 1, 1), 1e-15),
+            ((0.01, 1, 1, 1), 1e-10),
+        ],
+        ids=["1e10", "1e4", "100", "100-100", "30-30", "10", "0.01"],
+    )
+    def test_wide_ratios_against_exact_strata(self, rule64, scales, bound):
+        # V(g1, g2) = sqrt(det g2) 2 pi^2 (t(s-1)^2 + s(t-1)^2) / (s + t) at
+        # r = (s, t, 1, 1), in exact rationals; the measured errors are
+        # 6.7e-13, 6.7e-7, 7.2e-11, 4.6e-10, 1.1e-15, 0 and 7.2e-11, where
+        # the rule without the per-axis normalization read 1.0, 0.98,
+        # 3.9e-2, 0.47, 4.6e-3, 5.9e-6 and 3.5e-5
+        unit = (1.0, 1.0, 1.0, 1.0)
+        for a1, a2 in ((scales, unit), (unit, scales)):
+            s, t = (Fraction(u) / Fraction(v) for u, v in zip(a1[:2], a2[:2]))
+            w = (t * (s - 1) ** 2 + s * (t - 1) ** 2) / (s + t)
+            expect = TWO_PI_SQ * float(w * Fraction(math.prod(a2)))
+            got = potential_numeric(DiagonalMetric(a1), DiagonalMetric(a2), rule64)
+            assert abs(got - expect) <= bound * expect
 
     def test_hopf_reduction_value(self, rule32):
         g1 = DiagonalMetric((2, 2, 1, 1))
